@@ -159,10 +159,7 @@ def estimate_states(h: ProductObserverState) -> frozenset[str]:
 def _projection_buckets(policy: Policy, depth: int) -> dict[Word, frozenset[str]]:
     """Endpoint states of every plant word up to `depth`, keyed by what the
     policy transmits for it.  Cached per policy and depth."""
-    cache = getattr(policy, "_bucket_cache", None)
-    if cache is None:
-        cache = {}
-        policy._bucket_cache = cache
+    cache = policy._bucket_cache
     hit = cache.get(depth)
     if hit is not None:
         return hit
@@ -226,35 +223,46 @@ def check_tracker_containment(
     """Every tracker estimate stays inside what the schedule-level observer
     allows for the same observation: the labeled states of the tracker state
     must be covered by the union of observer estimates reachable on that
-    observed word."""
+    observed word.
+
+    Both the check and the successors of an observed word depend only on
+    its pair (tracker state, set of observer estimates), so the walk goes
+    level by level with one entry per distinct pair, carrying the pair's
+    shortlex-first word and its number of words.  Entries are inserted in
+    the order of their first words, so a failure names the shortlex-first
+    failing word; its `words` then counts the words of the pairs checked
+    before plus that word."""
     sys = build_labeled_system(plant)
     obs = build_observer(sys, state_budget)
     est = Estimator(sys, policy)
     checked = 0
-    queue: list[tuple[Word, ProductObserverState, frozenset[ObserverState]]] = [
-        ((), est.initial, frozenset(obs.initials))
-    ]
-    while queue:
-        w, h, zs = queue.pop(0)
-        checked += 1
-        allowed = set()
-        for z in zs:
-            allowed.update(z.members)
-        mine = set(i2(h).members)
-        if not mine <= allowed:
-            return CheckReport(
-                "PROP1", False, checked, depth, w,
-                expected="subset of " + _render_states(x.render() for x in allowed),
-                got=_render_states(x.render() for x in mine),
-            )
-        if len(w) == depth:
-            continue
-        for e in sorted(plant.alphabet):
-            h2 = est.step(h, e)
-            if h2 is None:
+    level: dict[tuple[ProductObserverState, frozenset[ObserverState]], tuple[Word, int]] = {
+        (est.initial, frozenset(obs.initials)): ((), 1)
+    }
+    for n in range(depth + 1):
+        nxt = {}
+        for (h, zs), (w, count) in level.items():
+            allowed = set()
+            for z in zs:
+                allowed.update(z.members)
+            mine = set(i2(h).members)
+            if not mine <= allowed:
+                return CheckReport(
+                    "PROP1", False, checked + 1, depth, w,
+                    expected="subset of " + _render_states(x.render() for x in allowed),
+                    got=_render_states(x.render() for x in mine),
+                )
+            checked += count
+            if n == depth:
                 continue
-            zs2 = frozenset(z2 for z in zs for z2 in obs.successors(z, e))
-            queue.append((w + (e,), h2, zs2))
+            for e in sorted(plant.alphabet):
+                h2 = est.step(h, e)
+                if h2 is None:
+                    continue
+                zs2 = frozenset(z2 for z in zs for z2 in obs.successors(z, e))
+                first, total = nxt.get((h2, zs2), (w + (e,), 0))
+                nxt[(h2, zs2)] = (first, total + count)
+        level = nxt
     return CheckReport("PROP1", True, checked, depth)
 
 

@@ -29,6 +29,13 @@ class LabeledState:
     bits: tuple[tuple[str, str], ...]  # ((event, decision), ...) sorted by event
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.base, self.bits))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
     def _map(self) -> dict[str, str]:
         return dict(self.bits)
 
@@ -83,8 +90,16 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
 class LabeledSystem:
     """All decision versions of a plant's states, with step helpers.
 
-    Immutable after construction.  Holds internal memo tables for the
-    closure computations in the observer module.
+    Immutable after construction apart from three memo tables that the
+    observer module fills:
+
+    * `_reach_cache`, keyed on a labeled state: its suppressed reach
+      (`unobservable_reach`);
+    * `_cover_cache`, keyed on a labeled state: its family of run-tree
+      ranges (`_cover_families`);
+    * `_step_cache`, keyed on a frozenset of plant state names, the targets
+      of a transmitted event: the sorted estimates an observer step yields
+      for those targets (`observer_step`).
     """
 
     def __init__(self, plant: Plant, states: Sequence[LabeledState]):
@@ -95,9 +110,9 @@ class LabeledSystem:
             self._versions.setdefault(ls.base, ())
             self._versions[ls.base] += (ls,)
         self.initials = self._versions[plant.initial]
-        # caches used by the observer module
-        self._cover_cache: dict = {}
         self._reach_cache: dict = {}
+        self._cover_cache: dict = {}
+        self._step_cache: dict = {}
 
     def versions_of(self, q: str) -> tuple[LabeledState, ...]:
         try:

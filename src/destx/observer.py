@@ -35,6 +35,13 @@ class ObserverState:
 
     members: tuple[LabeledState, ...]
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.members,))
+
+    def __hash__(self):
+        return self._hash
+
     @staticmethod
     def of(states) -> "ObserverState":
         return ObserverState(tuple(sorted(set(states), key=LabeledState.sort_key)))
@@ -189,6 +196,24 @@ def non_conflicting(sys: LabeledSystem, seed: LabeledState, cand: frozenset[Labe
     return cand in fam[seed]
 
 
+def _target_bases(sys: LabeledSystem, z: ObserverState, e: str) -> frozenset[str]:
+    """Plant states the members of `z` that transmit `e` move to."""
+    bases = set()
+    for v in z.members:
+        if v._map.get(e) == Y:
+            tgt = sys.plant.step(v.base, e)
+            if tgt is not None:
+                bases.add(tgt)
+    return frozenset(bases)
+
+
+def _cores_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[frozenset[LabeledState], ...]:
+    if not bases:
+        return ()
+    pools = [sys.versions_of(b) for b in sorted(bases)]
+    return tuple(frozenset(choice) for choice in itertools.product(*pools))
+
+
 def successor_cores(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[frozenset[LabeledState], ...]:
     """Seed sets for the estimates after transmitting `e` from `z`.
 
@@ -196,27 +221,29 @@ def successor_cores(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[froze
     happened, so every contributing plant successor is a mandatory seed, in
     one decision version each.
     """
-    bases = set()
-    for v in z.members:
-        if e in v._map and v.label(e) == Y:
-            tgt = sys.plant.step(v.base, e)
-            if tgt is not None:
-                bases.add(tgt)
-    if not bases:
-        return ()
-    pools = [sys.versions_of(b) for b in sorted(bases)]
-    return tuple(frozenset(choice) for choice in itertools.product(*pools))
+    return _cores_over(sys, _target_bases(sys, z, e))
 
 
-def observer_step(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[ObserverState, ...]:
-    """All admissible estimates after `z` transmits `e`."""
+def _estimates_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[ObserverState, ...]:
+    """All admissible estimates seeded by one version of every plant state in
+    `bases`.  Memoized on the system: the result depends on nothing else."""
+    hit = sys._step_cache.get(bases)
+    if hit is not None:
+        return hit
     out = set()
-    for core in successor_cores(sys, z, e):
+    for core in _cores_over(sys, bases):
         fam = _cover_families(sys, core)
         for rng in _union_choices(fam[r] for r in core):
             if reach_closed(sys, rng):
                 out.add(rng)
-    return tuple(sorted((ObserverState.of(r) for r in out), key=ObserverState.sort_key))
+    result = tuple(sorted((ObserverState.of(r) for r in out), key=ObserverState.sort_key))
+    sys._step_cache[bases] = result
+    return result
+
+
+def observer_step(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[ObserverState, ...]:
+    """All admissible estimates after `z` transmits `e`."""
+    return _estimates_over(sys, _target_bases(sys, z, e))
 
 
 class DynamicObserver:

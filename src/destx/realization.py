@@ -53,6 +53,8 @@ class Policy:
             if tuple(sorted(plant.defined_events(x.base))) != x.events():
                 raise ParseError(f"{x.render()} does not label exactly the defined events")
         self.states = tuple(sorted(seen, key=LabeledState.sort_key))
+        # estimation's projection buckets per depth; not part of equality
+        self._bucket_cache: dict[int, dict[Word, frozenset[str]]] = {}
 
     def label(self, x: LabeledState, e: str) -> str:
         return x.label(e)

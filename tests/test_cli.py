@@ -86,6 +86,38 @@ def test_verify_hand_policy_fails():
     )
 
 
+def test_ring_2_2_end_to_end(tmp_path):
+    plant = tmp_path / "ring.des"
+    plant.write_text(
+        "alphabet e0 e1\nstates q0 q1\ninitial q0\n"
+        "trans q0 e0 q1\ntrans q1 e0 q0\ntrans q0 e1 q0\ntrans q1 e1 q1\n"
+    )
+    spec = tmp_path / "ring.pairs"
+    spec.write_text("pair q0 q1\n")
+    out = tmp_path / "ring.policy"
+    p = run("synthesize", str(plant), str(spec), str(out))
+    assert p.returncode == 0
+    assert p.stdout == f"feasible\nroot (q0YN)\npolicy-states 2\npolicy {out}\n"
+    assert out.read_text() == (
+        "initial q0YN\n"
+        "label q0YN e0 Y\n"
+        "label q0YN e1 N\n"
+        "label q1YN e0 Y\n"
+        "label q1YN e1 N\n"
+        "trans q0YN e0 q1YN\n"
+        "trans q0YN e1 q0YN\n"
+        "trans q1YN e0 q0YN\n"
+        "trans q1YN e1 q1YN\n"
+    )
+    p = run("verify", str(plant), str(out), str(spec))
+    assert p.returncode == 0
+    assert p.stdout == (
+        "PROP1 ok words=7 depth=6\n"
+        "THM1 ok words=127 depth=6\n"
+        "PROBLEM1 ok words=127 depth=6\n"
+    )
+
+
 def test_simulate():
     p = run("simulate", PLANT, HAND, "--trace", "σ3 σ2")
     assert p.returncode == 0

@@ -4,8 +4,12 @@ import random
 
 import pytest
 
+import destx.estimation
 from destx import (
+    CheckReport,
+    DistinguishabilitySpec,
     Estimator,
+    Plant,
     PolicyIncomplete,
     ProductObserverState,
     ProductState,
@@ -13,18 +17,68 @@ from destx import (
     UndefinedEvent,
     WordNotInPlant,
     build_labeled_system,
+    build_observer,
     build_product,
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
+    consistency_fixpoint,
+    distinguishability,
     estimate_bruteforce,
     estimate_states,
+    extract_min_transmit,
     i2,
     parse_labeled,
+    prune_violating,
+    realize_policy,
     uniform_policy,
 )
 from destx.labeled import N, Y
+from destx.observer import ObserverState
 from randgen import flip_to_suppress, random_plant, random_policy
+
+
+def _render(states):
+    return "{" + ",".join(sorted(states)) + "}"
+
+
+def _prop1_word_by_word(plant, policy, depth):
+    """Reference for check_tracker_containment: one breadth-first entry per
+    observed word, in shortlex order."""
+    sys = build_labeled_system(plant)
+    obs = destx.estimation.build_observer(sys)
+    est = Estimator(sys, policy)
+    checked = 0
+    queue = [((), est.initial, frozenset(obs.initials))]
+    while queue:
+        w, h, zs = queue.pop(0)
+        checked += 1
+        allowed = {x for z in zs for x in z.members}
+        mine = set(i2(h).members)
+        if not mine <= allowed:
+            return CheckReport(
+                "PROP1", False, checked, depth, w,
+                expected="subset of " + _render(x.render() for x in allowed),
+                got=_render(x.render() for x in mine),
+            )
+        if len(w) == depth:
+            continue
+        for e in sorted(plant.alphabet):
+            h2 = est.step(h, e)
+            if h2 is None:
+                continue
+            zs2 = frozenset(z2 for z in zs for z2 in obs.successors(z, e))
+            queue.append((w + (e,), h2, zs2))
+    return CheckReport("PROP1", True, checked, depth)
+
+
+def _assert_prop1_matches(plant, policy, depth):
+    got = check_tracker_containment(plant, policy, depth)
+    ref = _prop1_word_by_word(plant, policy, depth)
+    assert got.line() == ref.line()
+    if ref.ok:
+        assert got.words == ref.words
+    return got
 
 
 def test_product_is_diagonal(lsys, hand_policy):
@@ -182,3 +236,47 @@ def test_suppressing_more_never_shrinks_silent_estimate():
             pa, pb = pol.projection(s), flipped.projection(s)
             it = iter(pa)
             assert all(e in it for e in pb)  # subsequence
+
+
+def test_prop1_matches_word_by_word_running_example(plant, pinned_policy, default_policy):
+    for pol in (pinned_policy, default_policy):
+        for depth in range(9):
+            assert _assert_prop1_matches(plant, pol, depth).ok
+
+
+def test_prop1_matches_word_by_word_fib():
+    fib = Plant(["q0", "q1"], ["a", "b"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "b"): "q0"}, "q0")
+    lsys = build_labeled_system(fib)
+    obs = build_observer(lsys)
+    prop = distinguishability(DistinguishabilitySpec.of([("q0", "q1")]), fib)
+    gstar = consistency_fixpoint(obs, prune_violating(obs, prop))
+    pol = realize_policy(lsys, extract_min_transmit(gstar))
+    for p in (pol, uniform_policy(fib, Y), uniform_policy(fib, N)):
+        assert _assert_prop1_matches(fib, p, 14).ok
+
+
+def test_prop1_matches_word_by_word_random():
+    for seed in range(50):
+        rng = random.Random(seed)
+        plant = random_plant(rng)
+        policy = random_policy(rng, plant)
+        assert _assert_prop1_matches(plant, policy, 5).ok, f"seed {seed}"
+
+
+def test_prop1_failure_names_shortlex_first_word(monkeypatch):
+    # a and b lead to the same pair, so the two failing words a c and b c
+    # share one entry; the report names the first of them
+    plant = Plant(["q0", "q1", "q2"], ["a", "b", "c"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "c"): "q2"}, "q0")
+    policy = uniform_policy(plant, Y)
+    assert _assert_prop1_matches(plant, policy, 3).line() == "PROP1 ok words=5 depth=3"
+    real = destx.estimation.build_observer
+    q1y = ObserverState.of([parse_labeled("q1Y", plant)])
+
+    def drop_q1y_c(sys, state_budget=100_000):
+        obs = real(sys, state_budget)
+        assert [z.render() for z in obs.trans.pop((q1y, "c"))] == ["(q2)"]
+        return obs
+
+    monkeypatch.setattr(destx.estimation, "build_observer", drop_q1y_c)
+    report = _assert_prop1_matches(plant, policy, 3)
+    assert report.line() == "FAIL PROP1 word=a c expected=subset of {} got={q2}"

@@ -213,6 +213,51 @@ def test_bruteforce_cap():
         closure_family_bruteforce(lsys, seed)
 
 
+def _target_sets(plant, obs):
+    """The plant states each (estimate, event) step of `obs` transmits into."""
+    return {
+        frozenset(plant.step(v.base, e) for v in z.members if e in v.events() and v.label(e) == "Y")
+        for z in obs.states
+        for e in plant.alphabet
+    }
+
+
+def _steps_match_cold(plant, lsys, obs):
+    for z in obs.states:
+        for e in sorted(plant.alphabet):
+            assert observer_step(lsys, z, e) == observer_step(build_labeled_system(plant), z, e)
+
+
+def test_step_memo_matches_cold_system(plant, lsys, obs):
+    _steps_match_cold(plant, lsys, obs)
+    fresh = build_labeled_system(plant)
+    build_observer(fresh)
+    assert set(fresh._step_cache) == _target_sets(plant, obs)
+
+
+@given(plants)
+@settings(max_examples=15, deadline=None)
+def test_step_memo_matches_cold_system_random(plant):
+    lsys = build_labeled_system(plant)
+    try:
+        obs = build_observer(lsys, state_budget=300)
+    except StateBudgetExceeded:
+        return
+    assert set(lsys._step_cache) == _target_sets(plant, obs)
+    _steps_match_cold(plant, lsys, obs)
+
+
+def test_step_memo_ring_2_2():
+    ring = {("q0", "e0"): "q1", ("q1", "e0"): "q0", ("q0", "e1"): "q0", ("q1", "e1"): "q1"}
+    plant = Plant(["q0", "q1"], ["e0", "e1"], ring, "q0")
+    lsys = build_labeled_system(plant)
+    obs = build_observer(lsys)
+    assert len(obs.states) == 207
+    assert obs.transition_count == 74230
+    # 414 (estimate, event) steps share four target sets
+    assert sorted(sorted(b) for b in lsys._step_cache) == [[], ["q0"], ["q0", "q1"], ["q1"]]
+
+
 @given(plants)
 @settings(max_examples=25, deadline=None)
 def test_observer_invariants_random(plant):
