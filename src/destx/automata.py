@@ -27,6 +27,15 @@ def render_word(w: Iterable[str]) -> str:
     return " ".join(w) if w else "ε"
 
 
+def read_input(path) -> str:
+    """Text of an input file; a file that is not UTF-8 is a ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def project(w: Iterable[str], observable: Iterable[str]) -> Word:
     """Natural projection keeping only events in `observable`."""
     keep = frozenset(observable)
@@ -118,6 +127,27 @@ class Plant:
 
     def __repr__(self):
         return f"Plant(states={len(self.states)}, events={len(self.alphabet)}, initial={self.initial!r})"
+
+
+def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
+    """Number of words of length <= depth, or None once it exceeds cap.
+
+    Counts words per end state, so it never enumerates them."""
+    counts = {plant.initial: 1}
+    total = 1
+    for _ in range(depth):
+        nxt: dict[str, int] = {}
+        for q, c in counts.items():
+            for e in plant.defined_events(q):
+                q2 = plant.step(q, e)
+                nxt[q2] = nxt.get(q2, 0) + c
+        total += sum(nxt.values())
+        if total > cap:
+            return None
+        if not nxt:
+            break
+        counts = nxt
+    return total
 
 
 class Nfa:
@@ -235,5 +265,4 @@ def format_des(plant: Plant) -> str:
 
 
 def load_plant(path: str) -> Plant:
-    with open(path, encoding="utf-8") as fh:
-        return parse_des(fh.read())
+    return parse_des(read_input(path))

@@ -80,7 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, budget=True, depth=False):
         if budget:
-            sp.add_argument("--budget", type=int, default=None, help="observer state cap")
+            sp.add_argument(
+                "--budget", type=int, default=None,
+                help="cap on observer states and, in verify, on the plant words up to the depth "
+                "and on brute-force estimate-table entries (default: DESTX_BUDGET, else 100000)",
+            )
         if depth:
             sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="word-length bound")
 
@@ -164,8 +168,8 @@ def cmd_verify(args) -> int:
     prop = distinguishability(spec, plant)
     reports = [
         check_tracker_containment(plant, policy, args.depth, args.resolved_budget),
-        check_estimate_agreement(plant, policy, args.depth),
-        check_property_satisfaction(plant, policy, prop, args.depth),
+        check_estimate_agreement(plant, policy, args.depth, args.resolved_budget),
+        check_property_satisfaction(plant, policy, prop, args.depth, args.resolved_budget),
     ]
     for r in reports:
         print(r.line())

@@ -4,12 +4,18 @@ Two independent routes to the receiver's estimate:
 
 * the tracker: a deterministic observer of the policy-plant product, stepped
   by transmitted events only, with suppressed-step closure folded in;
-* brute force: enumerate every plant word up to a depth, bucket by what the
-  policy transmits, and read the estimate straight off the definition.
+* brute force: read the estimate straight off the definition, as the end
+  states of the plant words within a length bound that the policy projects
+  onto the same transmitted word.  The words are not listed one by one: a
+  breadth-first table over distinct (plant state, policy state, projection)
+  triples records the shortest word length that reaches each end state,
+  and is grown once per policy, level by level, to the largest bound asked.
 
 The checks below compare the two routes against each other and against the
 schedule-level observer, over all words up to a depth.  They are bounded
-substitutes for the universal statements, not proofs.
+substitutes for the universal statements, not proofs.  THM1 and PROBLEM1
+refuse to start when the words up to the depth exceed their budget, and
+stop when the table outgrows it.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Plant, Word, render_word
-from .errors import PolicyIncomplete, UndefinedEvent, WordNotInPlant
+from .automata import Plant, Word, lang_size_capped, render_word
+from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent, WordNotInPlant
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system
 from .observer import ObserverState, build_observer
 from .properties import ISProperty
@@ -156,33 +162,63 @@ def estimate_states(h: ProductObserverState) -> frozenset[str]:
     return i2(h).underlying()
 
 
-def _projection_buckets(policy: Policy, depth: int) -> dict[Word, frozenset[str]]:
-    """Endpoint states of every plant word up to `depth`, keyed by what the
-    policy transmits for it.  Cached per policy and depth."""
-    cache = policy._bucket_cache
-    hit = cache.get(depth)
-    if hit is not None:
-        return hit
-    plant = policy.plant
-    buckets: dict[Word, set[str]] = {(): {plant.initial}}
-    stack = [(plant.initial, policy.initial, (), 0)]
-    while stack:
-        q, x, proj, n = stack.pop()
-        if n == depth:
-            continue
-        for e in sorted(plant.defined_events(q)):
-            q2 = plant.step(q, e)
-            x2 = policy.trans.get((x, e))
-            if x2 is None:
-                raise PolicyIncomplete(
-                    f"policy has no transition for ({x.render()}, {e}); cannot enumerate estimates"
-                )
-            proj2 = proj + (e,) if x.label(e) == Y else proj
-            buckets.setdefault(proj2, set()).add(q2)
-            stack.append((q2, x2, proj2, n + 1))
-    out = {w: frozenset(qs) for w, qs in buckets.items()}
-    cache[depth] = out
-    return out
+class _EstimateTable:
+    """Breadth-first table of the (plant state, policy state, projection)
+    triples that plant words reach, one level of word length at a time.
+
+    A triple's successors depend on the triple alone, so walking distinct
+    triples breadth-first finds the length of the shortest word reaching
+    each of them.  `reach[p][q]` keeps, per projection p and plant state q,
+    the least of those lengths.  The plant words of length at most D with
+    projection p therefore end exactly in the states q with
+    `reach[p][q] <= D`, which is the estimate by definition."""
+
+    def __init__(self, policy: Policy):
+        self.policy = policy
+        start = (policy.plant.initial, policy.initial, ())
+        self.seen = {start}
+        self.frontier = [start]
+        self.level = 0
+        self.reach: dict[Word, dict[str, int]] = {(): {policy.plant.initial: 0}}
+
+    def extend(self, bound: int, budget: int, check: str) -> None:
+        """Grow the table until it covers every word of length <= bound.
+
+        Growth stops with InstanceTooLarge once the table would hold more
+        than `budget` triples; levels an earlier call already built are read
+        as they are.  A level is committed only once it is complete, so a
+        PolicyIncomplete or InstanceTooLarge leaves the table as it was."""
+        plant, policy = self.policy.plant, self.policy
+        while self.level < bound and self.frontier:
+            fresh: dict[tuple[str, LabeledState, Word], None] = {}
+            for q, x, proj in self.frontier:
+                for e in sorted(plant.defined_events(q)):
+                    t = (plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
+                    if t in self.seen or t in fresh:
+                        continue
+                    fresh[t] = None
+                    if len(self.seen) + len(fresh) > budget:
+                        raise InstanceTooLarge(
+                            f"{check}: the brute-force estimate table passed the budget of "
+                            f"{budget} (plant state, policy state, projection) triples "
+                            f"at word length {self.level + 1}"
+                        )
+            self.level += 1
+            for q, x, proj in fresh:
+                self.reach.setdefault(proj, {}).setdefault(q, self.level)
+            self.seen.update(fresh)
+            self.frontier = list(fresh)
+
+    def estimate(self, proj: Word, bound: int) -> frozenset[str]:
+        """Endpoints of the plant words of length <= bound with projection
+        `proj`; the table must already cover `bound`."""
+        return frozenset(q for q, n in self.reach.get(proj, {}).items() if n <= bound)
+
+
+def _estimate_table(policy: Policy) -> _EstimateTable:
+    if policy._estimate_table is None:
+        policy._estimate_table = _EstimateTable(policy)
+    return policy._estimate_table
 
 
 def estimate_bruteforce(plant: Plant, policy: Policy, s: Word, depth: int) -> frozenset[str]:
@@ -191,7 +227,9 @@ def estimate_bruteforce(plant: Plant, policy: Policy, s: Word, depth: int) -> fr
     if plant.run_word(plant.initial, s) is None:
         raise WordNotInPlant(f"not a plant word: {render_word(s)}")
     proj = policy.projection(s)
-    return _projection_buckets(policy, depth).get(proj, frozenset())
+    table = _estimate_table(policy)
+    table.extend(depth, 100_000, "estimate_bruteforce")
+    return table.estimate(proj, depth)
 
 
 @dataclass
@@ -266,19 +304,62 @@ def check_tracker_containment(
     return CheckReport("PROP1", True, checked, depth)
 
 
-def check_estimate_agreement(plant: Plant, policy: Policy, depth: int) -> CheckReport:
+def _check_word_budget(plant: Plant, depth: int, budget: int, check: str) -> None:
+    if lang_size_capped(plant, depth, budget) is None:
+        raise InstanceTooLarge(
+            f"{check}: more than {budget} plant words up to depth {depth}, over the budget"
+        )
+
+
+def _words_with_projections(plant: Plant, policy: Policy, depth: int):
+    """Every plant word up to `depth` with its projection, in the order of
+    `Plant.words_upto`.  Each word carries its plant and policy state, so
+    the projection grows by one event per step; a level is built only after
+    the previous one has been consumed."""
+    layer = [((), plant.initial, policy.initial, ())]
+    for n in range(depth + 1):
+        for s, _q, _x, proj in layer:
+            yield s, proj
+        if n == depth:
+            return
+        nxt = []
+        for s, q, x, proj in layer:
+            for e in sorted(plant.defined_events(q)):
+                proj2 = proj + (e,) if x.label(e) == Y else proj
+                nxt.append((s + (e,), plant.step(q, e), policy.step(x, e), proj2))
+        if not nxt:
+            return
+        layer = nxt
+
+
+def check_estimate_agreement(
+    plant: Plant, policy: Policy, depth: int, budget: int = 100_000
+) -> CheckReport:
     """Tracker estimates equal brute-force estimates for every plant word up
     to the depth.  The brute-force side searches deeper by the number of
-    labeled states so suppressed continuations are not cut off."""
+    labeled states so suppressed continuations are not cut off.  The plant
+    words up to the depth and the estimate table are both capped by
+    `budget`."""
+    _check_word_budget(plant, depth, budget, "THM1")
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
+    table = _estimate_table(policy)
     slack = len(sys.states)
+    # tracker state and estimate per projection; a word's projection is its
+    # parent's or one event longer, and the parent comes first in the walk
+    trackers: dict[Word, tuple[ProductObserverState | None, frozenset[str]]] = {
+        (): (est.initial, estimate_states(est.initial))
+    }
     checked = 0
-    for s in plant.words_upto(depth):
+    for s, proj in _words_with_projections(plant, policy, depth):
         checked += 1
-        h = est.after(policy.projection(s))
-        tracker = estimate_states(h) if h is not None else frozenset()
-        brute = estimate_bruteforce(plant, policy, s, len(s) + slack)
+        if proj not in trackers:
+            h = trackers[proj[:-1]][0]
+            h = est.step(h, proj[-1]) if h is not None else None
+            trackers[proj] = (h, estimate_states(h) if h is not None else frozenset())
+        tracker = trackers[proj][1]
+        table.extend(len(s) + slack, budget, "THM1")
+        brute = table.estimate(proj, len(s) + slack)
         if tracker != brute:
             return CheckReport(
                 "THM1", False, checked, depth, s,
@@ -289,17 +370,18 @@ def check_estimate_agreement(plant: Plant, policy: Policy, depth: int) -> CheckR
 
 
 def check_property_satisfaction(
-    plant: Plant, policy: Policy, prop: ISProperty, depth: int
+    plant: Plant, policy: Policy, prop: ISProperty, depth: int, budget: int = 100_000
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
-    up to the depth."""
-    sys = build_labeled_system(plant)
-    slack = len(sys.states)
-    buckets = _projection_buckets(policy, depth + slack)
+    up to the depth, with the same slack and budget as THM1."""
+    _check_word_budget(plant, depth, budget, "PROBLEM1")
+    bound = depth + len(build_labeled_system(plant).states)
+    table = _estimate_table(policy)
+    table.extend(bound, budget, "PROBLEM1")
     checked = 0
-    for s in plant.words_upto(depth):
+    for s, proj in _words_with_projections(plant, policy, depth):
         checked += 1
-        estimate = buckets[policy.projection(s)]
+        estimate = table.estimate(proj, bound)
         if not prop.holds(estimate):
             return CheckReport(
                 "PROBLEM1", False, checked, depth, s,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .automata import Plant
+from .automata import Plant, read_input
 from .errors import ParseError, UnknownState
 from .observer import ObserverState
 
@@ -92,5 +92,4 @@ def violating_states(prop: ISProperty, states: Iterable[ObserverState]) -> tuple
 
 
 def load_pairs(path) -> DistinguishabilitySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DistinguishabilitySpec.parse(fh.read())
+    return DistinguishabilitySpec.parse(read_input(path))

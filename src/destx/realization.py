@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .automata import Plant, Word
+from .automata import Plant, Word, read_input
 from .errors import (
     InstanceTooLarge,
     MissingSuccessor,
@@ -53,8 +53,9 @@ class Policy:
             if tuple(sorted(plant.defined_events(x.base))) != x.events():
                 raise ParseError(f"{x.render()} does not label exactly the defined events")
         self.states = tuple(sorted(seen, key=LabeledState.sort_key))
-        # estimation's projection buckets per depth; not part of equality
-        self._bucket_cache: dict[int, dict[Word, frozenset[str]]] = {}
+        # estimation's brute-force estimate table, grown on demand; not part
+        # of equality
+        self._estimate_table = None
 
     def label(self, x: LabeledState, e: str) -> str:
         return x.label(e)
@@ -236,8 +237,7 @@ def parse_policy(text: str, plant: Plant) -> Policy:
 
 
 def load_policy(path: str, plant: Plant) -> Policy:
-    with open(path, encoding="utf-8") as fh:
-        return parse_policy(fh.read(), plant)
+    return parse_policy(read_input(path), plant)
 
 
 def transmitted_count(policy: Policy, s: Iterable[str]) -> int:

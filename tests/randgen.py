@@ -7,29 +7,11 @@ a bounded number of words up to the depths the checkers explore.
 
 import random
 
-from destx import Plant, Policy, make_labeled
+from destx import Plant, Policy, build_labeled_system, make_labeled
+from destx.automata import lang_size_capped
 from destx.labeled import N, Y
 
 EVENTS = ("a", "b", "c")
-
-
-def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
-    """Number of words of length <= depth, or None once it exceeds cap."""
-    counts = {plant.initial: 1}
-    total = 1
-    for _ in range(depth):
-        nxt: dict[str, int] = {}
-        for q, c in counts.items():
-            for e in plant.defined_events(q):
-                q2 = plant.step(q, e)
-                nxt[q2] = nxt.get(q2, 0) + c
-        total += sum(nxt.values())
-        if total > cap:
-            return None
-        if not nxt:
-            break
-        counts = nxt
-    return total
 
 
 def random_plant(
@@ -77,6 +59,20 @@ def random_policy(rng: random.Random, plant: Plant) -> Policy:
         (versions[q], e): versions[q2] for q, e, q2 in plant.transitions()
     }
     return Policy(plant, versions[plant.initial], trans)
+
+
+def random_policy_with_memory(rng: random.Random, plant: Plant) -> Policy:
+    """Policy over every labeled version of every plant state, each move
+    going to a random version of the plant successor, so one plant state
+    is met under several label vectors."""
+    sys = build_labeled_system(plant)
+    versions = {q: [x for x in sys.states if x.base == q] for q in plant.states}
+    trans = {
+        (x, e): rng.choice(versions[q2])
+        for q, e, q2 in plant.transitions()
+        for x in versions[q]
+    }
+    return Policy(plant, rng.choice(versions[plant.initial]), trans)
 
 
 def flip_to_suppress(rng: random.Random, plant: Plant, policy: Policy):

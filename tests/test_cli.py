@@ -170,6 +170,31 @@ def test_bad_plant(tmp_path):
     assert "initial" in p.stderr
 
 
+@pytest.mark.parametrize("kind", ["plant", "pairs", "policy"])
+def test_non_utf8_input(tmp_path, kind):
+    files = {"plant": PLANT, "policy": HAND, "pairs": PAIRS}
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(Path(files[kind]).read_bytes() + b"# \xff\n")
+    files[kind] = str(bad)
+    p = run("verify", files["plant"], files["policy"], files["pairs"])
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr == f"error: {bad}: not valid UTF-8 (invalid start byte)\n"
+
+
+def test_verify_bounded_by_budget(tmp_path):
+    plant = tmp_path / "fib.des"
+    plant.write_text("alphabet a b\nstates q0 q1\ninitial q0\ntrans q0 a q1\ntrans q0 b q1\ntrans q1 b q0\n")
+    spec = tmp_path / "fib.pairs"
+    spec.write_text("pair q0 q1\n")
+    out = tmp_path / "fib.policy"
+    assert run("synthesize", str(plant), str(spec), str(out)).returncode == 0
+    p = run("verify", str(plant), str(out), str(spec), "--depth", "32", "--budget", "1000")
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == "error: THM1: more than 1000 plant words up to depth 32, over the budget\n"
+
+
 def test_depth_out_of_range():
     p = run("verify", PLANT, HAND, PAIRS, "--depth", "33")
     assert p.returncode == 2

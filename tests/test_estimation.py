@@ -9,7 +9,9 @@ from destx import (
     CheckReport,
     DistinguishabilitySpec,
     Estimator,
+    InstanceTooLarge,
     Plant,
+    Policy,
     PolicyIncomplete,
     ProductObserverState,
     ProductState,
@@ -35,7 +37,27 @@ from destx import (
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
-from randgen import flip_to_suppress, random_plant, random_policy
+from randgen import flip_to_suppress, random_plant, random_policy, random_policy_with_memory
+
+
+def _synthesized(plant, pairs):
+    lsys = build_labeled_system(plant)
+    obs = build_observer(lsys)
+    prop = distinguishability(DistinguishabilitySpec.of(pairs), plant)
+    gstar = consistency_fixpoint(obs, prune_violating(obs, prop))
+    return realize_policy(lsys, extract_min_transmit(gstar)), prop
+
+
+FIB = Plant(["q0", "q1"], ["a", "b"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "b"): "q0"}, "q0")
+
+# one reachable state with two self-loops, and two unreachable states that
+# raise the labeled states, and with them the brute-force slack, to twelve
+HOLLOW = Plant(
+    ["q0", "q1", "q2"], ["a", "b"],
+    {("q0", "a"): "q0", ("q0", "b"): "q0", ("q1", "a"): "q2", ("q1", "b"): "q1",
+     ("q2", "a"): "q1", ("q2", "b"): "q2"},
+    "q0",
+)
 
 
 def _render(states):
@@ -70,6 +92,83 @@ def _prop1_word_by_word(plant, policy, depth):
             zs2 = frozenset(z2 for z in zs for z2 in obs.successors(z, e))
             queue.append((w + (e,), h2, zs2))
     return CheckReport("PROP1", True, checked, depth)
+
+
+def _buckets_word_by_word(policy, depth, cache):
+    """Reference for the estimate table: endpoint states of every plant word
+    up to `depth`, one word at a time, keyed by the word's projection."""
+    if depth in cache:
+        return cache[depth]
+    plant = policy.plant
+    buckets = {(): {plant.initial}}
+    stack = [(plant.initial, policy.initial, (), 0)]
+    while stack:
+        q, x, proj, n = stack.pop()
+        if n == depth:
+            continue
+        for e in sorted(plant.defined_events(q)):
+            q2 = plant.step(q, e)
+            x2 = policy.trans.get((x, e))
+            if x2 is None:
+                raise PolicyIncomplete(f"policy has no transition for ({x.render()}, {e})")
+            proj2 = proj + (e,) if x.label(e) == Y else proj
+            buckets.setdefault(proj2, set()).add(q2)
+            stack.append((q2, x2, proj2, n + 1))
+    cache[depth] = {w: frozenset(qs) for w, qs in buckets.items()}
+    return cache[depth]
+
+
+def _thm1_word_by_word(plant, policy, depth, cache):
+    """Reference for check_estimate_agreement: every word replayed from the
+    start, its brute-force estimate read from a table for its own bound."""
+    sys = build_labeled_system(plant)
+    est = Estimator(sys, policy)
+    slack = len(sys.states)
+    checked = 0
+    for s in plant.words_upto(depth):
+        checked += 1
+        h = est.after(policy.projection(s))
+        tracker = destx.estimation.estimate_states(h) if h is not None else frozenset()
+        brute = _buckets_word_by_word(policy, len(s) + slack, cache).get(policy.projection(s), frozenset())
+        if tracker != brute:
+            return CheckReport("THM1", False, checked, depth, s, expected=_render(brute), got=_render(tracker))
+    return CheckReport("THM1", True, checked, depth)
+
+
+def _problem1_word_by_word(plant, policy, prop, depth, cache):
+    """Reference for check_property_satisfaction."""
+    buckets = _buckets_word_by_word(policy, depth + len(build_labeled_system(plant).states), cache)
+    checked = 0
+    for s in plant.words_upto(depth):
+        checked += 1
+        estimate = buckets[policy.projection(s)]
+        if not prop.holds(estimate):
+            return CheckReport(
+                "PROBLEM1", False, checked, depth, s,
+                expected="estimate satisfying the property",
+                got=_render(estimate) + " (" + prop.describe(estimate) + ")",
+            )
+    return CheckReport("PROBLEM1", True, checked, depth)
+
+
+def _assert_bruteforce_matches(plant, policy, prop):
+    """The table-backed estimates and THM1/PROBLEM1 reports equal the
+    word-by-word references; returns the report lines."""
+    cache = {}
+    for s in plant.words_upto(3):
+        for extra in (0, 2, 7):
+            bound = len(s) + extra
+            ref = _buckets_word_by_word(policy, bound, cache).get(policy.projection(s), frozenset())
+            assert estimate_bruteforce(plant, policy, s, bound) == ref, (s, bound)
+    lines = []
+    for depth in (3, 5):
+        got = check_estimate_agreement(plant, policy, depth)
+        assert got.line() == _thm1_word_by_word(plant, policy, depth, cache).line()
+        lines.append(got.line())
+        got = check_property_satisfaction(plant, policy, prop, depth)
+        assert got.line() == _problem1_word_by_word(plant, policy, prop, depth, cache).line()
+        lines.append(got.line())
+    return lines
 
 
 def _assert_prop1_matches(plant, policy, depth):
@@ -135,13 +234,21 @@ def test_estimate_bruteforce(plant, hand_policy):
         estimate_bruteforce(plant, an, ("σ1", "σ1"), 6)
 
 
-def test_bruteforce_incomplete_policy(plant):
-    q0 = parse_labeled("q0NNY", plant)
-    from destx import Policy
-
-    partial = Policy(plant, q0, {})
+def test_bruteforce_incomplete_policy(plant, prop):
+    partial = Policy(plant, parse_labeled("q0NNY", plant), {})
+    assert estimate_bruteforce(plant, partial, (), 0) == {"q0"}
     with pytest.raises(PolicyIncomplete):
         estimate_bruteforce(plant, partial, (), 3)
+    # the checks and their word-by-word references stop alike
+    for depth in (3, 5):
+        for check in (
+            lambda: check_estimate_agreement(plant, partial, depth),
+            lambda: check_property_satisfaction(plant, partial, prop, depth),
+            lambda: _thm1_word_by_word(plant, partial, depth, {}),
+            lambda: _problem1_word_by_word(plant, partial, prop, depth, {}),
+        ):
+            with pytest.raises(PolicyIncomplete):
+                check()
 
 
 def test_check_lines_pinned(plant, prop, pinned_policy):
@@ -245,14 +352,9 @@ def test_prop1_matches_word_by_word_running_example(plant, pinned_policy, defaul
 
 
 def test_prop1_matches_word_by_word_fib():
-    fib = Plant(["q0", "q1"], ["a", "b"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "b"): "q0"}, "q0")
-    lsys = build_labeled_system(fib)
-    obs = build_observer(lsys)
-    prop = distinguishability(DistinguishabilitySpec.of([("q0", "q1")]), fib)
-    gstar = consistency_fixpoint(obs, prune_violating(obs, prop))
-    pol = realize_policy(lsys, extract_min_transmit(gstar))
-    for p in (pol, uniform_policy(fib, Y), uniform_policy(fib, N)):
-        assert _assert_prop1_matches(fib, p, 14).ok
+    pol, _ = _synthesized(FIB, [("q0", "q1")])
+    for p in (pol, uniform_policy(FIB, Y), uniform_policy(FIB, N)):
+        assert _assert_prop1_matches(FIB, p, 14).ok
 
 
 def test_prop1_matches_word_by_word_random():
@@ -280,3 +382,73 @@ def test_prop1_failure_names_shortlex_first_word(monkeypatch):
     monkeypatch.setattr(destx.estimation, "build_observer", drop_q1y_c)
     report = _assert_prop1_matches(plant, policy, 3)
     assert report.line() == "FAIL PROP1 word=a c expected=subset of {} got={q2}"
+
+
+def _running_policies(plant, hand_policy, pinned_policy):
+    """Fresh copies: the session fixtures carry estimate tables that other
+    tests have grown, and each copy grows its own from the bounds asked."""
+    return tuple(
+        Policy(plant, pol.initial, pol.trans)
+        for pol in (hand_policy, pinned_policy, uniform_policy(plant, Y), uniform_policy(plant, N))
+    )
+
+
+def test_bruteforce_matches_word_by_word_running_example(plant, prop, hand_policy, pinned_policy):
+    lines = []
+    for pol in _running_policies(plant, hand_policy, pinned_policy):
+        lines += _assert_bruteforce_matches(plant, pol, prop)
+    assert sum(line.startswith("FAIL PROBLEM1") for line in lines) == 4  # hand and uniform N
+
+
+def test_bruteforce_matches_word_by_word_random():
+    fails = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        plant = random_plant(rng)
+        pair = rng.sample(sorted(plant.states), 2)
+        prop = distinguishability(DistinguishabilitySpec.of([pair]), plant)
+        for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
+            lines = _assert_bruteforce_matches(plant, policy, prop)
+            fails += sum(line.startswith("FAIL") for line in lines)
+    assert fails > 0
+
+
+def test_bruteforce_matches_word_by_word_thm1_failures(monkeypatch, plant, hand_policy, pinned_policy):
+    # a tracker that forgets the largest state of every estimate it reports
+    real = destx.estimation.estimate_states
+    monkeypatch.setattr(destx.estimation, "estimate_states", lambda h: real(h) - {max(real(h))})
+    prop = distinguishability(DistinguishabilitySpec.of([]), plant)
+    for pol in _running_policies(plant, hand_policy, pinned_policy):
+        lines = _assert_bruteforce_matches(plant, pol, prop)
+        assert lines[0].startswith("FAIL THM1 word=ε ")
+
+
+def test_estimate_table_counts_triples_not_words():
+    # the deep-verify benchmark's hollow shape: a word-by-word search to
+    # depth 5 + 12 walks 262,143 words, which fall into a few dozen triples
+    pol, prop = _synthesized(HOLLOW, [("q0", "q1")])
+    assert len(build_labeled_system(HOLLOW).states) == 12
+    assert check_estimate_agreement(HOLLOW, pol, 5).line() == "THM1 ok words=63 depth=5"
+    assert check_property_satisfaction(HOLLOW, pol, prop, 5).ok
+    table = destx.estimation._estimate_table(pol)
+    assert table.level == 17
+    assert len(table.seen) < 1000
+
+
+def test_checks_bounded_by_budget():
+    pol, prop = _synthesized(FIB, [("q0", "q1")])
+    # fib has 2,045 words up to depth 18 and its table 16,381 triples; each
+    # call gets a fresh copy of the policy, which caches the table
+    for name, check in (
+        ("THM1", lambda p, budget: check_estimate_agreement(FIB, p, 18, budget)),
+        ("PROBLEM1", lambda p, budget: check_property_satisfaction(FIB, p, prop, 18, budget)),
+    ):
+        fresh = Policy(FIB, pol.initial, pol.trans)
+        with pytest.raises(InstanceTooLarge, match=f"^{name}: more than 2000 plant words up to depth 18"):
+            check(fresh, 2000)
+        with pytest.raises(InstanceTooLarge, match=f"^{name}: the brute-force estimate table passed the budget of 5000"):
+            check(fresh, 5000)
+        table = destx.estimation._estimate_table(fresh)
+        assert len(table.seen) <= 5000  # the level that passed the budget is not kept
+        assert check(fresh, 16_381).ok
+        assert len(table.seen) == 16_381
