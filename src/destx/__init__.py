@@ -52,7 +52,6 @@ from .observer import (
     build_observer,
     closure_family,
     closure_family_bruteforce,
-    non_conflicting,
     observer_step,
     reach_closed,
     successor_cores,

@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle-maxs", help="diff the closure family against its brute-force oracle")
     sp.add_argument("plant")
-    common(sp, budget=False, depth=True)
     return p
 
 

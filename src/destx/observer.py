@@ -170,32 +170,6 @@ def closure_family(sys: LabeledSystem, seed: LabeledState) -> tuple[ObserverStat
     return tuple(sorted((ObserverState.of(r) for r in good), key=ObserverState.sort_key))
 
 
-def non_conflicting(sys: LabeledSystem, seed: LabeledState, cand: frozenset[LabeledState]) -> bool:
-    """Is `cand` exactly the range of some partial run tree from `seed`
-    that never leaves `cand`?  Checked by the same fixpoint restricted to
-    `cand`'s members."""
-    if seed not in cand:
-        return False
-    fam: dict[LabeledState, set[frozenset[LabeledState]]] = {v: set() for v in cand}
-    changed = True
-    while changed:
-        changed = False
-        for v in cand:
-            per_event = []
-            for _e, opts in sys.suppressed_moves(v):
-                ways: set[frozenset[LabeledState]] = {frozenset()}
-                for w in opts:
-                    if w in cand:
-                        ways.update(fam[w])
-                per_event.append(ways)
-            for sub in _union_choices(per_event):
-                rng = frozenset({v}) | sub
-                if rng not in fam[v]:
-                    fam[v].add(rng)
-                    changed = True
-    return cand in fam[seed]
-
-
 def _target_bases(sys: LabeledSystem, z: ObserverState, e: str) -> frozenset[str]:
     """Plant states the members of `z` that transmit `e` move to."""
     bases = set()
@@ -333,8 +307,19 @@ def closure_family_bruteforce(
 
     Enumerates every subset of the suppressed-reach universe containing the
     seed, keeps those that are reach closed and realizable as the range of a
-    depth-bounded partial run tree.  The tree check explores depth-indexed
-    range families directly instead of the production fixpoint.
+    depth-bounded partial run tree that never leaves the subset.  The tree
+    check builds the depth-indexed range families bottom up, restricted to
+    the candidate, instead of running the production fixpoint: level 0 maps
+    each member v to {{v}}, and level d+1 unions {v} with, per suppressed
+    event, either nothing or one level-d range of a successor version.
+
+    The level loop stops early on two exact exits.  Reject: once a level
+    equals the one before it for every member, every deeper level equals it
+    too, because each level is a fixed function of the previous one.
+    Accept: once the candidate is a level-d range of the seed it is one at
+    every deeper level, because following no event keeps every earlier
+    range, so the families only grow.  The answer is therefore the one at
+    level `depth` for any `depth`, which defaults to |U|^2 + 1.
     """
     universe = sorted(_n_universe(sys, (seed,)), key=LabeledState.sort_key)
     if len(universe) > 20:
@@ -354,27 +339,25 @@ def closure_family_bruteforce(
                         work.append(w)
         return frozenset(seen)
 
-    def ranges(v: LabeledState, d: int, inside: frozenset[LabeledState], memo) -> frozenset:
-        key = (v, d)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if d == 0:
-            out = frozenset({frozenset({v})})
-        else:
-            per_event = []
-            for _e, opts in sys.suppressed_moves(v):
-                ways: list[frozenset | None] = [None]
-                for w in opts:
-                    if w in inside:
-                        ways.extend(ranges(w, d - 1, inside, memo))
-                per_event.append(ways)
-            acc = set()
-            for combo in itertools.product(*per_event):
-                acc.add(frozenset({v}).union(*(c for c in combo if c is not None)))
-            out = frozenset(acc)
-        memo[key] = out
-        return out
+    def realizable(cand: frozenset[LabeledState]) -> bool:
+        moves = {
+            v: [[w for w in opts if w in cand] for _e, opts in sys.suppressed_moves(v)]
+            for v in cand
+        }
+        level = {v: frozenset({frozenset({v})}) for v in cand}
+        for _ in range(depth):
+            if cand in level[seed]:
+                return True
+            nxt = {}
+            for v in cand:
+                # per suppressed event: follow nothing, or one range of a version
+                per_event = [{frozenset(), *(r for w in opts for r in level[w])} for opts in moves[v]]
+                root = frozenset({v})
+                nxt[v] = frozenset(root.union(*combo) for combo in itertools.product(*per_event))
+            if nxt == level:
+                return False
+            level = nxt
+        return cand in level[seed]
 
     others = [v for v in universe if v != seed]
     found = []
@@ -385,6 +368,6 @@ def closure_family_bruteforce(
                 continue
             if plain_reach(cand) != cand:
                 continue
-            if cand in ranges(seed, depth, cand, {}):
+            if realizable(cand):
                 found.append(cand)
     return tuple(sorted((ObserverState.of(c) for c in found), key=ObserverState.sort_key))

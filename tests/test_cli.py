@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from destx import cli
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 PLANT = str(DATA / "running_example.des")
 PAIRS = str(DATA / "distinguish.pairs")
@@ -155,6 +157,42 @@ def test_oracle_maxs():
     p = run("oracle-maxs", PLANT)
     assert p.returncode == 0
     assert p.stdout == "seeds 17 mismatches 0\n"
+
+
+def test_oracle_maxs_has_no_depth():
+    p = run("oracle-maxs", PLANT, "--depth", "3")
+    assert p.returncode == 2
+    assert p.stdout == ""
+    p = run("oracle-maxs", "--help")
+    assert p.returncode == 0
+    assert "--depth" not in p.stdout
+
+
+def test_oracle_maxs_mismatch(monkeypatch, capsys):
+    real = cli.closure_family
+
+    def lossy(sysd, seed):
+        fam = real(sysd, seed)
+        return fam[1:] if seed.render() == "q0NNY" else fam
+
+    monkeypatch.setattr(cli, "closure_family", lossy)
+    assert cli.main(["oracle-maxs", PLANT]) == 5
+    assert capsys.readouterr().out == (
+        "MISMATCH seed=q0NNY only-fast=[] only-brute=['(q0NNY,q1Y,q5)']\n"
+        "seeds 17 mismatches 1\n"
+    )
+
+
+def test_oracle_maxs_ladder(tmp_path):
+    # q0 has two events, so 4 versions, and q1, q2 two each: 8 labeled states
+    ladder = tmp_path / "ladder.des"
+    ladder.write_text(
+        "alphabet a b\nstates q0 q1 q2\ninitial q0\n"
+        "trans q0 a q1\ntrans q0 b q2\ntrans q1 a q0\ntrans q2 b q0\n"
+    )
+    p = run("oracle-maxs", str(ladder))
+    assert p.returncode == 0
+    assert p.stdout == "seeds 8 mismatches 0\n"
 
 
 def test_missing_file():

@@ -1,5 +1,6 @@
 """Closure families, observer steps, and the dynamic observer automaton."""
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from destx import (
     build_observer,
     closure_family,
     closure_family_bruteforce,
-    non_conflicting,
     observer_step,
     parse_labeled,
     reach_closed,
@@ -92,18 +92,6 @@ def test_reach_closed(lsys, plant):
     assert not reach_closed(lsys, _os(plant, "q0NNY", "q5").member_set)
     assert not reach_closed(lsys, _os(plant, "q3N").member_set)
     assert reach_closed(lsys, _os(plant, "q2Y").member_set)
-
-
-def test_non_conflicting(lsys, plant):
-    seed = parse_labeled("q0NNY", plant)
-    ok = _os(plant, "q0NNY", "q1N", "q1Y", "q2N", "q5").member_set
-    assert non_conflicting(lsys, seed, ok)
-    # both q2 versions together are still one tree: different σ2 occurrences
-    both = _os(plant, "q0NNY", "q1N", "q2N", "q2Y", "q5").member_set
-    assert non_conflicting(lsys, seed, both)
-    # dropping q2N breaks q1N's suppressed move inside the candidate
-    bad = _os(plant, "q0NNY", "q1N", "q1Y", "q5").member_set
-    assert not non_conflicting(lsys, seed, bad)
 
 
 def test_successor_cores(lsys, plant):
@@ -199,6 +187,70 @@ def test_to_dot(obs):
 def test_bruteforce_matches_on_fixture(lsys):
     for seed in lsys.states:
         assert closure_family(lsys, seed) == closure_family_bruteforce(lsys, seed)
+
+
+def _bruteforce_top_down(sys, seed, depth=None):
+    """The oracle as it was before its level loop: every candidate subset,
+    checked against top-down depth-indexed range families with a fresh memo,
+    always to the full depth."""
+    universe = sorted(unobservable_reach(sys, seed), key=lambda v: v.sort_key())
+    if depth is None:
+        depth = len(universe) * len(universe) + 1
+
+    def plain_reach(inside):
+        seen = {seed}
+        work = [seed]
+        while work:
+            v = work.pop()
+            for _e, opts in sys.suppressed_moves(v):
+                for w in opts:
+                    if w in inside and w not in seen:
+                        seen.add(w)
+                        work.append(w)
+        return frozenset(seen)
+
+    def ranges(v, d, inside, memo):
+        if (v, d) not in memo:
+            if d == 0:
+                out = frozenset({frozenset({v})})
+            else:
+                per_event = []
+                for _e, opts in sys.suppressed_moves(v):
+                    ways = [None]
+                    for w in opts:
+                        if w in inside:
+                            ways.extend(ranges(w, d - 1, inside, memo))
+                    per_event.append(ways)
+                out = frozenset(
+                    frozenset({v}).union(*(c for c in combo if c is not None))
+                    for combo in itertools.product(*per_event)
+                )
+            memo[(v, d)] = out
+        return memo[(v, d)]
+
+    others = [v for v in universe if v != seed]
+    found = []
+    for k in range(len(others) + 1):
+        for extra in itertools.combinations(others, k):
+            cand = frozenset({seed, *extra})
+            if reach_closed(sys, cand) and plain_reach(cand) == cand and cand in ranges(seed, depth, cand, {}):
+                found.append(cand)
+    return tuple(sorted((ObserverState.of(c) for c in found), key=ObserverState.sort_key))
+
+
+def test_bruteforce_levels_match_top_down(lsys):
+    """The level loop's two early exits give the full-depth answer: the
+    same tuple as the top-down families at every depth, default included."""
+    ring4 = Plant([f"q{i}" for i in range(4)], ["e0"], {(f"q{i}", "e0"): f"q{(i + 1) % 4}" for i in range(4)}, "q0")
+    systems = {"running example": lsys, "ring(4,1)": build_labeled_system(ring4)}
+    for i in range(20):  # the first criterion-5 plants
+        systems[f"random plant {1000 + i}"] = build_labeled_system(random_plant(random.Random(1000 + i), max_states=4))
+    for name, sysd in systems.items():
+        for seed in sysd.states:
+            for depth in (None, 0, 1, 2, 3):
+                assert closure_family_bruteforce(sysd, seed, depth) == _bruteforce_top_down(sysd, seed, depth), (
+                    f"{name}, seed {seed.render()}, depth {depth}"
+                )
 
 
 def test_bruteforce_cap():
