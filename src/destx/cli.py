@@ -43,9 +43,6 @@ class RunConfig:
     command: str
     depth: int = DEFAULT_DEPTH
     budget: int = DEFAULT_BUDGET
-    pin_initial: str | None = None
-    dot: str | None = None
-    nz_mode: str = "default"
 
     def validate(self) -> None:
         if not 0 <= self.depth <= 32:
@@ -78,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="destx", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, budget=True, depth=False):
-        if budget:
-            sp.add_argument(
-                "--budget", type=int, default=None,
-                help="cap on observer states and, in verify, on the plant words up to the depth "
-                "and on brute-force estimate-table entries (default: DESTX_BUDGET, else 100000)",
-            )
+    def common(sp, depth=False):
+        sp.add_argument(
+            "--budget", type=int, default=None,
+            help="cap on observer states or, in verify, on the entries of PROP1's walk, the plant "
+            "words up to the depth and the brute-force estimate-table entries "
+            "(default: DESTX_BUDGET, else 100000)",
+        )
         if depth:
             sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="word-length bound")
 
@@ -113,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("plant")
     sp.add_argument("policy")
     sp.add_argument("--trace", default="", help="whitespace-separated event sequence")
-    common(sp, budget=False)
 
     sp = sub.add_parser("oracle-maxs", help="diff the closure family against its brute-force oracle")
     sp.add_argument("plant")
@@ -214,9 +210,6 @@ def main(argv=None) -> int:
             command=args.command,
             depth=getattr(args, "depth", DEFAULT_DEPTH),
             budget=_resolve_budget(getattr(args, "budget", None)),
-            pin_initial=getattr(args, "pin_initial", None),
-            dot=getattr(args, "dot", None),
-            nz_mode=getattr(args, "nz_mode", "default"),
         )
         cfg.validate()
         args.resolved_budget = cfg.budget

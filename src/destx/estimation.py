@@ -11,11 +11,13 @@ Two independent routes to the receiver's estimate:
   triples records the shortest word length that reaches each end state,
   and is grown once per policy, level by level, to the largest bound asked.
 
-The checks below compare the two routes against each other and against the
-schedule-level observer, over all words up to a depth.  They are bounded
-substitutes for the universal statements, not proofs.  THM1 and PROBLEM1
-refuse to start when the words up to the depth exceed their budget, and
-stop when the table outgrows it.
+The checks below run over all words up to a depth.  PROP1 holds the
+tracker inside the union of the dynamic observer's estimates, which it
+tracks as one set of labeled states per observed word without building the
+observer; THM1 compares the tracker with brute force, and PROBLEM1 the
+brute-force estimate with the property.  They are bounded substitutes for
+the universal statements, not proofs.  Each stops with InstanceTooLarge
+when its work passes the budget.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from functools import cached_property
 
 from .automata import Plant, Word, lang_size_capped, render_word
 from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent, WordNotInPlant
-from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system
-from .observer import ObserverState, build_observer
+from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system, unobservable_reach
+from .observer import ObserverState
 from .properties import ISProperty
 from .realization import Policy
 
@@ -256,34 +258,75 @@ def _render_states(states) -> str:
 
 
 def check_tracker_containment(
-    plant: Plant, policy: Policy, depth: int, state_budget: int = 100_000
+    plant: Plant, policy: Policy, depth: int, budget: int = 100_000
 ) -> CheckReport:
-    """Every tracker estimate stays inside what the schedule-level observer
-    allows for the same observation: the labeled states of the tracker state
-    must be covered by the union of observer estimates reachable on that
-    observed word.
+    """Every tracker estimate stays inside what the dynamic observer allows
+    for the same observation (Proposition 1): the labeled states of the
+    tracker state must be covered by the union A of the observer estimates
+    reachable on that observed word.
+
+    A is tracked directly, without the observer.  With R the suppressed
+    reach (`unobservable_reach`) and T(A, e) the plant states
+    {step(v.base, e) : v in A, v transmits e}, A is R(initial versions) on
+    the empty word and R(versions of T(A, e)) after e.  This is the union
+    because an observer step from the estimates Z on e yields the admissible
+    estimates over the cores of T(∪Z, e), one version of each target state,
+    the initial estimates are those over one initial version, and R of a
+    union is the union of the R's.  So it is enough that the admissible
+    estimates over the cores of a set B of plant states cover exactly
+    R(versions of B):
+
+    * each estimate is a union of run-tree ranges rooted at its core, and
+      every node of a run tree lies in the suppressed reach of its root;
+    * for w in R(v), v a version of some b in B, a suppressed path from v to
+      w is a chain run tree whose range holds w.  While some member u of the
+      range suppresses an event that no version of its successor in the
+      range answers, give a node labelled u a new child on that event, in
+      any version.  Each such child adds a labeled state, so this ends in
+      the finite universe with a reach-closed range.  Closing the one-node
+      tree of one version of every other state of B the same way gives a
+      core; the union of the reach-closed ranges is reach closed, so it is
+      an admissible estimate over that core, and it holds w.
+
+    Every seed set holds all versions of its plant states and suppressed
+    moves land on all versions, so A is every version of the plant states
+    reachable, by any events, from T(A, e): PROP1 fails only when the
+    tracker holds a state outside that plant reach.
 
     Both the check and the successors of an observed word depend only on
-    its pair (tracker state, set of observer estimates), so the walk goes
-    level by level with one entry per distinct pair, carrying the pair's
-    shortlex-first word and its number of words.  Entries are inserted in
-    the order of their first words, so a failure names the shortlex-first
-    failing word; its `words` then counts the words of the pairs checked
-    before plus that word."""
+    its pair (tracker state, A), so the walk goes level by level with one
+    entry per distinct pair, carrying the pair's shortlex-first word and its
+    number of words.  Entries are inserted in the order of their first
+    words, so a failure names the shortlex-first failing word; its `words`
+    then counts the words of the pairs checked before plus that word.  The
+    entries of all levels together are capped by `budget`."""
     sys = build_labeled_system(plant)
-    obs = build_observer(sys, state_budget)
     est = Estimator(sys, policy)
-    checked = 0
-    level: dict[tuple[ProductObserverState, frozenset[ObserverState]], tuple[Word, int]] = {
-        (est.initial, frozenset(obs.initials)): ((), 1)
+    after: dict[tuple[frozenset[LabeledState], str], frozenset[LabeledState]] = {}
+
+    def step(allowed: frozenset[LabeledState], e: str) -> frozenset[LabeledState]:
+        hit = after.get((allowed, e))
+        if hit is None:
+            # a member labels only its defined events, so a transmitted e steps
+            bases = {plant.step(v.base, e) for v in allowed if v._map.get(e) == Y}
+            hit = unobservable_reach(sys, (w for b in bases for w in sys.versions_of(b)))
+            after[(allowed, e)] = hit
+        return hit
+
+    checked = entries = 0
+    level: dict[tuple[ProductObserverState, frozenset[LabeledState]], tuple[Word, int]] = {
+        (est.initial, unobservable_reach(sys, sys.initials)): ((), 1)
     }
     for n in range(depth + 1):
+        entries += len(level)
+        if entries > budget:
+            raise InstanceTooLarge(
+                f"PROP1: more than {budget} (tracker state, estimate union) entries "
+                f"over the observed words up to length {n}, over the budget"
+            )
         nxt = {}
-        for (h, zs), (w, count) in level.items():
-            allowed = set()
-            for z in zs:
-                allowed.update(z.members)
-            mine = set(i2(h).members)
+        for (h, allowed), (w, count) in level.items():
+            mine = i2(h).member_set
             if not mine <= allowed:
                 return CheckReport(
                     "PROP1", False, checked + 1, depth, w,
@@ -297,9 +340,9 @@ def check_tracker_containment(
                 h2 = est.step(h, e)
                 if h2 is None:
                     continue
-                zs2 = frozenset(z2 for z in zs for z2 in obs.successors(z, e))
-                first, total = nxt.get((h2, zs2), (w + (e,), 0))
-                nxt[(h2, zs2)] = (first, total + count)
+                key = (h2, step(allowed, e))
+                first, total = nxt.get(key, (w + (e,), 0))
+                nxt[key] = (first, total + count)
         level = nxt
     return CheckReport("PROP1", True, checked, depth)
 

@@ -90,11 +90,10 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
 class LabeledSystem:
     """All decision versions of a plant's states, with step helpers.
 
-    Immutable after construction apart from three memo tables that the
-    observer module fills:
+    Immutable after construction apart from three memo tables:
 
-    * `_reach_cache`, keyed on a labeled state: its suppressed reach
-      (`unobservable_reach`);
+    * `_reach_cache`, keyed on a labeled state: its suppressed reach, of
+      which `unobservable_reach` unions one per seed;
     * `_cover_cache`, keyed on a labeled state: its family of run-tree
       ranges (`_cover_families`);
     * `_step_cache`, keyed on a frozenset of plant state names, the targets
@@ -163,25 +162,28 @@ def build_labeled_system(plant: Plant, max_events_per_state: int = 16) -> Labele
     return LabeledSystem(plant, states)
 
 
-def unobservable_reach(sys: LabeledSystem, seed: LabeledState) -> frozenset[LabeledState]:
-    """States reachable from `seed` along suppressed steps only.
+def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> frozenset[LabeledState]:
+    """States reachable from any of `seeds` along suppressed steps only,
+    landing on any decision version, the seeds included.
 
-    Contains the seed itself.
+    The union of the seeds' own reaches; each of those is walked once and
+    cached on the system.
     """
-    cached = sys._reach_cache.get(seed)
-    if cached is not None:
-        return cached
-    seen = {seed}
-    work = [seed]
-    while work:
-        v = work.pop()
-        for _e, opts in sys.suppressed_moves(v):
-            for w in opts:
-                if w not in seen:
-                    seen.add(w)
-                    work.append(w)
-    out = frozenset(seen)
-    sys._reach_cache[seed] = out
+    out: frozenset[LabeledState] = frozenset()
+    for seed in seeds:
+        reach = sys._reach_cache.get(seed)
+        if reach is None:
+            seen = {seed}
+            work = [seed]
+            while work:
+                v = work.pop()
+                for _e, opts in sys.suppressed_moves(v):
+                    for w in opts:
+                        if w not in seen:
+                            seen.add(w)
+                            work.append(w)
+            reach = sys._reach_cache[seed] = frozenset(seen)
+        out |= reach
     return out
 
 

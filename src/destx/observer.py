@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InstanceTooLarge, StateBudgetExceeded
-from .labeled import N, Y, LabeledState, LabeledSystem
+from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
 from .automata import Word
 
 _FAMILY_LIMIT = 500_000
@@ -80,21 +80,6 @@ def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
     return True
 
 
-def _n_universe(sys: LabeledSystem, seeds) -> frozenset[LabeledState]:
-    """All labeled states touchable from the seeds along suppressed moves,
-    landing on any decision version."""
-    seen = set(seeds)
-    work = list(seeds)
-    while work:
-        v = work.pop()
-        for _e, opts in sys.suppressed_moves(v):
-            for w in opts:
-                if w not in seen:
-                    seen.add(w)
-                    work.append(w)
-    return frozenset(seen)
-
-
 def _union_choices(parts) -> set[frozenset]:
     """Distinct unions obtainable by picking one option from every part.
 
@@ -119,7 +104,7 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
     {v}.  Results are memoized on the system since fam[v] only depends on
     the suppressed-reach universe of v.
     """
-    universe = _n_universe(sys, seeds)
+    universe = unobservable_reach(sys, seeds)
     pending = [v for v in universe if v not in sys._cover_cache]
     if not pending:
         return {v: sys._cover_cache[v] for v in universe}
@@ -321,7 +306,7 @@ def closure_family_bruteforce(
     range, so the families only grow.  The answer is therefore the one at
     level `depth` for any `depth`, which defaults to |U|^2 + 1.
     """
-    universe = sorted(_n_universe(sys, (seed,)), key=LabeledState.sort_key)
+    universe = sorted(unobservable_reach(sys, (seed,)), key=LabeledState.sort_key)
     if len(universe) > 20:
         raise InstanceTooLarge(f"oracle universe has {len(universe)} states, cap is 20")
     if depth is None:

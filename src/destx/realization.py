@@ -118,8 +118,9 @@ def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, .
         return (elems[0],)
     if len(elems) > 8:
         raise InstanceTooLarge(f"refusing to rank {len(elems)} states")
+    reach = {v: unobservable_reach(sys, (v,)) for v in elems}
     for perm in itertools.permutations(elems):
-        if all(perm[i + 1] in unobservable_reach(sys, perm[i]) for i in range(len(perm) - 1)):
+        if all(perm[i + 1] in reach[perm[i]] for i in range(len(perm) - 1)):
             return perm
     raise RankUndefined(
         "no chain order exists for {" + ",".join(x.render() for x in elems) + "}"

@@ -233,9 +233,24 @@ def test_verify_bounded_by_budget(tmp_path):
     assert p.stderr == "error: THM1: more than 1000 plant words up to depth 32, over the budget\n"
 
 
+def test_verify_prop1_bounded_by_budget():
+    # PROP1 runs first; its walk holds 9 entries to depth 6
+    p = run("verify", PLANT, HAND, PAIRS, "--budget", "5")
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == (
+        "error: PROP1: more than 5 (tracker state, estimate union) entries "
+        "over the observed words up to length 3, over the budget\n"
+    )
+
+
 def test_depth_out_of_range():
     p = run("verify", PLANT, HAND, PAIRS, "--depth", "33")
     assert p.returncode == 2
+    assert p.stderr == "error: depth must be between 0 and 32, got 33\n"
+    p = run("verify", PLANT, HAND, PAIRS, "--budget", "0")
+    assert p.returncode == 2
+    assert p.stderr == "error: budget must be at least 1, got 0\n"
 
 
 def test_budget_flag():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import destx.estimation
+import destx.observer
 from destx import (
     CheckReport,
     DistinguishabilitySpec,
@@ -66,9 +67,10 @@ def _render(states):
 
 def _prop1_word_by_word(plant, policy, depth):
     """Reference for check_tracker_containment: one breadth-first entry per
-    observed word, in shortlex order."""
+    observed word, in shortlex order, against the set of estimates of the
+    full observer."""
     sys = build_labeled_system(plant)
-    obs = destx.estimation.build_observer(sys)
+    obs = destx.observer.build_observer(sys)
     est = Estimator(sys, policy)
     checked = 0
     queue = [((), est.initial, frozenset(obs.initials))]
@@ -76,7 +78,7 @@ def _prop1_word_by_word(plant, policy, depth):
         w, h, zs = queue.pop(0)
         checked += 1
         allowed = {x for z in zs for x in z.members}
-        mine = set(i2(h).members)
+        mine = set(destx.estimation.i2(h).members)
         if not mine <= allowed:
             return CheckReport(
                 "PROP1", False, checked, depth, w,
@@ -361,8 +363,17 @@ def test_prop1_matches_word_by_word_random():
     for seed in range(50):
         rng = random.Random(seed)
         plant = random_plant(rng)
-        policy = random_policy(rng, plant)
-        assert _assert_prop1_matches(plant, policy, 5).ok, f"seed {seed}"
+        for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
+            assert _assert_prop1_matches(plant, policy, 5).ok, f"seed {seed}"
+
+
+def test_prop1_matches_word_by_word_ring_2_2_and_hollow():
+    ring22 = Plant(["q0", "q1"], ["e0", "e1"], {("q0", "e0"): "q1", ("q1", "e0"): "q0", ("q0", "e1"): "q0", ("q1", "e1"): "q1"}, "q0")
+    # the reference reads ring(2,2)'s 74,230 observer transitions per word
+    for shape, depth in ((ring22, 4), (HOLLOW, 7)):
+        pol, _ = _synthesized(shape, [("q0", "q1")])
+        for p in (pol, uniform_policy(shape, Y), uniform_policy(shape, N)):
+            assert _assert_prop1_matches(shape, p, depth).ok
 
 
 def test_prop1_failure_names_shortlex_first_word(monkeypatch):
@@ -371,17 +382,26 @@ def test_prop1_failure_names_shortlex_first_word(monkeypatch):
     plant = Plant(["q0", "q1", "q2"], ["a", "b", "c"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "c"): "q2"}, "q0")
     policy = uniform_policy(plant, Y)
     assert _assert_prop1_matches(plant, policy, 3).line() == "PROP1 ok words=5 depth=3"
-    real = destx.estimation.build_observer
-    q1y = ObserverState.of([parse_labeled("q1Y", plant)])
+    real = destx.estimation.i2
+    q1y = parse_labeled("q1Y", plant)
 
-    def drop_q1y_c(sys, state_budget=100_000):
-        obs = real(sys, state_budget)
-        assert [z.render() for z in obs.trans.pop((q1y, "c"))] == ["(q2)"]
-        return obs
+    def with_q1y(h):
+        # a tracker that also claims q1Y once it reaches q2, where the
+        # observer allows only q2
+        z = real(h)
+        return ObserverState.of([*z.members, q1y]) if "q2" in z.underlying() else z
 
-    monkeypatch.setattr(destx.estimation, "build_observer", drop_q1y_c)
+    monkeypatch.setattr(destx.estimation, "i2", with_q1y)
     report = _assert_prop1_matches(plant, policy, 3)
-    assert report.line() == "FAIL PROP1 word=a c expected=subset of {} got={q2}"
+    assert report.line() == "FAIL PROP1 word=a c expected=subset of {q2} got={q1Y,q2}"
+    assert report.words == 4
+
+
+def test_prop1_bounded_by_budget(plant, pinned_policy):
+    # the pinned policy's walk to depth 6 holds 9 entries, one per word
+    assert check_tracker_containment(plant, pinned_policy, 6, 9).line() == "PROP1 ok words=9 depth=6"
+    with pytest.raises(InstanceTooLarge, match=r"^PROP1: more than 8 \(tracker state, estimate union\) entries"):
+        check_tracker_containment(plant, pinned_policy, 6, 8)
 
 
 def _running_policies(plant, hand_policy, pinned_policy):

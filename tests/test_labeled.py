@@ -87,7 +87,7 @@ def test_suppressed_moves(lsys, plant):
 
 def test_unobservable_reach_values(lsys, plant):
     def reach(r):
-        return sorted(v.render() for v in unobservable_reach(lsys, parse_labeled(r, plant)))
+        return sorted(v.render() for v in unobservable_reach(lsys, (parse_labeled(r, plant),)))
 
     assert reach("q0NNY") == ["q0NNY", "q1N", "q1Y", "q2N", "q2Y", "q5"]
     assert reach("q0YYY") == ["q0YYY"]
@@ -137,9 +137,13 @@ def _ureach_by_strings(lsys, seed):
 def test_unobservable_reach_matches_string_definition(plant):
     lsys = build_labeled_system(plant)
     for v in lsys.states:
-        got = unobservable_reach(lsys, v)
+        got = unobservable_reach(lsys, (v,))
         assert v in got
         assert got == _ureach_by_strings(lsys, v)
+    # several seeds: the union of their reaches
+    assert unobservable_reach(lsys, ()) == frozenset()
+    seeds = lsys.states[::2]
+    assert unobservable_reach(lsys, seeds) == frozenset().union(*(_ureach_by_strings(lsys, v) for v in seeds))
 
 
 @given(plants)

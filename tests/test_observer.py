@@ -77,7 +77,7 @@ def test_closure_family_invariants(lsys):
     for seed in lsys.states:
         fam = closure_family(lsys, seed)
         assert fam
-        ureach = unobservable_reach(lsys, seed)
+        ureach = unobservable_reach(lsys, (seed,))
         keys = [z.sort_key() for z in fam]
         assert keys == sorted(keys)
         assert len(set(fam)) == len(fam)
@@ -193,7 +193,7 @@ def _bruteforce_top_down(sys, seed, depth=None):
     """The oracle as it was before its level loop: every candidate subset,
     checked against top-down depth-indexed range families with a fresh memo,
     always to the full depth."""
-    universe = sorted(unobservable_reach(sys, seed), key=lambda v: v.sort_key())
+    universe = sorted(unobservable_reach(sys, (seed,)), key=lambda v: v.sort_key())
     if depth is None:
         depth = len(universe) * len(universe) + 1
 
@@ -325,3 +325,40 @@ def test_observer_invariants_random(plant):
         assert tuple(obs.successors(z, e)) == targets
         # a step exists exactly when some member transmits the event
         assert any(v.label(e) != N for v in z.members if e in v.events())
+
+
+def _ring(n, k):
+    """States q0..q(n-1); event ej moves qi to q((i+j+1) mod n)."""
+    trans = {(f"q{i}", f"e{j}"): f"q{(i + j + 1) % n}" for i in range(n) for j in range(k)}
+    return Plant([f"q{i}" for i in range(n)], [f"e{j}" for j in range(k)], trans, "q0")
+
+
+def _assert_union_is_reach(lsys, obs):
+    """The estimates of every memoized step, and the initial estimates,
+    together hold exactly the suppressed reach of their seeds' versions."""
+    def union(estimates):
+        return frozenset(v for z in estimates for v in z.members)
+
+    assert union(obs.initials) == unobservable_reach(lsys, lsys.initials)
+    assert lsys._step_cache
+    for bases, estimates in lsys._step_cache.items():
+        versions = [v for b in bases for v in lsys.versions_of(b)]
+        assert union(estimates) == unobservable_reach(lsys, versions), sorted(bases)
+        # and suppressed moves land on every version, so the union holds
+        # every version of each plant state it touches
+        touched = {v.base for v in union(estimates)}
+        assert union(estimates) == {v for q in touched for v in lsys.versions_of(q)}
+
+
+def test_estimate_union_is_suppressed_reach(lsys, obs):
+    _assert_union_is_reach(lsys, obs)
+    for n, k in ((2, 2), (3, 1), (4, 1)):
+        ring = build_labeled_system(_ring(n, k))
+        _assert_union_is_reach(ring, build_observer(ring))
+
+
+def test_estimate_union_is_suppressed_reach_random():
+    for seed in range(60):
+        for sizes in ({}, {"max_states": 7, "max_labeled": 20}):
+            lsys = build_labeled_system(random_plant(random.Random(seed), **sizes))
+            _assert_union_is_reach(lsys, build_observer(lsys))
