@@ -28,7 +28,6 @@ from destx import (
     load_plant,
     prune_violating,
     realize_policy,
-    split_sub_automata,
     transmitted_count,
 )
 
@@ -59,8 +58,7 @@ def main() -> int:
     gstar = consistency_fixpoint(obs, g0)
     print(f"pruned: {len(g0.states)} -> {len(gstar.states)} states after consistency")
 
-    subs = split_sub_automata(gstar)
-    print(f"deterministic sub-automata: {len(subs)}")
+    print(f"deterministic sub-automata: {len(gstar.initials)}")
 
     sched = extract_min_transmit(gstar)
     print(f"schedule root: {sched.initial.render()} ({len(sched.states)} states)")

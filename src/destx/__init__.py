@@ -7,7 +7,7 @@ per-history transmit/suppress policy, and independently verifies the result
 by brute force.
 """
 
-from .automata import EPSILON, Nfa, Plant, Word, format_des, load_plant, parse_des, project, reachable, render_word, restrict, word
+from .automata import EPSILON, Plant, Word, format_des, load_plant, parse_des, render_word, word
 from .errors import (
     AlphabetTooLarge,
     DestxError,
@@ -26,23 +26,18 @@ from .errors import (
 from .estimation import (
     CheckReport,
     Estimator,
-    ProductObserverState,
-    ProductState,
     TraceSession,
-    build_product,
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
     estimate_bruteforce,
     estimate_states,
-    i2,
 )
 from .labeled import (
     LabeledState,
     LabeledSystem,
     build_labeled_system,
     make_labeled,
-    observed_word,
     parse_labeled,
     unobservable_reach,
 )
@@ -52,17 +47,15 @@ from .observer import (
     build_observer,
     closure_family,
     closure_family_bruteforce,
+    explore,
     observer_step,
     reach_closed,
-    successor_cores,
 )
 from .properties import (
     DistinguishabilitySpec,
     ISProperty,
     distinguishability,
     load_pairs,
-    underlying_states,
-    violating_states,
 )
 from .realization import (
     Policy,
@@ -76,14 +69,11 @@ from .realization import (
 )
 from .synthesis import (
     DeterministicSchedule,
-    PrunedObserver,
-    SubAutomaton,
     consistency_fixpoint,
     count_nontransmitted,
     extract_min_transmit,
     is_consistent,
     prune_violating,
-    split_sub_automata,
     synthesize_gstar,
 )
 

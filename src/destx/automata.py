@@ -1,4 +1,4 @@
-"""Finite-automaton core: deterministic plants, nondeterministic views, words.
+"""Finite-automaton core: deterministic plants and words.
 
 A plant is a deterministic automaton with a partial transition function;
 absence of an entry means the move is undefined, there are no sink states.
@@ -9,7 +9,6 @@ by the toolkit is the lexicographic order on those strings.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from typing import Hashable
 
 from .errors import ParseError
 
@@ -34,12 +33,6 @@ def read_input(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-
-
-def project(w: Iterable[str], observable: Iterable[str]) -> Word:
-    """Natural projection keeping only events in `observable`."""
-    keep = frozenset(observable)
-    return tuple(e for e in w if e in keep)
 
 
 class Plant:
@@ -110,12 +103,6 @@ class Plant:
                 break
         return out
 
-    def to_nfa(self) -> "Nfa":
-        trans = {
-            (q, e): frozenset((p,)) for (q, e), p in self._trans.items()
-        }
-        return Nfa(self.states, self.alphabet, trans, frozenset((self.initial,)))
-
     def _key(self):
         return (self.states, self.alphabet, self.initial, tuple(sorted(self._trans.items())))
 
@@ -148,64 +135,6 @@ def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
             break
         counts = nxt
     return total
-
-
-class Nfa:
-    """Nondeterministic automaton over arbitrary hashable nodes."""
-
-    def __init__(
-        self,
-        states: Iterable[Hashable],
-        alphabet: Iterable[str],
-        trans: Mapping[tuple[Hashable, str], frozenset],
-        initials: Iterable[Hashable],
-    ):
-        self.states = frozenset(states)
-        self.alphabet = frozenset(alphabet)
-        self.trans = {k: frozenset(v) for k, v in trans.items() if v}
-        self.initials = frozenset(initials)
-
-    def successors(self, node: Hashable, e: str) -> frozenset:
-        return self.trans.get((node, e), frozenset())
-
-    def step_set(self, nodes: Iterable[Hashable], e: str) -> frozenset:
-        out = set()
-        for n in nodes:
-            out |= self.trans.get((n, e), frozenset())
-        return frozenset(out)
-
-
-def reachable(nfa: Nfa) -> frozenset:
-    """Nodes reachable from the initial set."""
-    seen = set(nfa.initials)
-    work = list(nfa.initials)
-    while work:
-        n = work.pop()
-        for (src, _e), dsts in nfa.trans.items():
-            if src == n:
-                for d in dsts:
-                    if d not in seen:
-                        seen.add(d)
-                        work.append(d)
-    return frozenset(seen)
-
-
-def restrict(nfa: Nfa, keep: Iterable[Hashable]) -> Nfa:
-    """Sub-automaton on `keep`, trimmed to the part reachable from the initials."""
-    keep = frozenset(keep)
-    trans = {
-        (q, e): frozenset(d for d in dsts if d in keep)
-        for (q, e), dsts in nfa.trans.items()
-        if q in keep
-    }
-    cut = Nfa(nfa.states & keep, nfa.alphabet, trans, nfa.initials & keep)
-    live = reachable(cut)
-    trans2 = {
-        (q, e): frozenset(d for d in dsts if d in live)
-        for (q, e), dsts in cut.trans.items()
-        if q in live
-    }
-    return Nfa(live, nfa.alphabet, trans2, cut.initials & live)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
-from dataclasses import dataclass
 
 from .automata import load_plant, word
 from .errors import (
@@ -27,6 +26,7 @@ from .estimation import (
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
+    _render_states,
 )
 from .labeled import build_labeled_system, parse_labeled
 from .observer import build_observer, closure_family, closure_family_bruteforce
@@ -36,19 +36,6 @@ from .synthesis import extract_min_transmit, synthesize_gstar
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_DEPTH = 6
-
-
-@dataclass
-class RunConfig:
-    command: str
-    depth: int = DEFAULT_DEPTH
-    budget: int = DEFAULT_BUDGET
-
-    def validate(self) -> None:
-        if not 0 <= self.depth <= 32:
-            raise DestxError(f"depth must be between 0 and 32, got {self.depth}")
-        if self.budget < 1:
-            raise DestxError(f"budget must be at least 1, got {self.budget}")
 
 
 def _resolve_budget(flag_value: int | None) -> int:
@@ -65,10 +52,6 @@ def _resolve_budget(flag_value: int | None) -> int:
 
 def _compact(w) -> str:
     return ",".join(w) if w else "ε"
-
-
-def _render_set(states) -> str:
-    return "{" + ",".join(sorted(states)) + "}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,13 +158,13 @@ def cmd_simulate(args) -> int:
     plant = load_plant(args.plant)
     policy = load_policy(args.policy, plant)
     session = TraceSession(plant, policy)
-    print(f"initial estimate={_render_set(session.estimate)}")
+    print(f"initial estimate={_render_states(session.estimate)}")
     for i, e in enumerate(word(args.trace), start=1):
         sent, estimate = session.step(e)
         sent_mark = "Y" if sent else "N"
         print(
             f"{i} {e} sent={sent_mark} proj={_compact(session.observed)} "
-            f"estimate={_render_set(estimate)}"
+            f"estimate={_render_states(estimate)}"
         )
     return 0
 
@@ -206,13 +189,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            depth=getattr(args, "depth", DEFAULT_DEPTH),
-            budget=_resolve_budget(getattr(args, "budget", None)),
-        )
-        cfg.validate()
-        args.resolved_budget = cfg.budget
+        args.resolved_budget = _resolve_budget(getattr(args, "budget", None))
+        depth = getattr(args, "depth", DEFAULT_DEPTH)
+        if not 0 <= depth <= 32:
+            raise DestxError(f"depth must be between 0 and 32, got {depth}")
+        if args.resolved_budget < 1:
+            raise DestxError(f"budget must be at least 1, got {args.resolved_budget}")
         handler = {
             "build-observer": cmd_build_observer,
             "synthesize": cmd_synthesize,

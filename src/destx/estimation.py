@@ -2,8 +2,11 @@
 
 Two independent routes to the receiver's estimate:
 
-* the tracker: a deterministic observer of the policy-plant product, stepped
-  by transmitted events only, with suppressed-step closure folded in;
+* the tracker: a subset construction over the policy's states, stepped by
+  transmitted events only, with suppressed-step closure folded in.  The
+  product of the policy with the labeled plant is diagonal, every reachable
+  product state pairing a policy state with itself, so this equals the
+  tracker of that product (see `Estimator`);
 * brute force: read the estimate straight off the definition, as the end
   states of the plant words within a length bound that the policy projects
   onto the same transmitted word.  The words are not listed one by one: a
@@ -23,130 +26,62 @@ when its work passes the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .automata import Plant, Word, lang_size_capped, render_word
 from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent, WordNotInPlant
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system, unobservable_reach
-from .observer import ObserverState
+from .observer import ObserverState, explore
 from .properties import ISProperty
 from .realization import Policy
 
 
-@dataclass(frozen=True)
-class ProductState:
-    """A sensor-automaton position paired with the matching labeled plant state."""
-
-    sensor: LabeledState
-    aug: LabeledState
-
-    def render(self) -> str:
-        return f"{self.sensor.render()}|{self.aug.render()}"
-
-    def sort_key(self):
-        return (self.sensor.sort_key(), self.aug.sort_key())
-
-
-@dataclass(frozen=True)
-class ProductObserverState:
-    members: tuple[ProductState, ...]
-
-    @staticmethod
-    def of(states) -> "ProductObserverState":
-        return ProductObserverState(tuple(sorted(set(states), key=ProductState.sort_key)))
-
-    @cached_property
-    def member_set(self) -> frozenset[ProductState]:
-        return frozenset(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
-def build_product(sys: LabeledSystem, policy: Policy):
-    """Reachable product of the sensor automaton with the labeled system.
-
-    The policy's transition map picks the sensor successor; the labeled
-    system may offer several versions of the plant successor, but only the
-    one whose labels equal the successor's own labeling survives, so each
-    (state, event) has at most one target.
-    """
-    v0 = ProductState(policy.initial, policy.initial)
-    trans: dict[tuple[ProductState, str], ProductState] = {}
-    states = {v0}
-    work = [v0]
-    while work:
-        v = work.pop()
-        for e in v.aug.events():
-            x2 = policy.trans.get((v.sensor, e))
-            if x2 is None:
-                continue
-            cands = [w for w in sys.successors(v.aug, e) if w == x2]
-            if not cands:
-                continue
-            v2 = ProductState(x2, cands[0])
-            trans[(v, e)] = v2
-            if v2 not in states:
-                states.add(v2)
-                work.append(v2)
-    return states, trans, v0
-
-
 class Estimator:
-    """Deterministic tracker over sets of product states.
+    """Deterministic tracker: a subset construction over policy states.
 
-    States are closed under suppressed moves; stepping consumes one
-    transmitted event.
+    A tracker state is the set of policy states the plant may be in, given
+    the transmitted events so far, closed under the policy's suppressed
+    moves.  Stepping on a transmitted event e moves every member that
+    transmits e along the policy and closes again.  Every policy move x -e->
+    x2 follows the plant (x2.base is the plant successor of x.base) and x2
+    labels exactly its defined events, so x2 is one of the labeled successors
+    of x; tracking the policy alone is therefore the same as tracking the
+    product of the policy with the labeled plant, whose reachable states all
+    pair a policy state with itself.  The labeled-plant estimate is the set
+    itself.  `sys` supplies the alphabet.
     """
 
     def __init__(self, sys: LabeledSystem, policy: Policy):
         self.sys = sys
         self.policy = policy
-        _, self._ptrans, v0 = build_product(sys, policy)
-        self.initial = self._close(frozenset((v0,)))
-        self.states: set[ProductObserverState] = {self.initial}
-        self.trans: dict[tuple[ProductObserverState, str], ProductObserverState] = {}
-        work = [self.initial]
-        while work:
-            h = work.pop()
-            for e in sorted(sys.plant.alphabet):
-                h2 = self._step_raw(h, e)
-                if h2 is None:
-                    continue
-                self.trans[(h, e)] = h2
-                if h2 not in self.states:
-                    self.states.add(h2)
-                    work.append(h2)
+        self.initial = self._close((policy.initial,))
+        self.states, trans = explore((self.initial,), sys.plant.alphabet, self._step_raw)
+        self.trans: dict[tuple[ObserverState, str], ObserverState] = {
+            key: h2 for key, (h2,) in trans.items()
+        }
 
-    def _close(self, seed: frozenset[ProductState]) -> ProductObserverState:
+    def _close(self, seed) -> ObserverState:
         seen = set(seed)
         work = list(seed)
         while work:
-            v = work.pop()
-            for e in v.sensor.events():
-                if v.sensor.label(e) != N:
-                    continue
-                v2 = self._ptrans.get((v, e))
-                if v2 is not None and v2 not in seen:
-                    seen.add(v2)
-                    work.append(v2)
-        return ProductObserverState.of(seen)
+            x = work.pop()
+            for e, lab in x.bits:
+                x2 = self.policy.trans.get((x, e)) if lab == N else None
+                if x2 is not None and x2 not in seen:
+                    seen.add(x2)
+                    work.append(x2)
+        return ObserverState.of(seen)
 
-    def _step_raw(self, h: ProductObserverState, e: str) -> ProductObserverState | None:
-        moved = set()
-        for v in h.members:
-            if v.sensor._map.get(e) == Y:
-                v2 = self._ptrans.get((v, e))
-                if v2 is not None:
-                    moved.add(v2)
-        if not moved:
-            return None
-        return self._close(frozenset(moved))
+    def _step_raw(self, h: ObserverState, e: str) -> tuple[ObserverState, ...]:
+        moved = {
+            x2 for x in h.members
+            if x._map.get(e) == Y and (x2 := self.policy.trans.get((x, e))) is not None
+        }
+        return (self._close(moved),) if moved else ()
 
-    def step(self, h: ProductObserverState, e: str) -> ProductObserverState | None:
+    def step(self, h: ObserverState, e: str) -> ObserverState | None:
         return self.trans.get((h, e))
 
-    def after(self, observed: Word) -> ProductObserverState | None:
+    def after(self, observed: Word) -> ObserverState | None:
         h = self.initial
         for e in observed:
             h = self.trans.get((h, e))
@@ -155,13 +90,8 @@ class Estimator:
         return h
 
 
-def i2(h: ProductObserverState) -> ObserverState:
-    """Forget the sensor component, keeping the labeled-state estimate."""
-    return ObserverState.of(v.aug for v in h.members)
-
-
-def estimate_states(h: ProductObserverState) -> frozenset[str]:
-    return i2(h).underlying()
+def estimate_states(h: ObserverState) -> frozenset[str]:
+    return h.underlying()
 
 
 class _EstimateTable:
@@ -314,7 +244,7 @@ def check_tracker_containment(
         return hit
 
     checked = entries = 0
-    level: dict[tuple[ProductObserverState, frozenset[LabeledState]], tuple[Word, int]] = {
+    level: dict[tuple[ObserverState, frozenset[LabeledState]], tuple[Word, int]] = {
         (est.initial, unobservable_reach(sys, sys.initials)): ((), 1)
     }
     for n in range(depth + 1):
@@ -326,7 +256,7 @@ def check_tracker_containment(
             )
         nxt = {}
         for (h, allowed), (w, count) in level.items():
-            mine = i2(h).member_set
+            mine = h.member_set
             if not mine <= allowed:
                 return CheckReport(
                     "PROP1", False, checked + 1, depth, w,
@@ -390,7 +320,7 @@ def check_estimate_agreement(
     slack = len(sys.states)
     # tracker state and estimate per projection; a word's projection is its
     # parent's or one event longer, and the parent comes first in the walk
-    trackers: dict[Word, tuple[ProductObserverState | None, frozenset[str]]] = {
+    trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
         (): (est.initial, estimate_states(est.initial))
     }
     checked = 0

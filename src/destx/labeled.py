@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Nfa, Plant, Word
+from .automata import Plant
 from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
 
 Y = "Y"
@@ -134,13 +134,6 @@ class LabeledSystem:
                 out.append((e, self._versions[self.plant.step(ls.base, e)]))
         return tuple(out)
 
-    def to_nfa(self) -> Nfa:
-        trans: dict[tuple[LabeledState, str], frozenset] = {}
-        for ls in self.states:
-            for e in ls.events():
-                trans[(ls, e)] = frozenset(self.successors(ls, e))
-        return Nfa(self.states, self.plant.alphabet, trans, frozenset(self.initials))
-
     def __repr__(self):
         return f"LabeledSystem({len(self.states)} states over {self.plant!r})"
 
@@ -185,8 +178,3 @@ def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> fro
             reach = sys._reach_cache[seed] = frozenset(seen)
         out |= reach
     return out
-
-
-def observed_word(steps: Sequence[tuple[LabeledState, str]]) -> Word:
-    """Project a run, given as (source version, event) steps, onto what is sent."""
-    return tuple(e for src, e in steps if src.label(e) == Y)

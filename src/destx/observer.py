@@ -24,7 +24,6 @@ from functools import cached_property
 
 from .errors import InstanceTooLarge, StateBudgetExceeded
 from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
-from .automata import Word
 
 _FAMILY_LIMIT = 500_000
 
@@ -173,16 +172,6 @@ def _cores_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[frozenset[La
     return tuple(frozenset(choice) for choice in itertools.product(*pools))
 
 
-def successor_cores(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[frozenset[LabeledState], ...]:
-    """Seed sets for the estimates after transmitting `e` from `z`.
-
-    Only members that transmit `e` contribute; the receiver knows the event
-    happened, so every contributing plant successor is a mandatory seed, in
-    one decision version each.
-    """
-    return _cores_over(sys, _target_bases(sys, z, e))
-
-
 def _estimates_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[ObserverState, ...]:
     """All admissible estimates seeded by one version of every plant state in
     `bases`.  Memoized on the system: the result depends on nothing else."""
@@ -217,15 +206,6 @@ class DynamicObserver:
     def successors(self, z: ObserverState, e: str) -> tuple[ObserverState, ...]:
         return self.trans.get((z, e), ())
 
-    def states_after(self, word: Word) -> frozenset[ObserverState]:
-        """All estimates compatible with an observed word, from any initial."""
-        cur = set(self.initials)
-        for e in word:
-            cur = {z2 for z in cur for z2 in self.successors(z, e)}
-            if not cur:
-                break
-        return frozenset(cur)
-
     @property
     def transition_count(self) -> int:
         return sum(len(v) for v in self.trans.values())
@@ -259,29 +239,39 @@ class DynamicObserver:
         return f"DynamicObserver({len(self.states)} states, {self.transition_count} transitions)"
 
 
+def explore(roots, alphabet, step, budget: int | None = None):
+    """Breadth-first walk from `roots` under `step`, one state at a time,
+    events in sorted order.
+
+    `step(z, e)` returns the tuple of successors of z on e, empty when there
+    are none.  Returns the states reached, roots first and then in the order
+    they were first reached, and the transition table holding every
+    non-empty step.  More than `budget` states stop the walk with
+    StateBudgetExceeded."""
+    events = sorted(alphabet)
+    seen = dict.fromkeys(roots)
+    work = list(seen)
+    trans = {}
+    for z in work:
+        for e in events:
+            targets = step(z, e)
+            if not targets:
+                continue
+            trans[(z, e)] = targets
+            for t in targets:
+                if t not in seen:
+                    seen[t] = None
+                    if budget is not None and len(seen) > budget:
+                        raise StateBudgetExceeded(f"observer exceeded {budget} states")
+                    work.append(t)
+    return tuple(seen), trans
+
+
 def build_observer(sys: LabeledSystem, state_budget: int = 100_000) -> DynamicObserver:
     """Explore every admissible estimate reachable from the initial ones."""
-    initials: set[ObserverState] = set()
-    for v in sys.initials:
-        initials.update(closure_family(sys, v))
-    states: set[ObserverState] = set(initials)
-    trans: dict[tuple[ObserverState, str], tuple[ObserverState, ...]] = {}
-    work = sorted(initials, key=ObserverState.sort_key)
-    while work:
-        z = work.pop(0)
-        for e in sorted(sys.plant.alphabet):
-            nxt = observer_step(sys, z, e)
-            if not nxt:
-                continue
-            trans[(z, e)] = nxt
-            for z2 in nxt:
-                if z2 not in states:
-                    states.add(z2)
-                    if len(states) > state_budget:
-                        raise StateBudgetExceeded(
-                            f"observer exceeded {state_budget} states"
-                        )
-                    work.append(z2)
+    initials = {z for v in sys.initials for z in closure_family(sys, v)}
+    roots = sorted(initials, key=ObserverState.sort_key)
+    states, trans = explore(roots, sys.plant.alphabet, lambda z, e: observer_step(sys, z, e), state_budget)
     return DynamicObserver(sys, states, initials, trans)
 
 

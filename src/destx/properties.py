@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .automata import Plant, read_input
 from .errors import ParseError, UnknownState
-from .observer import ObserverState
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,6 @@ def distinguishability(spec: DistinguishabilitySpec, plant: Plant) -> ISProperty
         return f"estimate {{{inside}}} merges {culprits}"
 
     return ISProperty("distinguishability", holds, explain)
-
-
-def underlying_states(z: ObserverState) -> frozenset[str]:
-    return z.underlying()
-
-
-def violating_states(prop: ISProperty, states: Iterable[ObserverState]) -> tuple[ObserverState, ...]:
-    bad = [z for z in states if not prop.holds(z.underlying())]
-    return tuple(sorted(bad, key=ObserverState.sort_key))
 
 
 def load_pairs(path) -> DistinguishabilitySpec:

@@ -8,12 +8,10 @@ transmitted and suppressed events.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 
 from .automata import Plant, Word, read_input
 from .errors import (
-    InstanceTooLarge,
     MissingSuccessor,
     ParseError,
     PolicyIncomplete,
@@ -109,21 +107,26 @@ def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, .
     """Order a set of labeled states into a suppressed-reachability chain.
 
     Each element must lie in the unobservable reach of its predecessor.  Of
-    the qualifying permutations the canonically smallest is returned.
+    the qualifying orders the canonically smallest is returned.
+
+    Suppressed reach is transitive, so in a chain every element reaches all
+    later ones: a chain exists exactly when every two elements are
+    comparable, and an element then reaches at least as many of the set as
+    any later one, strictly more unless the two reach each other.  Sorting
+    by that count, largest first, then by `sort_key` is therefore the
+    smallest chain whenever there is one.
     """
-    elems = sorted(set(d), key=LabeledState.sort_key)
+    elems = set(d)
     if not elems:
         raise RankUndefined("cannot rank an empty set")
-    if len(elems) == 1:
-        return (elems[0],)
-    if len(elems) > 8:
-        raise InstanceTooLarge(f"refusing to rank {len(elems)} states")
     reach = {v: unobservable_reach(sys, (v,)) for v in elems}
-    for perm in itertools.permutations(elems):
-        if all(perm[i + 1] in reach[perm[i]] for i in range(len(perm) - 1)):
-            return perm
+    chain = sorted(elems, key=lambda v: (-len(reach[v] & elems), v.sort_key()))
+    if all(b in reach[a] for a, b in zip(chain, chain[1:])):
+        return tuple(chain)
     raise RankUndefined(
-        "no chain order exists for {" + ",".join(x.render() for x in elems) + "}"
+        "no chain order exists for {"
+        + ",".join(x.render() for x in sorted(elems, key=LabeledState.sort_key))
+        + "}"
     )
 
 

@@ -6,9 +6,15 @@ had: a receiver sitting in such a state could be forced into a violating
 estimate by the next transmission.  What survives is the largest observer
 fragment within which every transmission choice keeps the property.
 
-Stage two walks one initial fragment and commits to a single successor per
-(state, event), preferring successors that let the policy suppress more,
-measured by how many members carry a suppressed move staying in the set.
+Stage two scores the sub-automaton each surviving initial reaches, picks
+one root, and walks from it committing to a single successor per (state,
+event), preferring successors that let the policy suppress more, measured
+by how many members carry a suppressed move staying in the set.
+
+Every walk here, like the observer's own construction, is
+`observer.explore`: the pruned fragments restrict the full observer's step
+to the kept states, a sub-automaton is the fragment one root reaches, and
+the schedule is the walk whose step commits to one successor.
 """
 
 from __future__ import annotations
@@ -17,46 +23,24 @@ from dataclasses import dataclass
 
 from .errors import Infeasible, UnknownInitial
 from .labeled import N, LabeledSystem
-from .observer import DynamicObserver, ObserverState
+from .observer import DynamicObserver, ObserverState, explore
 from .properties import ISProperty
 
 
-class PrunedObserver(DynamicObserver):
-    """Observer fragment remembering the full observer it came from."""
-
-    def __init__(self, sys, states, initials, trans, full: DynamicObserver):
-        super().__init__(sys, states, initials, trans)
-        self.full = full
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.initials
-
-
-def _restrict_reachable(sys, keep_states, keep_initials, trans, full) -> PrunedObserver:
-    keep = set(keep_states)
-    initials = [z for z in keep_initials if z in keep]
-    live = set(initials)
-    work = list(initials)
-    cut: dict[tuple[ObserverState, str], tuple[ObserverState, ...]] = {}
-    while work:
-        z = work.pop()
-        for e in sorted(sys.plant.alphabet):
-            targets = tuple(t for t in trans.get((z, e), ()) if t in keep)
-            if not targets:
-                continue
-            cut[(z, e)] = targets
-            for t in targets:
-                if t not in live:
-                    live.add(t)
-                    work.append(t)
-    return PrunedObserver(sys, live, initials, cut, full)
+def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
+    """The part of `obs` inside `keep` that its kept initials reach."""
+    keep = set(keep)
+    initials = [z for z in obs.initials if z in keep]
+    states, trans = explore(
+        initials, obs.sys.plant.alphabet,
+        lambda z, e: tuple(t for t in obs.successors(z, e) if t in keep),
+    )
+    return DynamicObserver(obs.sys, states, initials, trans)
 
 
-def prune_violating(obs: DynamicObserver, prop: ISProperty) -> PrunedObserver:
+def prune_violating(obs: DynamicObserver, prop: ISProperty) -> DynamicObserver:
     """Drop estimate states that violate the property, re-trim to reachable."""
-    keep = [z for z in obs.states if prop.holds(z.underlying())]
-    return _restrict_reachable(obs.sys, keep, obs.initials, obs.trans, obs)
+    return _restrict_reachable(obs, [z for z in obs.states if prop.holds(z.underlying())])
 
 
 def is_consistent(full: DynamicObserver, pruned: DynamicObserver, z: ObserverState) -> bool:
@@ -72,56 +56,24 @@ def is_consistent(full: DynamicObserver, pruned: DynamicObserver, z: ObserverSta
     return True
 
 
-def consistency_fixpoint(full: DynamicObserver, g0: PrunedObserver) -> PrunedObserver:
+def consistency_fixpoint(full: DynamicObserver, g0: DynamicObserver) -> DynamicObserver:
     """Remove inconsistent states in waves until stable.
 
     Reachability is recomputed after every wave since deletions can strand
-    whole branches.  The result may be empty; that is the synthesis-level
-    "no feasible policy" signal, reported by callers as Infeasible.
+    whole branches.  The result may have no initial state; that is the
+    synthesis-level "no feasible policy" signal, reported by
+    `extract_min_transmit` as Infeasible.
     """
     cur = g0
     while True:
-        bad = [z for z in cur.states if not is_consistent(full, cur, z)]
+        bad = {z for z in cur.states if not is_consistent(full, cur, z)}
         if not bad:
             return cur
-        keep = set(cur.states) - set(bad)
-        cur = _restrict_reachable(full.sys, keep, cur.initials, cur.trans, full)
+        cur = _restrict_reachable(cur, set(cur.states) - bad)
 
 
-def synthesize_gstar(obs: DynamicObserver, prop: ISProperty) -> PrunedObserver:
+def synthesize_gstar(obs: DynamicObserver, prop: ISProperty) -> DynamicObserver:
     return consistency_fixpoint(obs, prune_violating(obs, prop))
-
-
-@dataclass
-class SubAutomaton:
-    """The fragment reachable from one surviving initial state."""
-
-    root: ObserverState
-    states: tuple[ObserverState, ...]
-    trans: dict[tuple[ObserverState, str], tuple[ObserverState, ...]]
-
-
-def split_sub_automata(gstar: PrunedObserver) -> list[SubAutomaton]:
-    subs = []
-    for root in gstar.initials:
-        seen = {root}
-        work = [root]
-        trans: dict[tuple[ObserverState, str], tuple[ObserverState, ...]] = {}
-        while work:
-            z = work.pop()
-            for e in sorted(gstar.sys.plant.alphabet):
-                targets = gstar.successors(z, e)
-                if not targets:
-                    continue
-                trans[(z, e)] = targets
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        work.append(t)
-        states = tuple(sorted(seen, key=ObserverState.sort_key))
-        subs.append(SubAutomaton(root, states, trans))
-    subs.sort(key=lambda s: s.root.sort_key())
-    return subs
 
 
 def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "default") -> int:
@@ -152,53 +104,49 @@ class DeterministicSchedule:
 
 
 def extract_min_transmit(
-    gstar: PrunedObserver,
+    gstar: DynamicObserver,
     pin_initial: ObserverState | None = None,
     nz_mode: str = "default",
 ) -> DeterministicSchedule:
     """Greedy suppression-maximizing walk of one sub-automaton.
 
-    The sub-automaton with the highest summed member count is chosen (or the
-    pinned one); within it, each (state, event) commits to the successor
-    with the highest count.  All ties break toward the canonically smallest
-    candidate, so the result is a pure function of its inputs.
+    Each surviving initial roots the sub-automaton of the states it reaches
+    in `gstar`.  The root whose sub-automaton has the highest summed member
+    count is chosen (or the pinned one); from it, each (state, event)
+    commits to the successor with the highest count.  All ties break toward
+    the canonically smallest candidate, so the result is a pure function of
+    its inputs.
     """
-    if gstar.is_empty:
+    if not gstar.initials:
         raise Infeasible("no estimate survives pruning; the property cannot be enforced")
     sys = gstar.sys
-    subs = split_sub_automata(gstar)
+    alphabet = sys.plant.alphabet
+    roots = gstar.initials
     if pin_initial is not None:
-        subs = [s for s in subs if s.root == pin_initial]
-        if not subs:
+        if pin_initial not in roots:
             raise UnknownInitial(f"{pin_initial.render()} is not a surviving initial estimate")
+        roots = (pin_initial,)
 
-    def score(sub: SubAutomaton) -> int:
-        return sum(count_nontransmitted(sys, z, nz_mode) for z in sub.states)
+    def score(root: ObserverState) -> int:
+        states, _ = explore((root,), alphabet, gstar.successors)
+        return sum(count_nontransmitted(sys, z, nz_mode) for z in states)
 
-    best = subs[0]
+    best = roots[0]
     best_score = score(best)
-    for sub in subs[1:]:
-        s = score(sub)
+    for root in roots[1:]:
+        s = score(root)
         if s > best_score:
-            best, best_score = sub, s
+            best, best_score = root, s
 
-    sched: dict[tuple[ObserverState, str], ObserverState] = {}
-    seen = {best.root}
-    queue = [best.root]
-    while queue:
-        z = queue.pop(0)
-        for e in sorted(sys.plant.alphabet):
-            cands = best.trans.get((z, e), ())
-            if not cands:
-                continue
-            pick = sorted(
-                cands,
-                key=lambda t: (-count_nontransmitted(sys, t, nz_mode), t.sort_key()),
-            )[0]
-            sched[(z, e)] = pick
-            if pick not in seen:
-                seen.add(pick)
-                queue.append(pick)
+    def pick(z: ObserverState, e: str) -> tuple[ObserverState, ...]:
+        cands = gstar.successors(z, e)
+        if not cands:
+            return ()
+        return (min(cands, key=lambda t: (-count_nontransmitted(sys, t, nz_mode), t.sort_key())),)
+
+    states, trans = explore((best,), alphabet, pick)
     return DeterministicSchedule(
-        best.root, tuple(sorted(seen, key=ObserverState.sort_key)), sched
+        best,
+        tuple(sorted(states, key=ObserverState.sort_key)),
+        {key: t for key, (t,) in trans.items()},
     )

@@ -1,4 +1,4 @@
-"""Plant parsing, word enumeration, and the small NFA layer."""
+"""Plant parsing and word enumeration."""
 
 import random
 
@@ -11,10 +11,7 @@ from destx import (
     Plant,
     format_des,
     parse_des,
-    project,
-    reachable,
     render_word,
-    restrict,
     word,
 )
 from randgen import random_plant
@@ -28,14 +25,6 @@ def test_word_helpers():
     assert render_word(()) == "ε"
     assert render_word(("σ1", "σ3")) == "σ1 σ3"
     assert EPSILON == ()
-
-
-def test_project():
-    assert project(("a", "b", "c", "b"), {"b"}) == ("b", "b")
-    assert project((), {"a"}) == ()
-    assert project(("a",), ()) == ()
-    w = ("a", "b", "a", "c")
-    assert project(project(w, {"a", "c"}), {"a", "c"}) == project(w, {"a", "c"})
 
 
 @given(plants, st.integers(0, 3), st.integers(0, 3))
@@ -140,27 +129,6 @@ def test_plant_validation():
         Plant(["s0"], ["a"], {("s0", "a"): "s9"}, "s0")
     with pytest.raises(ParseError):
         Plant([], [], {}, "s0")
-
-
-def test_nfa_reachable_restrict(plant):
-    nfa = plant.to_nfa()
-    assert reachable(nfa) == frozenset(plant.states)
-    cut = restrict(nfa, {"q0", "q1", "q2"})
-    assert reachable(cut) == {"q0", "q1", "q2"}
-    assert cut.step_set({"q0"}, "σ3") == frozenset()
-    # cutting the initial away empties everything
-    assert restrict(nfa, {"q1", "q2"}).states == frozenset()
-
-
-def test_restrict_composes(plant):
-    nfa = plant.to_nfa()
-    a = {"q0", "q1", "q2", "q3"}
-    b = {"q0", "q2", "q3", "q4"}
-    once = restrict(nfa, a & b)
-    twice = restrict(restrict(nfa, a), b)
-    assert once.states == twice.states
-    assert once.trans == twice.trans
-    assert once.initials == twice.initials
 
 
 @given(plants)

@@ -1,4 +1,4 @@
-"""Receiver-side estimation: product, tracker, brute force, and the checkers."""
+"""Receiver-side estimation: tracker, brute force, and the checkers."""
 
 import random
 
@@ -14,14 +14,11 @@ from destx import (
     Plant,
     Policy,
     PolicyIncomplete,
-    ProductObserverState,
-    ProductState,
     TraceSession,
     UndefinedEvent,
     WordNotInPlant,
     build_labeled_system,
     build_observer,
-    build_product,
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
@@ -30,7 +27,6 @@ from destx import (
     estimate_bruteforce,
     estimate_states,
     extract_min_transmit,
-    i2,
     parse_labeled,
     prune_violating,
     realize_policy,
@@ -78,7 +74,7 @@ def _prop1_word_by_word(plant, policy, depth):
         w, h, zs = queue.pop(0)
         checked += 1
         allowed = {x for z in zs for x in z.members}
-        mine = set(destx.estimation.i2(h).members)
+        mine = set(h.members)
         if not mine <= allowed:
             return CheckReport(
                 "PROP1", False, checked, depth, w,
@@ -182,29 +178,98 @@ def _assert_prop1_matches(plant, policy, depth):
     return got
 
 
-def test_product_is_diagonal(lsys, hand_policy):
-    states, trans, v0 = build_product(lsys, hand_policy)
-    assert v0.render() == "q0NNY|q0NNY"
-    assert len(states) == 6
-    assert all(s.sensor == s.aug for s in states)
-    for (v, e), w in trans.items():
-        assert v in states and w in states
-        assert e in v.sensor.events()
+def _product_tracker(sys, policy):
+    """Reference for Estimator: the tracker over the product of the policy
+    with the labeled plant.  A product state pairs a policy state with a
+    labeled plant state; a move needs the policy move and keeps the one
+    labeled successor equal to the policy's target.  Returns the tracker's
+    initial state and its step, over sets of product states."""
+    v0 = (policy.initial, policy.initial)
+    ptrans = {}
+    seen, work = {v0}, [v0]
+    while work:
+        v = work.pop()
+        sensor, aug = v
+        for e in aug.events():
+            x2 = policy.trans.get((sensor, e))
+            cands = [w for w in sys.successors(aug, e) if w == x2]
+            if x2 is None or not cands:
+                continue
+            ptrans[(v, e)] = v2 = (x2, cands[0])
+            if v2 not in seen:
+                seen.add(v2)
+                work.append(v2)
+
+    def close(seed):
+        out, work = set(seed), list(seed)
+        while work:
+            v = work.pop()
+            for e, lab in v[0].bits:
+                v2 = ptrans.get((v, e)) if lab == N else None
+                if v2 is not None and v2 not in out:
+                    out.add(v2)
+                    work.append(v2)
+        return frozenset(out)
+
+    def step(h, e):
+        moved = {ptrans[(v, e)] for v in h if dict(v[0].bits).get(e) == Y and (v, e) in ptrans}
+        return close(moved) if moved else None
+
+    return close({v0}), step
 
 
-def test_i2_keeps_estimate_side(plant):
-    a = parse_labeled("q1Y", plant)
-    b = parse_labeled("q2N", plant)
-    h = ProductObserverState.of([ProductState(a, b)])
-    assert i2(h).render() == "(q2N)"
-    assert estimate_states(h) == {"q2"}
+def _assert_tracker_matches_product(sys, policy, depth=6):
+    """Same state count, and the same estimate on every observed word up to
+    `depth`, as the product tracker."""
+    est = Estimator(sys, policy)
+    h0, step = _product_tracker(sys, policy)
+    alphabet = sorted(sys.plant.alphabet)
+    states = {h0}
+    level = [((), h0, est.initial)]
+    for n in range(depth + 1):
+        nxt = []
+        for w, hp, h in level:
+            assert h is not None and h == ObserverState.of(aug for _, aug in hp), w
+            if n == depth:
+                continue
+            for e in alphabet:
+                hp2 = step(hp, e)
+                if hp2 is None:
+                    assert est.step(h, e) is None, w + (e,)
+                else:
+                    nxt.append((w + (e,), hp2, est.step(h, e)))
+        level = nxt
+    # the product tracker's reachable states, one per estimator state
+    work = [h0]
+    while work:
+        hp = work.pop()
+        for e in alphabet:
+            hp2 = step(hp, e)
+            if hp2 is not None and hp2 not in states:
+                states.add(hp2)
+                work.append(hp2)
+    assert len(states) == len(est.states)
+
+
+def test_estimator_matches_product_running_example(lsys, plant, hand_policy, pinned_policy, default_policy):
+    for pol in (hand_policy, pinned_policy, default_policy, uniform_policy(plant, Y), uniform_policy(plant, N)):
+        _assert_tracker_matches_product(lsys, pol)
+
+
+def test_estimator_matches_product_random():
+    for seed in range(200):
+        rng = random.Random(seed)
+        plant = random_plant(rng)
+        sys = build_labeled_system(plant)
+        for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
+            _assert_tracker_matches_product(sys, policy)
 
 
 def test_estimator_hand_policy(lsys, hand_policy):
     est = Estimator(lsys, hand_policy)
     assert sorted(estimate_states(est.initial)) == ["q0", "q1", "q5"]
     h = est.after(("σ2",))
-    assert i2(h).render() == "(q1Y,q2N)"
+    assert h.render() == "(q1Y,q2N)"
     assert sorted(estimate_states(h)) == ["q1", "q2"]
     # σ1 is never transmitted by this policy
     assert est.after(("σ1",)) is None
@@ -382,16 +447,16 @@ def test_prop1_failure_names_shortlex_first_word(monkeypatch):
     plant = Plant(["q0", "q1", "q2"], ["a", "b", "c"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "c"): "q2"}, "q0")
     policy = uniform_policy(plant, Y)
     assert _assert_prop1_matches(plant, policy, 3).line() == "PROP1 ok words=5 depth=3"
-    real = destx.estimation.i2
+    real = Estimator.step
     q1y = parse_labeled("q1Y", plant)
 
-    def with_q1y(h):
+    def with_q1y(self, h, e):
         # a tracker that also claims q1Y once it reaches q2, where the
         # observer allows only q2
-        z = real(h)
-        return ObserverState.of([*z.members, q1y]) if "q2" in z.underlying() else z
+        h2 = real(self, h, e)
+        return ObserverState.of([*h2.members, q1y]) if h2 is not None and "q2" in h2.underlying() else h2
 
-    monkeypatch.setattr(destx.estimation, "i2", with_q1y)
+    monkeypatch.setattr(Estimator, "step", with_q1y)
     report = _assert_prop1_matches(plant, policy, 3)
     assert report.line() == "FAIL PROP1 word=a c expected=subset of {q2} got={q1Y,q2}"
     assert report.words == 4

@@ -1,4 +1,4 @@
-"""Labeled system: decision versions, suppressed reach, observation words."""
+"""Labeled system: decision versions and suppressed reach."""
 
 import random
 
@@ -13,7 +13,6 @@ from destx import (
     UnknownState,
     build_labeled_system,
     make_labeled,
-    observed_word,
     parse_labeled,
     unobservable_reach,
 )
@@ -94,15 +93,6 @@ def test_unobservable_reach_values(lsys, plant):
     assert reach("q1N") == ["q1N", "q1Y", "q2N", "q2Y"]
     assert reach("q3N") == ["q3N", "q4N", "q4Y"]
     assert reach("q2Y") == ["q2Y"]
-
-
-def test_observed_word(plant):
-    q0 = parse_labeled("q0NNY", plant)
-    q1y = parse_labeled("q1Y", plant)
-    assert observed_word([(q0, "σ3")]) == ("σ3",)
-    assert observed_word([(q0, "σ2")]) == ()
-    assert observed_word([(q0, "σ2"), (q1y, "σ2")]) == ("σ2",)
-    assert observed_word([]) == ()
 
 
 def test_alphabet_too_large():

@@ -14,10 +14,10 @@ from destx import (
     build_observer,
     closure_family,
     closure_family_bruteforce,
+    explore,
     observer_step,
     parse_labeled,
     reach_closed,
-    successor_cores,
     unobservable_reach,
 )
 from destx.labeled import N
@@ -94,15 +94,6 @@ def test_reach_closed(lsys, plant):
     assert reach_closed(lsys, _os(plant, "q2Y").member_set)
 
 
-def test_successor_cores(lsys, plant):
-    z0 = _os(plant, "q0NNY", "q1Y", "q5")
-    assert successor_cores(lsys, z0, "σ1") == ()
-    cores2 = successor_cores(lsys, z0, "σ2")
-    assert sorted(sorted(v.render() for v in c) for c in cores2) == [["q2N"], ["q2Y"]]
-    cores3 = successor_cores(lsys, z0, "σ3")
-    assert sorted(sorted(v.render() for v in c) for c in cores3) == [["q3N"], ["q3Y"]]
-
-
 def test_observer_step(lsys, plant):
     z0 = _os(plant, "q0NNY", "q1Y", "q5")
     assert observer_step(lsys, z0, "σ1") == ()
@@ -148,14 +139,6 @@ def test_step_exists_iff_someone_transmits(obs, lsys, plant):
             assert bool(obs.successors(z, e)) == has_y
 
 
-def test_states_after(obs, plant):
-    assert obs.states_after(()) == frozenset(obs.initials)
-    after = obs.states_after(("σ2",))
-    assert after
-    assert after <= frozenset(obs.states)
-    assert _os(plant, "q2Y") in after
-
-
 def test_observer_deterministic(lsys):
     a = build_observer(lsys)
     b = build_observer(lsys)
@@ -166,6 +149,21 @@ def test_observer_deterministic(lsys):
 def test_observer_budget(lsys):
     with pytest.raises(StateBudgetExceeded):
         build_observer(lsys, state_budget=10)
+
+
+def test_explore_order_and_budget():
+    succ = {(0, "a"): (1, 2), (1, "b"): (3,), (2, "a"): (0,)}
+
+    def step(z, e):
+        return succ.get((z, e), ())
+
+    # breadth first: roots, then states in the order first reached
+    states, trans = explore((0,), {"b", "a"}, step)
+    assert states == (0, 1, 2, 3)
+    assert trans == succ
+    assert explore((0,), {"a", "b"}, step, budget=4)[0] == states
+    with pytest.raises(StateBudgetExceeded):
+        explore((0,), {"a", "b"}, step, budget=3)
 
 
 def test_observer_trivial_plant():

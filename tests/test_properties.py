@@ -9,8 +9,6 @@ from destx import (
     UnknownState,
     distinguishability,
     parse_labeled,
-    underlying_states,
-    violating_states,
 )
 from destx.observer import ObserverState
 
@@ -90,22 +88,20 @@ def test_underlying_states(plant):
     z = ObserverState.of(
         [parse_labeled("q0NNY", plant), parse_labeled("q1Y", plant), parse_labeled("q5", plant)]
     )
-    assert underlying_states(z) == {"q0", "q1", "q5"}
+    assert z.underlying() == {"q0", "q1", "q5"}
     # labels are forgotten: two versions of the same base collapse
     z2 = ObserverState.of([parse_labeled("q1Y", plant), parse_labeled("q1N", plant)])
-    assert underlying_states(z2) == {"q1"}
+    assert z2.underlying() == {"q1"}
 
 
 def test_violating_states(obs, prop, plant):
-    bad = violating_states(prop, obs.states)
-    bad_set = set(bad)
+    bad_set = {z for z in obs.states if not prop.holds(z.underlying())}
+    assert len(bad_set) == 82  # of the observer's 101 estimates
     assert ObserverState.of([parse_labeled("q1N", plant), parse_labeled("q2N", plant)]) in bad_set
     z0 = ObserverState.of(
         [parse_labeled("q0NNY", plant), parse_labeled("q1Y", plant), parse_labeled("q5", plant)]
     )
     assert z0 not in bad_set
-    for z in obs.states:
-        assert (z in bad_set) == (not prop.holds(z.underlying()))
 
 
 subsets = st.frozensets(st.sampled_from(STATES))

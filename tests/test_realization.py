@@ -1,5 +1,6 @@
 """Ranking, schedule realization, policy files, and history projections."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from destx import (
     DeterministicSchedule,
-    InstanceTooLarge,
     MissingSuccessor,
     ParseError,
     Plant,
@@ -24,6 +24,7 @@ from destx import (
     realize_policy,
     transmitted_count,
     uniform_policy,
+    unobservable_reach,
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
@@ -51,6 +52,7 @@ def test_rank_undefined(lsys, plant):
 
 
 def test_rank_cap():
+    # a nine-state chain, past what the old permutation search would take
     chain = Plant(
         [f"s{i}" for i in range(10)],
         ["e"],
@@ -59,8 +61,43 @@ def test_rank_cap():
     )
     lsys = build_labeled_system(chain)
     big = [make_labeled(f"s{i}", {"e": N}) for i in range(9)]
-    with pytest.raises(InstanceTooLarge):
-        rank(lsys, big)
+    assert rank(lsys, reversed(big)) == tuple(big)
+
+
+def _rank_by_permutations(lsys, d):
+    """Reference for rank: the first permutation, in canonical order, in
+    which every element lies in the suppressed reach of its predecessor."""
+    elems = sorted(set(d), key=lambda v: v.sort_key())
+    reach = {v: unobservable_reach(lsys, (v,)) for v in elems}
+    for perm in itertools.permutations(elems):
+        if all(b in reach[a] for a, b in zip(perm, perm[1:])):
+            return perm
+    return None
+
+
+def test_rank_matches_permutation_search():
+    chains = long_chains = undefined = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        lsys = build_labeled_system(random_plant(rng))
+        # sets drawn from all states, and from one state's suppressed reach,
+        # where chains are likelier
+        pools = [lsys.states] * 3 + [
+            sorted(unobservable_reach(lsys, (rng.choice(lsys.states),)), key=lambda v: v.sort_key())
+            for _ in range(3)
+        ]
+        for pool in pools:
+            d = rng.sample(pool, rng.randint(1, min(7, len(pool))))
+            ref = _rank_by_permutations(lsys, d)
+            if ref is None:
+                undefined += 1
+                with pytest.raises(RankUndefined):
+                    rank(lsys, d)
+            else:
+                chains += 1
+                long_chains += len(ref) >= 3
+                assert rank(lsys, d) == ref
+    assert chains > 100 and long_chains > 50 and undefined > 100
 
 
 PINNED_TEXT = """initial q0NNY

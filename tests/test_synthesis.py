@@ -16,8 +16,8 @@ from destx import (
     extract_min_transmit,
     is_consistent,
     parse_labeled,
+    explore,
     prune_violating,
-    split_sub_automata,
     synthesize_gstar,
 )
 from destx.observer import ObserverState
@@ -93,22 +93,22 @@ def test_infeasible_when_initial_always_violates():
     obs = build_observer(lsys)
     prop = distinguishability(DistinguishabilitySpec.of([("q0", "q0")]), plant)
     g = synthesize_gstar(obs, prop)
-    assert g.is_empty
+    assert not g.initials
     with pytest.raises(Infeasible):
         extract_min_transmit(g)
 
 
-def test_split_sub_automata(gstar, lsys):
-    subs = split_sub_automata(gstar)
-    assert [s.root for s in subs] == list(gstar.initials)
-    scores = [
-        sum(count_nontransmitted(lsys, z) for z in s.states) for s in subs
-    ]
+def test_sub_automaton_scores(gstar, lsys, plant):
+    # the sub-automaton of each surviving initial, as extraction scores it
+    subs = [explore((root,), plant.alphabet, gstar.successors) for root in gstar.initials]
+    scores = [sum(count_nontransmitted(lsys, z) for z in states) for states, _ in subs]
     assert scores == [2, 3, 3, 3, 5, 5]
-    assert [len(s.states) for s in subs] == [8, 7, 8, 7, 10, 9]
-    for s in subs:
-        assert set(s.states) <= set(gstar.states)
-        assert s.root in s.states
+    assert [len(states) for states, _ in subs] == [8, 7, 8, 7, 10, 9]
+    for root, (states, trans) in zip(gstar.initials, subs):
+        assert states[0] == root
+        assert set(states) <= set(gstar.states)
+        for (z, e), targets in trans.items():
+            assert targets == gstar.successors(z, e)
 
 
 def test_count_nontransmitted(lsys, plant):
