@@ -72,7 +72,6 @@ from .synthesis import (
     consistency_fixpoint,
     count_nontransmitted,
     extract_min_transmit,
-    is_consistent,
     prune_violating,
     synthesize_gstar,
 )

@@ -69,25 +69,17 @@ class Estimator:
                 if x2 is not None and x2 not in seen:
                     seen.add(x2)
                     work.append(x2)
-        return ObserverState.of(seen)
+        return ObserverState(seen)
 
     def _step_raw(self, h: ObserverState, e: str) -> tuple[ObserverState, ...]:
         moved = {
-            x2 for x in h.members
+            x2 for x in h
             if x._map.get(e) == Y and (x2 := self.policy.trans.get((x, e))) is not None
         }
         return (self._close(moved),) if moved else ()
 
     def step(self, h: ObserverState, e: str) -> ObserverState | None:
         return self.trans.get((h, e))
-
-    def after(self, observed: Word) -> ObserverState | None:
-        h = self.initial
-        for e in observed:
-            h = self.trans.get((h, e))
-            if h is None:
-                return None
-        return h
 
 
 def estimate_states(h: ObserverState) -> frozenset[str]:
@@ -200,10 +192,10 @@ def check_tracker_containment(
     {step(v.base, e) : v in A, v transmits e}, A is R(initial versions) on
     the empty word and R(versions of T(A, e)) after e.  This is the union
     because an observer step from the estimates Z on e yields the admissible
-    estimates over the cores of T(∪Z, e), one version of each target state,
-    the initial estimates are those over one initial version, and R of a
-    union is the union of the R's.  So it is enough that the admissible
-    estimates over the cores of a set B of plant states cover exactly
+    estimates over the plant states T(∪Z, e), the initial estimates are
+    those over {initial}, and R of a union is the union of the R's.  So it
+    is enough that the admissible estimates over a set B of plant states,
+    each seeded by a core of one version of every state of B, cover exactly
     R(versions of B):
 
     * each estimate is a union of run-tree ranges rooted at its core, and
@@ -256,12 +248,11 @@ def check_tracker_containment(
             )
         nxt = {}
         for (h, allowed), (w, count) in level.items():
-            mine = h.member_set
-            if not mine <= allowed:
+            if not h <= allowed:
                 return CheckReport(
                     "PROP1", False, checked + 1, depth, w,
                     expected="subset of " + _render_states(x.render() for x in allowed),
-                    got=_render_states(x.render() for x in mine),
+                    got=_render_states(x.render() for x in h),
                 )
             checked += count
             if n == depth:

@@ -20,6 +20,8 @@ from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
 Y = "Y"
 N = "N"
 
+_MAX_EVENTS_PER_STATE = 16
+
 
 @dataclass(frozen=True)
 class LabeledState:
@@ -96,9 +98,10 @@ class LabeledSystem:
       which `unobservable_reach` unions one per seed;
     * `_cover_cache`, keyed on a labeled state: its family of run-tree
       ranges (`_cover_families`);
-    * `_step_cache`, keyed on a frozenset of plant state names, the targets
-      of a transmitted event: the sorted estimates an observer step yields
-      for those targets (`observer_step`).
+    * `_step_cache`, keyed on a frozenset of plant state names: the sorted
+      admissible estimates over them (`_estimates_over`).  The keys are
+      {initial}, for the observer's initial estimates, and the targets of
+      every transmitted event an observer step has followed.
     """
 
     def __init__(self, plant: Plant, states: Sequence[LabeledState]):
@@ -138,17 +141,18 @@ class LabeledSystem:
         return f"LabeledSystem({len(self.states)} states over {self.plant!r})"
 
 
-def build_labeled_system(plant: Plant, max_events_per_state: int = 16) -> LabeledSystem:
+def build_labeled_system(plant: Plant) -> LabeledSystem:
     """Expand a plant into its decision-labeled system.
 
-    A state defining k events contributes 2**k versions, so k is capped.
+    A state defining k events contributes 2**k versions, so k is capped at
+    `_MAX_EVENTS_PER_STATE`.
     """
     states: list[LabeledState] = []
     for q in sorted(plant.states):
         events = sorted(plant.defined_events(q))
-        if len(events) > max_events_per_state:
+        if len(events) > _MAX_EVENTS_PER_STATE:
             raise AlphabetTooLarge(
-                f"state {q!r} defines {len(events)} events, bound is {max_events_per_state}"
+                f"state {q!r} defines {len(events)} events, bound is {_MAX_EVENTS_PER_STATE}"
             )
         for labs in itertools.product((N, Y), repeat=len(events)):
             states.append(LabeledState(q, tuple(zip(events, labs))))

@@ -7,19 +7,24 @@ to any decision version, one transmission can lead to several alternative
 closed estimates; the observer built here keeps all of them and is therefore
 nondeterministic over estimate sets.
 
-A candidate estimate is admissible when it is the exact range of some
-partial run tree: starting from the mandatory seed states, each tree node
-follows any subset of its suppressed events and commits to a single decision
-version of the plant successor per followed event.  Revisiting a state at a
-different depth may commit differently.  On top of that the estimate must be
-reach closed: every suppressed obligation of every member is answered by
-some member.
+An estimate over a set of plant states is admissible when it is the exact
+range of some partial run tree rooted at one decision version of each of
+those states: each tree node follows any subset of its suppressed events
+and commits to a single decision version of the plant successor per
+followed event.  Revisiting a state at a different depth may commit
+differently.  On top of that the estimate must be reach closed: every
+suppressed obligation of every member is answered by some member.  The
+initial estimates are the admissible estimates over the initial plant
+state, and transmitting e from an estimate leads to those over the plant
+states its members transmit e into; `_estimates_over` builds both.
+
+An estimate is an `ObserverState`, a frozenset of labeled states that also
+renders and sorts canonically.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InstanceTooLarge, StateBudgetExceeded
@@ -28,41 +33,23 @@ from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
 _FAMILY_LIMIT = 500_000
 
 
-@dataclass(frozen=True)
-class ObserverState:
-    """An estimate: a canonically ordered set of labeled states."""
-
-    members: tuple[LabeledState, ...]
+class ObserverState(frozenset):
+    """An estimate: a frozenset of labeled states, rendered and ordered
+    canonically."""
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.members,))
-
-    def __hash__(self):
-        return self._hash
-
-    @staticmethod
-    def of(states) -> "ObserverState":
-        return ObserverState(tuple(sorted(set(states), key=LabeledState.sort_key)))
-
-    @cached_property
-    def member_set(self) -> frozenset[LabeledState]:
-        return frozenset(self.members)
+    def members(self) -> tuple[LabeledState, ...]:
+        """The members in canonical order, for `render` and `sort_key`."""
+        return tuple(sorted(self, key=LabeledState.sort_key))
 
     def underlying(self) -> frozenset[str]:
-        return frozenset(ls.base for ls in self.members)
+        return frozenset(ls.base for ls in self)
 
     def render(self) -> str:
         return "(" + ",".join(ls.render() for ls in self.members) + ")"
 
     def sort_key(self):
-        return (len(self.members), tuple(ls.sort_key() for ls in self.members))
-
-    def __contains__(self, ls: LabeledState) -> bool:
-        return ls in self.member_set
-
-    def __len__(self):
-        return len(self.members)
+        return (len(self), tuple(ls.sort_key() for ls in self.members))
 
     def __repr__(self):
         return self.render()
@@ -137,61 +124,45 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
                 raise StateBudgetExceeded(
                     f"estimate family exceeded {_FAMILY_LIMIT} sets while closing"
                 )
-    out = {}
     for v in universe:
-        frozen = sys._cover_cache.get(v)
-        if frozen is None:
-            frozen = frozenset(fam[v])
-            sys._cover_cache[v] = frozen
-        out[v] = frozen
-    return out
+        if v not in sys._cover_cache:
+            sys._cover_cache[v] = frozenset(fam[v])
+    return {v: sys._cover_cache[v] for v in universe}
+
+
+def _sorted_estimates(ranges) -> tuple[ObserverState, ...]:
+    return tuple(sorted(map(ObserverState, ranges), key=ObserverState.sort_key))
 
 
 def closure_family(sys: LabeledSystem, seed: LabeledState) -> tuple[ObserverState, ...]:
     """All admissible closed estimates grown from a single seed state."""
     fam = _cover_families(sys, (seed,))
-    good = [rng for rng in fam[seed] if reach_closed(sys, rng)]
-    return tuple(sorted((ObserverState.of(r) for r in good), key=ObserverState.sort_key))
-
-
-def _target_bases(sys: LabeledSystem, z: ObserverState, e: str) -> frozenset[str]:
-    """Plant states the members of `z` that transmit `e` move to."""
-    bases = set()
-    for v in z.members:
-        if v._map.get(e) == Y:
-            tgt = sys.plant.step(v.base, e)
-            if tgt is not None:
-                bases.add(tgt)
-    return frozenset(bases)
-
-
-def _cores_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[frozenset[LabeledState], ...]:
-    if not bases:
-        return ()
-    pools = [sys.versions_of(b) for b in sorted(bases)]
-    return tuple(frozenset(choice) for choice in itertools.product(*pools))
+    return _sorted_estimates(rng for rng in fam[seed] if reach_closed(sys, rng))
 
 
 def _estimates_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[ObserverState, ...]:
-    """All admissible estimates seeded by one version of every plant state in
-    `bases`.  Memoized on the system: the result depends on nothing else."""
+    """All admissible estimates over the plant states `bases`, the
+    observer's initial estimates when `bases` is {initial}: the reach-closed
+    unions of one run-tree range per plant state, rooted at any of its
+    versions.  An estimate seeded by a core, one version of each state, is
+    such a union, and such a union is an estimate over the core its ranges
+    are rooted at, so one union over the pooled families of each state's
+    versions covers every core.  Memoized on the system: the result depends
+    on nothing else."""
     hit = sys._step_cache.get(bases)
-    if hit is not None:
-        return hit
-    out = set()
-    for core in _cores_over(sys, bases):
-        fam = _cover_families(sys, core)
-        for rng in _union_choices(fam[r] for r in core):
-            if reach_closed(sys, rng):
-                out.add(rng)
-    result = tuple(sorted((ObserverState.of(r) for r in out), key=ObserverState.sort_key))
-    sys._step_cache[bases] = result
-    return result
+    if hit is None:
+        pools = [sys.versions_of(b) for b in sorted(bases)]
+        fam = _cover_families(sys, [v for pool in pools for v in pool])
+        ranges = _union_choices({rng for v in pool for rng in fam[v]} for pool in pools) if pools else ()
+        hit = sys._step_cache[bases] = _sorted_estimates(rng for rng in ranges if reach_closed(sys, rng))
+    return hit
 
 
 def observer_step(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[ObserverState, ...]:
-    """All admissible estimates after `z` transmits `e`."""
-    return _estimates_over(sys, _target_bases(sys, z, e))
+    """All admissible estimates after `z` transmits `e`: those over the plant
+    states its members that transmit `e` move to.  A member labels exactly
+    its defined events, so each of those moves is defined."""
+    return _estimates_over(sys, frozenset(sys.plant.step(v.base, e) for v in z if v._map.get(e) == Y))
 
 
 class DynamicObserver:
@@ -209,17 +180,6 @@ class DynamicObserver:
     @property
     def transition_count(self) -> int:
         return sum(len(v) for v in self.trans.values())
-
-    def canonical_text(self) -> str:
-        lines = [f"states {len(self.states)}"]
-        for z in self.initials:
-            lines.append(f"initial {z.render()}")
-        for (z, e), targets in sorted(
-            self.trans.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
-        ):
-            for z2 in targets:
-                lines.append(f"trans {z.render()} {e} {z2.render()}")
-        return "\n".join(lines) + "\n"
 
     def to_dot(self) -> str:
         ids = {z: f"n{i}" for i, z in enumerate(self.states)}
@@ -268,10 +228,10 @@ def explore(roots, alphabet, step, budget: int | None = None):
 
 
 def build_observer(sys: LabeledSystem, state_budget: int = 100_000) -> DynamicObserver:
-    """Explore every admissible estimate reachable from the initial ones."""
-    initials = {z for v in sys.initials for z in closure_family(sys, v)}
-    roots = sorted(initials, key=ObserverState.sort_key)
-    states, trans = explore(roots, sys.plant.alphabet, lambda z, e: observer_step(sys, z, e), state_budget)
+    """Explore every admissible estimate reachable from the initial ones,
+    the estimates over the initial plant state."""
+    initials = _estimates_over(sys, frozenset({sys.plant.initial}))
+    states, trans = explore(initials, sys.plant.alphabet, lambda z, e: observer_step(sys, z, e), state_budget)
     return DynamicObserver(sys, states, initials, trans)
 
 
@@ -345,4 +305,4 @@ def closure_family_bruteforce(
                 continue
             if realizable(cand):
                 found.append(cand)
-    return tuple(sorted((ObserverState.of(c) for c in found), key=ObserverState.sort_key))
+    return _sorted_estimates(found)

@@ -55,9 +55,6 @@ class Policy:
         # of equality
         self._estimate_table = None
 
-    def label(self, x: LabeledState, e: str) -> str:
-        return x.label(e)
-
     def step(self, x: LabeledState, e: str) -> LabeledState:
         nxt = self.trans.get((x, e))
         if nxt is None:
@@ -140,7 +137,7 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
     spread along the chain.
     """
     z0 = sched.initial
-    roots = [v for v in z0.members if v.base == sys.plant.initial]
+    roots = [v for v in z0 if v.base == sys.plant.initial]
     if not roots:
         raise MissingSuccessor(f"schedule initial {z0.render()} has no plant-initial member")
     x0 = roots[0] if len(roots) == 1 else rank(sys, roots)[0]
@@ -162,7 +159,7 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
                 raise MissingSuccessor(
                     f"schedule lacks a successor for ({z.render()}, {e}) needed by {x.render()}"
                 )
-        d = [w for w in sys.successors(x, e) if w in z2.member_set]
+        d = [w for w in sys.successors(x, e) if w in z2]
         if not d:
             raise MissingSuccessor(
                 f"no version of the plant successor of ({x.render()}, {e}) lies in {z2.render()}"

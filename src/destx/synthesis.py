@@ -3,8 +3,9 @@
 Stage one cuts every observer state whose estimate violates the property,
 then repeatedly removes states that lost a transition the full observer
 had: a receiver sitting in such a state could be forced into a violating
-estimate by the next transmission.  What survives is the largest observer
-fragment within which every transmission choice keeps the property.
+estimate by the next transmission.  What survives, trimmed once to what the
+surviving initials reach, is the largest observer fragment within which
+every transmission choice keeps the property.
 
 Stage two scores the sub-automaton each surviving initial reaches, picks
 one root, and walks from it committing to a single successor per (state,
@@ -28,8 +29,7 @@ from .properties import ISProperty
 
 
 def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
-    """The part of `obs` inside `keep` that its kept initials reach."""
-    keep = set(keep)
+    """The part of `obs` inside the set `keep` that its kept initials reach."""
     initials = [z for z in obs.initials if z in keep]
     states, trans = explore(
         initials, obs.sys.plant.alphabet,
@@ -40,36 +40,34 @@ def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
 
 def prune_violating(obs: DynamicObserver, prop: ISProperty) -> DynamicObserver:
     """Drop estimate states that violate the property, re-trim to reachable."""
-    return _restrict_reachable(obs, [z for z in obs.states if prop.holds(z.underlying())])
-
-
-def is_consistent(full: DynamicObserver, pruned: DynamicObserver, z: ObserverState) -> bool:
-    """A state is consistent when pruning removed none of its events outright.
-
-    If the full observer could continue on some event but every surviving
-    successor is gone, the plant can force the receiver out of the pruned
-    fragment, so z cannot be kept.
-    """
-    for e in full.sys.plant.alphabet:
-        if full.successors(z, e) and not pruned.successors(z, e):
-            return False
-    return True
+    return _restrict_reachable(obs, {z for z in obs.states if prop.holds(z.underlying())})
 
 
 def consistency_fixpoint(full: DynamicObserver, g0: DynamicObserver) -> DynamicObserver:
-    """Remove inconsistent states in waves until stable.
+    """Remove inconsistent states until none is left, then trim once.
 
-    Reachability is recomputed after every wave since deletions can strand
-    whole branches.  The result may have no initial state; that is the
-    synthesis-level "no feasible policy" signal, reported by
-    `extract_min_transmit` as Infeasible.
+    A kept state is inconsistent when the full observer can continue on some
+    event but none of those successors is kept: the plant can force the
+    receiver out of the kept fragment.  Removals repeat until stable over
+    the states of `g0`, and the result is what the kept initials of `g0`
+    reach inside what is left.  That equals trimming to the reachable part
+    after every removal: whether a state is removed depends only on which
+    of its successors are kept, and a kept successor of a reachable kept
+    state is itself reachable, so the states a trim would drop never decide
+    the removal of a state that stays reachable.  The result may have no
+    initial state; that is the synthesis-level "no feasible policy" signal,
+    reported by `extract_min_transmit` as Infeasible.
     """
-    cur = g0
+    events = full.sys.plant.alphabet
+    keep = set(g0.states)
     while True:
-        bad = {z for z in cur.states if not is_consistent(full, cur, z)}
+        bad = {
+            z for z in keep
+            if any(full.successors(z, e) and keep.isdisjoint(full.successors(z, e)) for e in events)
+        }
         if not bad:
-            return cur
-        cur = _restrict_reachable(cur, set(cur.states) - bad)
+            return _restrict_reachable(g0, keep)
+        keep -= bad
 
 
 def synthesize_gstar(obs: DynamicObserver, prop: ISProperty) -> DynamicObserver:
@@ -84,11 +82,11 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
     The unlabeled mode ignores the label and is kept for comparison.
     """
     n = 0
-    for v in z.members:
+    for v in z:
         for e, lab in v.bits:
             if mode == "default" and lab != N:
                 continue
-            if any(w in z.member_set for w in sys.successors(v, e)):
+            if any(w in z for w in sys.successors(v, e)):
                 n += 1
                 break
     return n

@@ -64,7 +64,7 @@ def gstar(obs, g0):
 
 def obs_state(plant, *renderings):
     """Observer state from labeled-state renderings, e.g. obs_state(p, "q0NNY", "q5")."""
-    return ObserverState.of(parse_labeled(r, plant) for r in renderings)
+    return ObserverState(parse_labeled(r, plant) for r in renderings)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,7 @@ timings.  Criterion 3 pins the full reference realization table for the
 q0NNY-rooted schedule and has the brute-force PROBLEM1 check vouch for it.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -29,6 +26,7 @@ from destx import (
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
+from destx_child import run
 from randgen import random_plant, random_policy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -51,7 +49,7 @@ def test_criterion_1_closure_families_exact(plant, lsys):
         "(q0NNY,q1N,q1Y,q2N,q5)",
         "(q0NNY,q1N,q2N,q2Y,q5)",
     ]
-    z0 = ObserverState.of(parse_labeled(r, plant) for r in ("q0NNY", "q1Y", "q5"))
+    z0 = ObserverState(parse_labeled(r, plant) for r in ("q0NNY", "q1Y", "q5"))
     assert [z.render() for z in observer_step(lsys, z0, "σ2")] == [
         "(q2Y)",
         "(q1N,q2N)",
@@ -73,8 +71,8 @@ def test_criterion_1_closure_families_exact(plant, lsys):
 def test_criterion_2_pruning_and_fixpoint(obs, g0, gstar, plant):
     t0 = time.monotonic()
     doomed = {
-        ObserverState.of(parse_labeled(r, plant) for r in ("q0NYN", "q3Y", "q5")),
-        ObserverState.of(parse_labeled(r, plant) for r in ("q0YYN", "q3Y")),
+        ObserverState(parse_labeled(r, plant) for r in ("q0NYN", "q3Y", "q5")),
+        ObserverState(parse_labeled(r, plant) for r in ("q0YYN", "q3Y")),
     }
     assert doomed <= set(g0.states)
     assert doomed == set(g0.states) - set(gstar.states)
@@ -115,7 +113,7 @@ def test_criterion_3_pinned_realization_exact(plant, prop, pinned_policy, hand_p
         ("q3Y", "σ2"): Y,
         ("q4N", "σ3"): N,
     }
-    assert {(v.render(), e): pol.label(v, e) for v in pol.states for e in v.events()} == labels
+    assert {(v.render(), e): v.label(e) for v in pol.states for e in v.events()} == labels
     # the brute-force oracle vouches for the reference table ...
     assert check_property_satisfaction(plant, pol, prop, 8).ok
     # ... and rejects the same table with q2N in place of q2Y
@@ -177,14 +175,6 @@ def test_criterion_6_end_to_end_satisfaction(plant, prop, default_policy):
     _ok(6, f"synthesized policy satisfies the property and saves {strict} transmissions-bearing words", t0)
 
 
-def _run(*args):
-    env = dict(os.environ)
-    env.pop("DESTX_BUDGET", None)
-    return subprocess.run(
-        [sys.executable, "-m", "destx", *args], capture_output=True, text=True, env=env
-    )
-
-
 def test_criterion_7_determinism_and_round_trip(tmp_path, plant):
     t0 = time.monotonic()
     out_a = tmp_path / "a.policy"
@@ -197,14 +187,14 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, plant):
         ("oracle-maxs", PLANT),
     ]
     for args in commands:
-        first = _run(*args)
+        first = run(*args)
         if args[0] == "synthesize":
             text_a = out_a.read_text()
-            second = _run(*args[:3], str(out_b))
+            second = run(*args[:3], str(out_b))
             assert out_b.read_text() == text_a
             assert second.stdout.replace(str(out_b), str(out_a)) == first.stdout
         else:
-            second = _run(*args)
+            second = run(*args)
             assert second.stdout == first.stdout
         assert second.returncode == first.returncode
     policy = parse_policy(out_a.read_text(), plant)

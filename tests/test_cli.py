@@ -1,31 +1,16 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from destx import cli
+from destx_child import run
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PLANT = str(DATA / "running_example.des")
 PAIRS = str(DATA / "distinguish.pairs")
 HAND = str(DATA / "example.policy")
-
-
-def run(*args, env=None):
-    full_env = dict(os.environ)
-    full_env.pop("DESTX_BUDGET", None)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "destx", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
 
 
 def test_build_observer():

@@ -21,14 +21,14 @@ from destx import (
     unobservable_reach,
 )
 from destx.labeled import N
-from destx.observer import ObserverState
+from destx.observer import ObserverState, _cover_families, _union_choices
 from randgen import random_plant
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
 
 
 def _os(plant, *renderings):
-    return ObserverState.of(parse_labeled(r, plant) for r in renderings)
+    return ObserverState(parse_labeled(r, plant) for r in renderings)
 
 
 def _family(lsys, plant, seed):
@@ -38,12 +38,14 @@ def _family(lsys, plant, seed):
 def test_observer_state_canonical(plant):
     a = parse_labeled("q1Y", plant)
     b = parse_labeled("q0NNY", plant)
-    z = ObserverState.of([a, b, a])
+    z = ObserverState([a, b, a])
     assert len(z) == 2
     assert z.render() == "(q0NNY,q1Y)"
     assert z == _os(plant, "q1Y", "q0NNY")
     assert a in z
     assert z.underlying() == {"q0", "q1"}
+    # an estimate is the frozenset of its members
+    assert z == frozenset({a, b}) and hash(z) == hash(frozenset({a, b}))
 
 
 def test_closure_family_q0NNY(lsys, plant):
@@ -83,15 +85,15 @@ def test_closure_family_invariants(lsys):
         assert len(set(fam)) == len(fam)
         for z in fam:
             assert seed in z
-            assert z.member_set <= ureach
-            assert reach_closed(lsys, z.member_set)
+            assert z <= ureach
+            assert reach_closed(lsys, z)
 
 
 def test_reach_closed(lsys, plant):
-    assert reach_closed(lsys, _os(plant, "q0NNY", "q1N", "q2N", "q5").member_set)
-    assert not reach_closed(lsys, _os(plant, "q0NNY", "q5").member_set)
-    assert not reach_closed(lsys, _os(plant, "q3N").member_set)
-    assert reach_closed(lsys, _os(plant, "q2Y").member_set)
+    assert reach_closed(lsys, _os(plant, "q0NNY", "q1N", "q2N", "q5"))
+    assert not reach_closed(lsys, _os(plant, "q0NNY", "q5"))
+    assert not reach_closed(lsys, _os(plant, "q3N"))
+    assert reach_closed(lsys, _os(plant, "q2Y"))
 
 
 def test_observer_step(lsys, plant):
@@ -123,7 +125,7 @@ def test_observer_contents(obs, lsys, plant):
     assert set(fam) <= set(obs.initials)
     for z in obs.states:
         assert len(z) > 0
-        assert reach_closed(lsys, z.member_set)
+        assert reach_closed(lsys, z)
     # all successors are states; transitions only on defined events
     for (z, e), targets in obs.trans.items():
         assert targets
@@ -134,7 +136,7 @@ def test_observer_contents(obs, lsys, plant):
 def test_step_exists_iff_someone_transmits(obs, lsys, plant):
     for z in obs.states:
         for e in sorted(plant.alphabet):
-            has_y = any(e in v.events() and v.label(e) == "Y" for v in z.members)
+            has_y = any(e in v.events() and v.label(e) == "Y" for v in z)
             assert bool(observer_step(lsys, z, e)) == has_y
             assert bool(obs.successors(z, e)) == has_y
 
@@ -142,7 +144,7 @@ def test_step_exists_iff_someone_transmits(obs, lsys, plant):
 def test_observer_deterministic(lsys):
     a = build_observer(lsys)
     b = build_observer(lsys)
-    assert a.canonical_text() == b.canonical_text()
+    assert a.to_dot() == b.to_dot()
     assert a.states == b.states
 
 
@@ -233,7 +235,7 @@ def _bruteforce_top_down(sys, seed, depth=None):
             cand = frozenset({seed, *extra})
             if reach_closed(sys, cand) and plain_reach(cand) == cand and cand in ranges(seed, depth, cand, {}):
                 found.append(cand)
-    return tuple(sorted((ObserverState.of(c) for c in found), key=ObserverState.sort_key))
+    return tuple(sorted((ObserverState(c) for c in found), key=ObserverState.sort_key))
 
 
 def test_bruteforce_levels_match_top_down(lsys):
@@ -263,10 +265,11 @@ def test_bruteforce_cap():
         closure_family_bruteforce(lsys, seed)
 
 
-def _target_sets(plant, obs):
-    """The plant states each (estimate, event) step of `obs` transmits into."""
-    return {
-        frozenset(plant.step(v.base, e) for v in z.members if e in v.events() and v.label(e) == "Y")
+def _step_keys(plant, obs):
+    """The plant states each (estimate, event) step of `obs` transmits into,
+    and the initial state, over which the initial estimates are built."""
+    return {frozenset({plant.initial})} | {
+        frozenset(plant.step(v.base, e) for v in z if e in v.events() and v.label(e) == "Y")
         for z in obs.states
         for e in plant.alphabet
     }
@@ -282,7 +285,7 @@ def test_step_memo_matches_cold_system(plant, lsys, obs):
     _steps_match_cold(plant, lsys, obs)
     fresh = build_labeled_system(plant)
     build_observer(fresh)
-    assert set(fresh._step_cache) == _target_sets(plant, obs)
+    assert set(fresh._step_cache) == _step_keys(plant, obs)
 
 
 @given(plants)
@@ -293,7 +296,7 @@ def test_step_memo_matches_cold_system_random(plant):
         obs = build_observer(lsys, state_budget=300)
     except StateBudgetExceeded:
         return
-    assert set(lsys._step_cache) == _target_sets(plant, obs)
+    assert set(lsys._step_cache) == _step_keys(plant, obs)
     _steps_match_cold(plant, lsys, obs)
 
 
@@ -318,11 +321,11 @@ def test_observer_invariants_random(plant):
         return  # legitimately huge estimate space; bounded elsewhere
     assert obs.initials
     for z in obs.states:
-        assert reach_closed(lsys, z.member_set)
+        assert reach_closed(lsys, z)
     for (z, e), targets in obs.trans.items():
         assert tuple(obs.successors(z, e)) == targets
         # a step exists exactly when some member transmits the event
-        assert any(v.label(e) != N for v in z.members if e in v.events())
+        assert any(v.label(e) != N for v in z if e in v.events())
 
 
 def _ring(n, k):
@@ -335,7 +338,7 @@ def _assert_union_is_reach(lsys, obs):
     """The estimates of every memoized step, and the initial estimates,
     together hold exactly the suppressed reach of their seeds' versions."""
     def union(estimates):
-        return frozenset(v for z in estimates for v in z.members)
+        return frozenset(v for z in estimates for v in z)
 
     assert union(obs.initials) == unobservable_reach(lsys, lsys.initials)
     assert lsys._step_cache
@@ -360,3 +363,42 @@ def test_estimate_union_is_suppressed_reach_random():
         for sizes in ({}, {"max_states": 7, "max_labeled": 20}):
             lsys = build_labeled_system(random_plant(random.Random(seed), **sizes))
             _assert_union_is_reach(lsys, build_observer(lsys))
+
+
+def _estimates_over_per_core(sys, bases):
+    """The estimate builder before pooling: for every core, one version of
+    each plant state in `bases`, the reach-closed unions of one range per
+    core member."""
+    out = set()
+    cores = itertools.product(*(sys.versions_of(b) for b in sorted(bases))) if bases else ()
+    for core in cores:
+        fam = _cover_families(sys, core)
+        out.update(rng for rng in _union_choices(fam[v] for v in core) if reach_closed(sys, rng))
+    return tuple(sorted(map(ObserverState, out), key=ObserverState.sort_key))
+
+
+def _assert_pooled_matches_per_core(lsys):
+    obs = build_observer(lsys)
+    closures = {z for v in lsys.initials for z in closure_family(lsys, v)}
+    assert obs.initials == tuple(sorted(closures, key=ObserverState.sort_key))
+    assert frozenset({lsys.plant.initial}) in lsys._step_cache
+    for bases, estimates in lsys._step_cache.items():
+        assert estimates == _estimates_over_per_core(lsys, bases), sorted(bases)
+
+
+def test_pooled_estimates_match_per_core(lsys):
+    _assert_pooled_matches_per_core(lsys)
+    _assert_pooled_matches_per_core(build_labeled_system(_ring(2, 2)))
+    # a fan: s suppresses into x1, x2 and x3, whose d moves to the looping
+    # y1, y2 and y3, so one step has three target states of two versions
+    trans = {("s", e): f"x{i}" for i, e in enumerate("abc", start=1)}
+    trans |= {(q, "d"): f"y{q[1]}" for q in ("x1", "x2", "x3", "y1", "y2", "y3")}
+    fan = build_labeled_system(Plant(["s", "x1", "x2", "x3", "y1", "y2", "y3"], ["a", "b", "c", "d"], trans, "s"))
+    _assert_pooled_matches_per_core(fan)
+    assert frozenset({"y1", "y2", "y3"}) in fan._step_cache
+
+
+def test_pooled_estimates_match_per_core_random():
+    for seed in range(100):
+        for sizes in ({}, {"max_states": 7, "max_labeled": 20}):
+            _assert_pooled_matches_per_core(build_labeled_system(random_plant(random.Random(seed), **sizes)))

@@ -85,20 +85,20 @@ def test_irrelevant_states_do_not_change_verdict():
 
 
 def test_underlying_states(plant):
-    z = ObserverState.of(
+    z = ObserverState(
         [parse_labeled("q0NNY", plant), parse_labeled("q1Y", plant), parse_labeled("q5", plant)]
     )
     assert z.underlying() == {"q0", "q1", "q5"}
     # labels are forgotten: two versions of the same base collapse
-    z2 = ObserverState.of([parse_labeled("q1Y", plant), parse_labeled("q1N", plant)])
+    z2 = ObserverState([parse_labeled("q1Y", plant), parse_labeled("q1N", plant)])
     assert z2.underlying() == {"q1"}
 
 
 def test_violating_states(obs, prop, plant):
     bad_set = {z for z in obs.states if not prop.holds(z.underlying())}
     assert len(bad_set) == 82  # of the observer's 101 estimates
-    assert ObserverState.of([parse_labeled("q1N", plant), parse_labeled("q2N", plant)]) in bad_set
-    z0 = ObserverState.of(
+    assert ObserverState([parse_labeled("q1N", plant), parse_labeled("q2N", plant)]) in bad_set
+    z0 = ObserverState(
         [parse_labeled("q0NNY", plant), parse_labeled("q1Y", plant), parse_labeled("q5", plant)]
     )
     assert z0 not in bad_set

@@ -1,10 +1,14 @@
 """Pruning, the consistency fixpoint, and minimum-transmission extraction."""
 
+import itertools
+import random
+
 import pytest
 
 from destx import (
     DeterministicSchedule,
     DistinguishabilitySpec,
+    DynamicObserver,
     Infeasible,
     Plant,
     UnknownInitial,
@@ -14,17 +18,18 @@ from destx import (
     count_nontransmitted,
     distinguishability,
     extract_min_transmit,
-    is_consistent,
     parse_labeled,
     explore,
     prune_violating,
     synthesize_gstar,
 )
 from destx.observer import ObserverState
+from destx.synthesis import _restrict_reachable
+from randgen import random_plant
 
 
 def _os(plant, *renderings):
-    return ObserverState.of(parse_labeled(r, plant) for r in renderings)
+    return ObserverState(parse_labeled(r, plant) for r in renderings)
 
 
 def test_prune_sizes(obs, g0, gstar):
@@ -48,10 +53,74 @@ def test_consistency_drops_exactly_two(g0, gstar, plant):
     }
 
 
-def test_inconsistent_states_diagnosed(obs, g0, plant):
-    assert not is_consistent(obs, g0, _os(plant, "q0YYN", "q3Y"))
-    assert not is_consistent(obs, g0, _os(plant, "q0NYN", "q3Y", "q5"))
-    assert is_consistent(obs, g0, _os(plant, "q0NNY", "q1Y", "q5"))
+def _is_consistent(full, pruned, z):
+    """No event on which the full observer moves from z lost every
+    successor in `pruned`."""
+    return all(pruned.successors(z, e) or not full.successors(z, e) for e in full.sys.plant.alphabet)
+
+
+def _fixpoint_by_waves(full, g0):
+    """The consistency fixpoint as a wave loop: drop every inconsistent
+    state, re-trim to what the initials reach, repeat until stable.
+    Returns the fragment and the number of waves that removed states."""
+    cur, waves = g0, 0
+    while True:
+        bad = {z for z in cur.states if not _is_consistent(full, cur, z)}
+        if not bad:
+            return cur, waves
+        cur, waves = _restrict_reachable(cur, set(cur.states) - bad), waves + 1
+
+
+def _assert_fixpoint_matches_waves(full, plant, pairs):
+    """consistency_fixpoint equals the wave loop; returns the wave count."""
+    g0 = prune_violating(full, distinguishability(DistinguishabilitySpec.of(pairs), plant))
+    got = consistency_fixpoint(full, g0)
+    ref, waves = _fixpoint_by_waves(full, g0)
+    assert (got.states, got.initials, got.trans) == (ref.states, ref.initials, ref.trans), pairs
+    return waves
+
+
+def test_fixpoint_matches_waves(obs, g0, plant):
+    assert not _is_consistent(obs, g0, _os(plant, "q0YYN", "q3Y"))
+    assert not _is_consistent(obs, g0, _os(plant, "q0NYN", "q3Y", "q5"))
+    assert _is_consistent(obs, g0, _os(plant, "q0NNY", "q1Y", "q5"))
+    pairs = list(itertools.combinations(sorted(plant.states), 2))
+    specs = [spec for k in (1, 2) for spec in itertools.combinations(pairs, k)]
+    waves = [_assert_fixpoint_matches_waves(obs, plant, spec) for spec in specs]
+    assert waves.count(1) == 35 and max(waves) == 1
+
+
+def test_fixpoint_matches_waves_random():
+    for seed in range(200):
+        rng = random.Random(seed)
+        plant = random_plant(rng)
+        obs = build_observer(build_labeled_system(plant))
+        for _ in range(3):
+            pairs = [tuple(rng.sample(sorted(plant.states), 2)) for _ in range(rng.randint(1, 2))]
+            _assert_fixpoint_matches_waves(obs, plant, pairs)
+    # over the first 1,500 plants, the only pair sets of at most three pairs
+    # on which the wave loop takes two waves
+    for seed, pairs in (
+        (60, [("q0", "q2"), ("q0", "q3"), ("q1", "q2")]),
+        (60, [("q0", "q2"), ("q0", "q3"), ("q2", "q3")]),
+        (756, [("q1", "q2"), ("q1", "q3"), ("q2", "q3")]),
+        (756, [("q1", "q2"), ("q1", "q4"), ("q2", "q3")]),
+    ):
+        plant = random_plant(random.Random(seed))
+        assert _assert_fixpoint_matches_waves(build_observer(build_labeled_system(plant)), plant, pairs) == 2
+
+
+def test_fixpoint_trims_stranded_states(lsys, plant):
+    # a hand-made observer: the initial a is inconsistent (its σ3 successor
+    # x is pruned), and b and c, consistent themselves, are reachable only
+    # through a
+    a, b, c, x = (_os(plant, r) for r in ("q0YYY", "q1Y", "q2Y", "q3Y"))
+    full = DynamicObserver(lsys, [a, b, c, x], [a], {(a, "σ1"): (b,), (a, "σ3"): (x,), (b, "σ2"): (c,)})
+    g0 = _restrict_reachable(full, {a, b, c})
+    assert g0.states == (a, b, c)
+    g = consistency_fixpoint(full, g0)
+    assert (g.states, g.initials, g.trans) == ((), (), {})
+    assert _fixpoint_by_waves(full, g0)[0].states == ()
 
 
 def test_fixpoint_idempotent(obs, gstar):
