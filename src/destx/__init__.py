@@ -7,7 +7,7 @@ per-history transmit/suppress policy, and independently verifies the result
 by brute force.
 """
 
-from .automata import EPSILON, Plant, Word, format_des, load_plant, parse_des, render_word, word
+from .automata import EPSILON, Plant, Word, explore, load_plant, parse_des, render_word, shortlex_levels, word
 from .errors import (
     AlphabetTooLarge,
     DestxError,
@@ -30,14 +30,12 @@ from .estimation import (
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
-    estimate_bruteforce,
     estimate_states,
 )
 from .labeled import (
     LabeledState,
     LabeledSystem,
     build_labeled_system,
-    make_labeled,
     parse_labeled,
     unobservable_reach,
 )
@@ -47,7 +45,6 @@ from .observer import (
     build_observer,
     closure_family,
     closure_family_bruteforce,
-    explore,
     observer_step,
     reach_closed,
 )
@@ -65,7 +62,6 @@ from .realization import (
     rank,
     realize_policy,
     transmitted_count,
-    uniform_policy,
 )
 from .synthesis import (
     DeterministicSchedule,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import ParseError
+from .errors import ParseError, StateBudgetExceeded
 
 Word = tuple[str, ...]
 EPSILON: Word = ()
@@ -120,21 +120,69 @@ def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
     """Number of words of length <= depth, or None once it exceeds cap.
 
     Counts words per end state, so it never enumerates them."""
-    counts = {plant.initial: 1}
-    total = 1
-    for _ in range(depth):
-        nxt: dict[str, int] = {}
-        for q, c in counts.items():
-            for e in plant.defined_events(q):
-                q2 = plant.step(q, e)
-                nxt[q2] = nxt.get(q2, 0) + c
-        total += sum(nxt.values())
+    def moves(q):
+        return ((e, plant.step(q, e)) for e in sorted(plant.defined_events(q)))
+
+    total = 0
+    for _n, level in shortlex_levels(plant.initial, depth, moves):
+        total += sum(count for _w, count in level.values())
         if total > cap:
             return None
-        if not nxt:
-            break
-        counts = nxt
     return total
+
+
+def explore(roots, alphabet, step, budget: int | None = None):
+    """Breadth-first walk from `roots` under `step`, one state at a time,
+    events in sorted order.
+
+    `step(z, e)` returns the tuple of successors of z on e, empty when there
+    are none.  Returns the states reached, roots first and then in the order
+    they were first reached, and the transition table holding every
+    non-empty step.  More than `budget` states stop the walk with
+    StateBudgetExceeded."""
+    events = sorted(alphabet)
+    seen = dict.fromkeys(roots)
+    work = list(seen)
+    trans = {}
+    for z in work:
+        for e in events:
+            targets = step(z, e)
+            if not targets:
+                continue
+            trans[(z, e)] = targets
+            for t in targets:
+                if t not in seen:
+                    seen[t] = None
+                    if budget is not None and len(seen) > budget:
+                        raise StateBudgetExceeded(f"observer exceeded {budget} states")
+                    work.append(t)
+    return tuple(seen), trans
+
+
+def shortlex_levels(root, depth: int, successors):
+    """The words of length <= `depth` from `root`, one level per length,
+    grouped by a key that alone decides how a word continues.
+
+    `successors(key)` yields the pairs (event, next key) in sorted event
+    order.  For each length n this yields `(n, {key: (first, count)})`:
+    `first` is the shortlex-first of the `count` words of length n reaching
+    the key.  Keys come in the order of their first words, so the first key
+    with some property holds the shortlex-first word with it.  A level is
+    built only after the caller has consumed the previous one, and the walk
+    stops at the first empty level."""
+    level = {root: ((), 1)}
+    for n in range(depth + 1):
+        yield n, level
+        if n == depth:
+            return
+        nxt: dict = {}
+        for key, (w, count) in level.items():
+            for e, key2 in successors(key):
+                first, total = nxt.get(key2, (w + (e,), 0))
+                nxt[key2] = (first, total + count)
+        if not nxt:
+            return
+        level = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +229,6 @@ def parse_des(text: str) -> Plant:
     if initial is None:
         raise ParseError("missing initial line")
     return Plant(states, alphabet, trans, initial)
-
-
-def format_des(plant: Plant) -> str:
-    lines = [
-        "alphabet " + " ".join(sorted(plant.alphabet)),
-        "states " + " ".join(sorted(plant.states)),
-        f"initial {plant.initial}",
-    ]
-    lines.extend(f"trans {q} {e} {p}" for q, e, p in plant.transitions())
-    return "\n".join(lines) + "\n"
 
 
 def load_plant(path: str) -> Plant:

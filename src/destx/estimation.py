@@ -18,19 +18,23 @@ The checks below run over all words up to a depth.  PROP1 holds the
 tracker inside the union of the dynamic observer's estimates, which it
 tracks as one set of labeled states per observed word without building the
 observer; THM1 compares the tracker with brute force, and PROBLEM1 the
-brute-force estimate with the property.  They are bounded substitutes for
-the universal statements, not proofs.  Each stops with InstanceTooLarge
-when its work passes the budget.
+brute-force estimate with the property.  All three share one level walk,
+`shortlex_levels`: each level holds the distinct keys that decide a word's
+verdict and continuations, (tracker state, estimate union) for PROP1 over
+observed words and (plant state, policy state, projection) for THM1 and
+PROBLEM1 over plant words, and each key is checked once for all its words.
+They are bounded substitutes for the universal statements, not proofs.
+Each stops with InstanceTooLarge when its work passes the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Plant, Word, lang_size_capped, render_word
-from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent, WordNotInPlant
+from .automata import Plant, Word, explore, lang_size_capped, render_word, shortlex_levels
+from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system, unobservable_reach
-from .observer import ObserverState, explore
+from .observer import ObserverState
 from .properties import ISProperty
 from .realization import Policy
 
@@ -59,23 +63,16 @@ class Estimator:
             key: h2 for key, (h2,) in trans.items()
         }
 
+    def _move(self, x: LabeledState, e: str, lab: str) -> tuple[LabeledState, ...]:
+        """The policy's move from `x` on `e`, if `x` labels `e` with `lab`."""
+        x2 = self.policy.trans.get((x, e)) if x._map.get(e) == lab else None
+        return () if x2 is None else (x2,)
+
     def _close(self, seed) -> ObserverState:
-        seen = set(seed)
-        work = list(seed)
-        while work:
-            x = work.pop()
-            for e, lab in x.bits:
-                x2 = self.policy.trans.get((x, e)) if lab == N else None
-                if x2 is not None and x2 not in seen:
-                    seen.add(x2)
-                    work.append(x2)
-        return ObserverState(seen)
+        return ObserverState(explore(seed, self.sys.plant.alphabet, lambda x, e: self._move(x, e, N))[0])
 
     def _step_raw(self, h: ObserverState, e: str) -> tuple[ObserverState, ...]:
-        moved = {
-            x2 for x in h
-            if x._map.get(e) == Y and (x2 := self.policy.trans.get((x, e))) is not None
-        }
+        moved = {x2 for x in h for x2 in self._move(x, e, Y)}
         return (self._close(moved),) if moved else ()
 
     def step(self, h: ObserverState, e: str) -> ObserverState | None:
@@ -84,6 +81,20 @@ class Estimator:
 
 def estimate_states(h: ObserverState) -> frozenset[str]:
     return h.underlying()
+
+
+def _triples(policy: Policy):
+    """The (event, triple) successors of a (plant state, policy state,
+    projection) triple, in event order; the projection grows by each event
+    the policy state transmits."""
+    plant = policy.plant
+
+    def successors(t):
+        q, x, proj = t
+        for e in sorted(plant.defined_events(q)):
+            yield e, (plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
+
+    return successors
 
 
 class _EstimateTable:
@@ -98,7 +109,7 @@ class _EstimateTable:
     `reach[p][q] <= D`, which is the estimate by definition."""
 
     def __init__(self, policy: Policy):
-        self.policy = policy
+        self.successors = _triples(policy)
         start = (policy.plant.initial, policy.initial, ())
         self.seen = {start}
         self.frontier = [start]
@@ -112,12 +123,10 @@ class _EstimateTable:
         than `budget` triples; levels an earlier call already built are read
         as they are.  A level is committed only once it is complete, so a
         PolicyIncomplete or InstanceTooLarge leaves the table as it was."""
-        plant, policy = self.policy.plant, self.policy
         while self.level < bound and self.frontier:
             fresh: dict[tuple[str, LabeledState, Word], None] = {}
-            for q, x, proj in self.frontier:
-                for e in sorted(plant.defined_events(q)):
-                    t = (plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
+            for t0 in self.frontier:
+                for _e, t in self.successors(t0):
                     if t in self.seen or t in fresh:
                         continue
                     fresh[t] = None
@@ -145,19 +154,12 @@ def _estimate_table(policy: Policy) -> _EstimateTable:
     return policy._estimate_table
 
 
-def estimate_bruteforce(plant: Plant, policy: Policy, s: Word, depth: int) -> frozenset[str]:
-    """Estimate straight from the definition: endpoints of every word the
-    receiver cannot tell apart from `s` within the depth bound."""
-    if plant.run_word(plant.initial, s) is None:
-        raise WordNotInPlant(f"not a plant word: {render_word(s)}")
-    proj = policy.projection(s)
-    table = _estimate_table(policy)
-    table.extend(depth, 100_000, "estimate_bruteforce")
-    return table.estimate(proj, depth)
-
-
 @dataclass
 class CheckReport:
+    """A check's verdict.  `words` counts the words checked: all of them up
+    to the depth when the check holds, and on a failure the words of the
+    keys checked before the failing one plus the failing word itself."""
+
     name: str
     ok: bool
     words: int
@@ -216,37 +218,38 @@ def check_tracker_containment(
     tracker holds a state outside that plant reach.
 
     Both the check and the successors of an observed word depend only on
-    its pair (tracker state, A), so the walk goes level by level with one
-    entry per distinct pair, carrying the pair's shortlex-first word and its
-    number of words.  Entries are inserted in the order of their first
-    words, so a failure names the shortlex-first failing word; its `words`
-    then counts the words of the pairs checked before plus that word.  The
-    entries of all levels together are capped by `budget`."""
+    its pair (tracker state, A), so the walk, `shortlex_levels`, goes level
+    by level with one entry per distinct pair, carrying the pair's
+    shortlex-first word and its number of words.  Entries come in the order
+    of their first words, so a failure names the shortlex-first failing
+    word; its `words` then counts the words of the pairs checked before plus
+    that word.  The entries of all levels together are capped by
+    `budget`."""
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
+    events = sorted(plant.alphabet)
     after: dict[tuple[frozenset[LabeledState], str], frozenset[LabeledState]] = {}
 
-    def step(allowed: frozenset[LabeledState], e: str) -> frozenset[LabeledState]:
-        hit = after.get((allowed, e))
-        if hit is None:
-            # a member labels only its defined events, so a transmitted e steps
-            bases = {plant.step(v.base, e) for v in allowed if v._map.get(e) == Y}
-            hit = unobservable_reach(sys, (w for b in bases for w in sys.versions_of(b)))
-            after[(allowed, e)] = hit
-        return hit
+    def successors(key):
+        h, allowed = key
+        for e in events:
+            h2 = est.step(h, e)
+            if h2 is None:
+                continue
+            if (allowed, e) not in after:
+                # a member labels only its defined events, so a transmitted e steps
+                bases = {plant.step(v.base, e) for v in allowed if v._map.get(e) == Y}
+                after[(allowed, e)] = unobservable_reach(sys, (w for b in bases for w in sys.versions_of(b)))
+            yield e, (h2, after[(allowed, e)])
 
     checked = entries = 0
-    level: dict[tuple[ObserverState, frozenset[LabeledState]], tuple[Word, int]] = {
-        (est.initial, unobservable_reach(sys, sys.initials)): ((), 1)
-    }
-    for n in range(depth + 1):
+    for n, level in shortlex_levels((est.initial, unobservable_reach(sys, sys.initials)), depth, successors):
         entries += len(level)
         if entries > budget:
             raise InstanceTooLarge(
                 f"PROP1: more than {budget} (tracker state, estimate union) entries "
                 f"over the observed words up to length {n}, over the budget"
             )
-        nxt = {}
         for (h, allowed), (w, count) in level.items():
             if not h <= allowed:
                 return CheckReport(
@@ -255,16 +258,6 @@ def check_tracker_containment(
                     got=_render_states(x.render() for x in h),
                 )
             checked += count
-            if n == depth:
-                continue
-            for e in sorted(plant.alphabet):
-                h2 = est.step(h, e)
-                if h2 is None:
-                    continue
-                key = (h2, step(allowed, e))
-                first, total = nxt.get(key, (w + (e,), 0))
-                nxt[key] = (first, total + count)
-        level = nxt
     return CheckReport("PROP1", True, checked, depth)
 
 
@@ -275,61 +268,43 @@ def _check_word_budget(plant: Plant, depth: int, budget: int, check: str) -> Non
         )
 
 
-def _words_with_projections(plant: Plant, policy: Policy, depth: int):
-    """Every plant word up to `depth` with its projection, in the order of
-    `Plant.words_upto`.  Each word carries its plant and policy state, so
-    the projection grows by one event per step; a level is built only after
-    the previous one has been consumed."""
-    layer = [((), plant.initial, policy.initial, ())]
-    for n in range(depth + 1):
-        for s, _q, _x, proj in layer:
-            yield s, proj
-        if n == depth:
-            return
-        nxt = []
-        for s, q, x, proj in layer:
-            for e in sorted(plant.defined_events(q)):
-                proj2 = proj + (e,) if x.label(e) == Y else proj
-                nxt.append((s + (e,), plant.step(q, e), policy.step(x, e), proj2))
-        if not nxt:
-            return
-        layer = nxt
-
-
 def check_estimate_agreement(
     plant: Plant, policy: Policy, depth: int, budget: int = 100_000
 ) -> CheckReport:
     """Tracker estimates equal brute-force estimates for every plant word up
     to the depth.  The brute-force side searches deeper by the number of
-    labeled states so suppressed continuations are not cut off.  The plant
-    words up to the depth and the estimate table are both capped by
-    `budget`."""
+    labeled states so suppressed continuations are not cut off.  Both sides
+    depend on a word only through its length and projection, so each
+    distinct (plant state, policy state, projection) triple of a level is
+    compared once.  The plant words up to the depth and the estimate table
+    are both capped by `budget`."""
     _check_word_budget(plant, depth, budget, "THM1")
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
     table = _estimate_table(policy)
     slack = len(sys.states)
-    # tracker state and estimate per projection; a word's projection is its
-    # parent's or one event longer, and the parent comes first in the walk
+    # tracker state and estimate per projection; a key's projection is that
+    # of a key one level up, which came first, or one event longer
     trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
         (): (est.initial, estimate_states(est.initial))
     }
     checked = 0
-    for s, proj in _words_with_projections(plant, policy, depth):
-        checked += 1
-        if proj not in trackers:
-            h = trackers[proj[:-1]][0]
-            h = est.step(h, proj[-1]) if h is not None else None
-            trackers[proj] = (h, estimate_states(h) if h is not None else frozenset())
-        tracker = trackers[proj][1]
-        table.extend(len(s) + slack, budget, "THM1")
-        brute = table.estimate(proj, len(s) + slack)
-        if tracker != brute:
-            return CheckReport(
-                "THM1", False, checked, depth, s,
-                expected=_render_states(brute),
-                got=_render_states(tracker),
-            )
+    for n, level in shortlex_levels((plant.initial, policy.initial, ()), depth, _triples(policy)):
+        table.extend(n + slack, budget, "THM1")
+        for (_q, _x, proj), (w, count) in level.items():
+            if proj not in trackers:
+                h = trackers[proj[:-1]][0]
+                h = est.step(h, proj[-1]) if h is not None else None
+                trackers[proj] = (h, estimate_states(h) if h is not None else frozenset())
+            tracker = trackers[proj][1]
+            brute = table.estimate(proj, n + slack)
+            if tracker != brute:
+                return CheckReport(
+                    "THM1", False, checked + 1, depth, w,
+                    expected=_render_states(brute),
+                    got=_render_states(tracker),
+                )
+            checked += count
     return CheckReport("THM1", True, checked, depth)
 
 
@@ -337,21 +312,23 @@ def check_property_satisfaction(
     plant: Plant, policy: Policy, prop: ISProperty, depth: int, budget: int = 100_000
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
-    up to the depth, with the same slack and budget as THM1."""
+    up to the depth, with the same slack, budget and walk over distinct
+    triples as THM1."""
     _check_word_budget(plant, depth, budget, "PROBLEM1")
     bound = depth + len(build_labeled_system(plant).states)
     table = _estimate_table(policy)
     table.extend(bound, budget, "PROBLEM1")
     checked = 0
-    for s, proj in _words_with_projections(plant, policy, depth):
-        checked += 1
-        estimate = table.estimate(proj, bound)
-        if not prop.holds(estimate):
-            return CheckReport(
-                "PROBLEM1", False, checked, depth, s,
-                expected="estimate satisfying the property",
-                got=_render_states(estimate) + " (" + prop.describe(estimate) + ")",
-            )
+    for _n, level in shortlex_levels((plant.initial, policy.initial, ()), depth, _triples(policy)):
+        for (_q, _x, proj), (w, count) in level.items():
+            estimate = table.estimate(proj, bound)
+            if not prop.holds(estimate):
+                return CheckReport(
+                    "PROBLEM1", False, checked + 1, depth, w,
+                    expected="estimate satisfying the property",
+                    got=_render_states(estimate) + " (" + prop.describe(estimate) + ")",
+                )
+            checked += count
     return CheckReport("PROBLEM1", True, checked, depth)
 
 

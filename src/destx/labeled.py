@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Plant
+from .automata import Plant, explore
 from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
 
 Y = "Y"
@@ -58,14 +58,6 @@ class LabeledState:
 
     def __repr__(self):
         return f"<{self.render()}>"
-
-
-def make_labeled(base: str, decisions: dict[str, str]) -> LabeledState:
-    bits = tuple(sorted(decisions.items()))
-    for _e, lab in bits:
-        if lab not in (Y, N):
-            raise ParseError(f"decision must be Y or N, got {lab!r}")
-    return LabeledState(base, bits)
 
 
 def parse_labeled(text: str, plant: Plant) -> LabeledState:
@@ -163,22 +155,20 @@ def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> fro
     """States reachable from any of `seeds` along suppressed steps only,
     landing on any decision version, the seeds included.
 
-    The union of the seeds' own reaches; each of those is walked once and
-    cached on the system.
+    The union of the seeds' own reaches.  Each of those is the part of the
+    labeled system that `explore` reaches from the seed when a state steps
+    only on the events it suppresses; it is walked once and cached on the
+    system.
     """
+
+    def suppressed(v: LabeledState, e: str) -> tuple[LabeledState, ...]:
+        return sys.successors(v, e) if v._map.get(e) == N else ()
+
     out: frozenset[LabeledState] = frozenset()
     for seed in seeds:
         reach = sys._reach_cache.get(seed)
         if reach is None:
-            seen = {seed}
-            work = [seed]
-            while work:
-                v = work.pop()
-                for _e, opts in sys.suppressed_moves(v):
-                    for w in opts:
-                        if w not in seen:
-                            seen.add(w)
-                            work.append(w)
-            reach = sys._reach_cache[seed] = frozenset(seen)
+            states, _ = explore((seed,), sys.plant.alphabet, suppressed)
+            reach = sys._reach_cache[seed] = frozenset(states)
         out |= reach
     return out

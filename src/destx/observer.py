@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
+from .automata import explore
 from .errors import InstanceTooLarge, StateBudgetExceeded
 from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
 
@@ -71,11 +72,18 @@ def _union_choices(parts) -> set[frozenset]:
 
     Equivalent to unioning each tuple of itertools.product(*parts), but
     deduplicating after every part keeps the working set at the number of
-    distinct unions instead of the raw product size.
+    distinct unions instead of the raw product size.  More than
+    `_FAMILY_LIMIT` unions in one call stop it with StateBudgetExceeded.
     """
     acc: set[frozenset] = {frozenset()}
+    work = 0
     for options in parts:
         opts = set(options)
+        work += len(acc) * len(opts)
+        if work > _FAMILY_LIMIT:
+            raise StateBudgetExceeded(
+                f"estimate unions exceeded {_FAMILY_LIMIT} set unions while combining ranges"
+            )
         acc = {a | o for a in acc for o in opts}
     return acc
 
@@ -197,34 +205,6 @@ class DynamicObserver:
 
     def __repr__(self):
         return f"DynamicObserver({len(self.states)} states, {self.transition_count} transitions)"
-
-
-def explore(roots, alphabet, step, budget: int | None = None):
-    """Breadth-first walk from `roots` under `step`, one state at a time,
-    events in sorted order.
-
-    `step(z, e)` returns the tuple of successors of z on e, empty when there
-    are none.  Returns the states reached, roots first and then in the order
-    they were first reached, and the transition table holding every
-    non-empty step.  More than `budget` states stop the walk with
-    StateBudgetExceeded."""
-    events = sorted(alphabet)
-    seen = dict.fromkeys(roots)
-    work = list(seen)
-    trans = {}
-    for z in work:
-        for e in events:
-            targets = step(z, e)
-            if not targets:
-                continue
-            trans[(z, e)] = targets
-            for t in targets:
-                if t not in seen:
-                    seen[t] = None
-                    if budget is not None and len(seen) > budget:
-                        raise StateBudgetExceeded(f"observer exceeded {budget} states")
-                    work.append(t)
-    return tuple(seen), trans
 
 
 def build_observer(sys: LabeledSystem, state_budget: int = 100_000) -> DynamicObserver:

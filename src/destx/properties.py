@@ -30,9 +30,6 @@ class DistinguishabilitySpec:
     def of(pairs: Iterable[tuple[str, str]]) -> "DistinguishabilitySpec":
         return DistinguishabilitySpec(frozenset((a, b) for a, b in pairs))
 
-    def format(self) -> str:
-        return "".join(f"pair {a} {b}\n" for a, b in sorted(self.pairs))
-
     @staticmethod
     def parse(text: str) -> "DistinguishabilitySpec":
         pairs = []

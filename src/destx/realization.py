@@ -18,7 +18,7 @@ from .errors import (
     RankUndefined,
     WordNotInPlant,
 )
-from .labeled import N, Y, LabeledState, LabeledSystem, make_labeled, parse_labeled, unobservable_reach
+from .labeled import N, Y, LabeledState, LabeledSystem, parse_labeled, unobservable_reach
 from .synthesis import DeterministicSchedule
 
 
@@ -86,18 +86,6 @@ class Policy:
 
     def __repr__(self):
         return f"Policy(initial={self.initial.render()}, states={len(self.states)})"
-
-
-def uniform_policy(plant: Plant, decision: str) -> Policy:
-    """Transmit-everything (Y) or suppress-everything (N) policy."""
-    version = {
-        q: make_labeled(q, {e: decision for e in plant.defined_events(q)})
-        for q in plant.states
-    }
-    trans = {
-        (version[q], e): version[p] for (q, e, p) in plant.transitions()
-    }
-    return Policy(plant, version[plant.initial], trans)
 
 
 def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, ...]:

@@ -13,7 +13,7 @@ event), preferring successors that let the policy suppress more, measured
 by how many members carry a suppressed move staying in the set.
 
 Every walk here, like the observer's own construction, is
-`observer.explore`: the pruned fragments restrict the full observer's step
+`automata.explore`: the pruned fragments restrict the full observer's step
 to the kept states, a sub-automaton is the fragment one root reaches, and
 the schedule is the walk whose step commits to one successor.
 """
@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .automata import explore
 from .errors import Infeasible, UnknownInitial
 from .labeled import N, LabeledSystem
-from .observer import DynamicObserver, ObserverState, explore
+from .observer import DynamicObserver, ObserverState
 from .properties import ISProperty
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=None):
     """`python -m destx ARGS` with this checkout's sources first on
-    PYTHONPATH, DESTX_BUDGET unset, and then `env` applied."""
+    PYTHONPATH, DESTX_BUDGET unset, and then `env` applied; a child still
+    running after `timeout` seconds raises subprocess.TimeoutExpired."""
     full_env = dict(os.environ)
     full_env.pop("DESTX_BUDGET", None)
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, full_env.get("PYTHONPATH"))))
@@ -21,4 +22,5 @@ def run(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )

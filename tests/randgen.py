@@ -7,11 +7,28 @@ a bounded number of words up to the depths the checkers explore.
 
 import random
 
-from destx import Plant, Policy, build_labeled_system, make_labeled
+from destx import LabeledState, Plant, Policy, build_labeled_system
 from destx.automata import lang_size_capped
 from destx.labeled import N, Y
 
 EVENTS = ("a", "b", "c")
+
+
+def make_labeled(base: str, decisions: dict[str, str]) -> LabeledState:
+    """The version of `base` taking decision Y or N on each event given."""
+    return LabeledState(base, tuple(sorted(decisions.items())))
+
+
+def uniform_policy(plant: Plant, decision: str) -> Policy:
+    """Transmit-everything (Y) or suppress-everything (N) policy."""
+    version = {
+        q: make_labeled(q, {e: decision for e in plant.defined_events(q)})
+        for q in plant.states
+    }
+    trans = {
+        (version[q], e): version[p] for (q, e, p) in plant.transitions()
+    }
+    return Policy(plant, version[plant.initial], trans)
 
 
 def random_plant(

@@ -22,12 +22,11 @@ from destx import (
     parse_labeled,
     parse_policy,
     transmitted_count,
-    uniform_policy,
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
 from destx_child import run
-from randgen import random_plant, random_policy
+from randgen import random_plant, random_policy, uniform_policy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PLANT = str(DATA / "running_example.des")

@@ -9,11 +9,11 @@ from destx import (
     EPSILON,
     ParseError,
     Plant,
-    format_des,
     parse_des,
     render_word,
     word,
 )
+from destx.automata import lang_size_capped
 from randgen import random_plant
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
@@ -70,6 +70,15 @@ def test_words_upto_counts(plant):
     assert len(plant.words_upto(7)) == 16
 
 
+def test_lang_size_capped_counts_words(plant):
+    for p in [plant] + [random_plant(random.Random(seed)) for seed in range(50)]:
+        for depth in range(9):
+            n = len(p.words_upto(depth))
+            for cap in (n - 1, n, n + 1, 10**9):
+                expected = None if cap < n else n
+                assert lang_size_capped(p, depth, cap) == expected, (p, depth, cap)
+
+
 @given(plants, st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_words_upto_canonical(plant, depth):
@@ -86,10 +95,6 @@ def test_words_upto_canonical(plant, depth):
     # every word actually runs
     for w in ws:
         assert plant.run_word(plant.initial, w) is not None
-
-
-def test_parse_format_round_trip(plant):
-    assert parse_des(format_des(plant)) == plant
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -129,9 +134,3 @@ def test_plant_validation():
         Plant(["s0"], ["a"], {("s0", "a"): "s9"}, "s0")
     with pytest.raises(ParseError):
         Plant([], [], {}, "s0")
-
-
-@given(plants)
-@settings(max_examples=40, deadline=None)
-def test_round_trip_random(plant):
-    assert parse_des(format_des(plant)) == plant

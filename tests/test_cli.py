@@ -229,6 +229,29 @@ def test_verify_prop1_bounded_by_budget():
     )
 
 
+def test_estimate_unions_bounded(tmp_path):
+    # one step of this plant unions run-tree ranges for minutes; the fixed
+    # cap on unions per step stops every command that builds estimates
+    plant = tmp_path / "dense3.des"
+    plant.write_text(
+        "alphabet a b\nstates q0 q1 q2\ninitial q0\n"
+        "trans q0 a q1\ntrans q0 b q2\ntrans q1 a q0\ntrans q1 b q2\ntrans q2 a q2\ntrans q2 b q1\n"
+    )
+    spec = tmp_path / "dense3.pairs"
+    spec.write_text("pair q0 q1\n")
+    out = tmp_path / "dense3.policy"
+    for args in (
+        ("build-observer", str(plant), "--budget", "300"),
+        ("synthesize", str(plant), str(spec), str(out)),
+        ("oracle-maxs", str(plant)),
+    ):
+        p = run(*args, timeout=10)
+        assert p.returncode == 3, args
+        assert p.stdout == ""
+        assert p.stderr == "error: estimate unions exceeded 500000 set unions while combining ranges\n"
+    assert not out.exists()
+
+
 def test_depth_out_of_range():
     p = run("verify", PLANT, HAND, PAIRS, "--depth", "33")
     assert p.returncode == 2

@@ -24,17 +24,23 @@ from destx import (
     check_tracker_containment,
     consistency_fixpoint,
     distinguishability,
-    estimate_bruteforce,
     estimate_states,
     extract_min_transmit,
     parse_labeled,
     prune_violating,
     realize_policy,
-    uniform_policy,
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
-from randgen import flip_to_suppress, random_plant, random_policy, random_policy_with_memory
+from randgen import flip_to_suppress, random_plant, random_policy, random_policy_with_memory, uniform_policy
+
+
+def _bruteforce_estimate(policy, s, bound):
+    """Endpoints of the plant words of length <= bound that project like
+    `s`, read off the policy's brute-force estimate table."""
+    table = destx.estimation._estimate_table(policy)
+    table.extend(bound, 100_000, "test")
+    return table.estimate(policy.projection(s), bound)
 
 
 def _synthesized(plant, pairs):
@@ -168,7 +174,7 @@ def _assert_bruteforce_matches(plant, policy, prop):
         for extra in (0, 2, 7):
             bound = len(s) + extra
             ref = _buckets_word_by_word(policy, bound, cache).get(policy.projection(s), frozenset())
-            assert estimate_bruteforce(plant, policy, s, bound) == ref, (s, bound)
+            assert _bruteforce_estimate(policy, s, bound) == ref, (s, bound)
     lines = []
     for depth in (3, 5):
         got = check_estimate_agreement(plant, policy, depth)
@@ -303,20 +309,20 @@ def test_estimator_uniform(lsys, plant):
 def test_estimate_bruteforce(plant, hand_policy):
     an = uniform_policy(plant, N)
     ay = uniform_policy(plant, Y)
-    assert estimate_bruteforce(plant, an, (), 6) == frozenset(plant.states)
+    assert _bruteforce_estimate(an, (), 6) == frozenset(plant.states)
     # shallow search sees only what one step can reach
-    assert sorted(estimate_bruteforce(plant, an, (), 1)) == ["q0", "q1", "q3", "q5"]
-    assert estimate_bruteforce(plant, ay, ("σ2",), 7) == {"q1"}
-    assert sorted(estimate_bruteforce(plant, hand_policy, (), 17)) == ["q0", "q1", "q5"]
+    assert sorted(_bruteforce_estimate(an, (), 1)) == ["q0", "q1", "q3", "q5"]
+    assert _bruteforce_estimate(ay, ("σ2",), 7) == {"q1"}
+    assert sorted(_bruteforce_estimate(hand_policy, (), 17)) == ["q0", "q1", "q5"]
     with pytest.raises(WordNotInPlant):
-        estimate_bruteforce(plant, an, ("σ1", "σ1"), 6)
+        _bruteforce_estimate(an, ("σ1", "σ1"), 6)
 
 
 def test_bruteforce_incomplete_policy(plant, prop):
     partial = Policy(plant, parse_labeled("q0NNY", plant), {})
-    assert estimate_bruteforce(plant, partial, (), 0) == {"q0"}
+    assert _bruteforce_estimate(partial, (), 0) == {"q0"}
     with pytest.raises(PolicyIncomplete):
-        estimate_bruteforce(plant, partial, (), 3)
+        _bruteforce_estimate(partial, (), 3)
     # the checks and their word-by-word references stop alike
     for depth in (3, 5):
         for check in (
@@ -398,7 +404,7 @@ def test_online_matches_bruteforce(plant, lsys, pinned_policy, hand_policy):
             est = frozenset(ts.estimate)
             for i, e in enumerate(s):
                 _, est = ts.step(e)
-            assert est == estimate_bruteforce(plant, pol, s, len(s) + slack)
+            assert est == _bruteforce_estimate(pol, s, len(s) + slack)
 
 
 def test_suppressing_more_never_shrinks_silent_estimate():
@@ -413,8 +419,8 @@ def test_suppressing_more_never_shrinks_silent_estimate():
             continue
         lsys = build_labeled_system(plant)
         depth = 4 + len(lsys.states)
-        before = estimate_bruteforce(plant, pol, (), depth)
-        after = estimate_bruteforce(plant, flipped, (), depth)
+        before = _bruteforce_estimate(pol, (), depth)
+        after = _bruteforce_estimate(flipped, (), depth)
         assert before <= after
         # and projections only lose events, pointwise
         for s in plant.words_upto(4):
@@ -470,6 +476,37 @@ def test_prop1_failure_names_shortlex_first_word(monkeypatch):
     monkeypatch.setattr(Estimator, "step", with_q1y)
     report = _assert_prop1_matches(plant, policy, 3)
     assert report.line() == "FAIL PROP1 word=a c expected=subset of {q2} got={q1Y,q2}"
+    assert report.words == 4
+
+
+def test_thm1_problem1_failures_name_shortlex_first_word(monkeypatch):
+    # q0 suppresses a and b, so the failing words a c and b c reach the same
+    # (plant state, policy state, projection) triple; the reports name the
+    # first of them and count the words before it plus that word
+    plant = Plant(["q0", "q1", "q2"], ["a", "b", "c"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "c"): "q2"}, "q0")
+    q0nn, q1y, q2 = (parse_labeled(r, plant) for r in ("q0NN", "q1Y", "q2"))
+    policy = Policy(plant, q0nn, {(q0nn, "a"): q1y, (q0nn, "b"): q1y, (q1y, "c"): q2})
+    prop = distinguishability(DistinguishabilitySpec.of([("q2", "q2")]), plant)
+    cache = {}
+    report = check_property_satisfaction(plant, policy, prop, 3)
+    assert report.line() == _problem1_word_by_word(plant, policy, prop, 3, cache).line()
+    assert report.line() == (
+        "FAIL PROBLEM1 word=a c expected=estimate satisfying the property "
+        "got={q2} (estimate {q2} merges q2~q2)"
+    )
+    assert report.words == 4
+    assert check_estimate_agreement(plant, policy, 3).line() == "THM1 ok words=5 depth=3"
+    real = Estimator.step
+
+    def with_q1y(self, h, e):
+        # a tracker that also claims q1Y once it reaches q2
+        h2 = real(self, h, e)
+        return ObserverState(h2 | {q1y}) if h2 is not None and "q2" in h2.underlying() else h2
+
+    monkeypatch.setattr(Estimator, "step", with_q1y)
+    report = check_estimate_agreement(plant, policy, 3)
+    assert report.line() == _thm1_word_by_word(plant, policy, 3, cache).line()
+    assert report.line() == "FAIL THM1 word=a c expected={q2} got={q1,q2}"
     assert report.words == 4
 
 

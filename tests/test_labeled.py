@@ -12,12 +12,11 @@ from destx import (
     UndefinedEvent,
     UnknownState,
     build_labeled_system,
-    make_labeled,
     parse_labeled,
     unobservable_reach,
 )
 from destx.labeled import N, Y
-from randgen import random_plant
+from randgen import make_labeled, random_plant
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
 

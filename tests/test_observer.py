@@ -15,6 +15,7 @@ from destx import (
     closure_family,
     closure_family_bruteforce,
     explore,
+    shortlex_levels,
     observer_step,
     parse_labeled,
     reach_closed,
@@ -166,6 +167,32 @@ def test_explore_order_and_budget():
     assert explore((0,), {"a", "b"}, step, budget=4)[0] == states
     with pytest.raises(StateBudgetExceeded):
         explore((0,), {"a", "b"}, step, budget=3)
+
+
+def test_shortlex_levels():
+    succ = {"r": (("a", "x"), ("b", "y")), "x": (("a", "z"),), "y": (("a", "z"), ("b", "x")), "z": ()}
+    levels = [(n, dict(level)) for n, level in shortlex_levels("r", 10, succ.__getitem__)]
+    # keys in the order of their first words; r a a and r b a meet at z;
+    # the walk stops at the first empty level, long before depth 10
+    assert levels == [
+        (0, {"r": ((), 1)}),
+        (1, {"x": (("a",), 1), "y": (("b",), 1)}),
+        (2, {"z": (("a", "a"), 2), "x": (("b", "b"), 1)}),
+        (3, {"z": (("b", "b", "a"), 1)}),
+    ]
+    assert [list(level) for _n, level in levels] == [["r"], ["x", "y"], ["z", "x"], ["z"]]
+
+    def lazy(key):
+        if key != "r":
+            raise AssertionError(f"level after {key!r} was built")
+        return succ[key]
+
+    # a level is built only when the caller asks for it, never past depth
+    assert [n for n, _level in shortlex_levels("r", 1, lazy)] == [0, 1]
+    walk = shortlex_levels("r", 10, lazy)
+    assert [next(walk)[0], next(walk)[0]] == [0, 1]
+    with pytest.raises(AssertionError, match="level after 'x' was built"):
+        next(walk)
 
 
 def test_observer_trivial_plant():

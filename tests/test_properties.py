@@ -15,14 +15,6 @@ from destx.observer import ObserverState
 STATES = ("q0", "q1", "q2", "q3", "q4", "q5")
 
 
-def test_spec_round_trip(pairs):
-    assert len(pairs.pairs) == 8
-    text = pairs.format()
-    again = DistinguishabilitySpec.parse(text)
-    assert again == pairs
-    assert again.format() == text
-
-
 def test_spec_parse_rejects():
     with pytest.raises(ParseError):
         DistinguishabilitySpec.parse("pair q0\n")

@@ -1,0 +1,58 @@
+"""Every function and class that `destx` exports is used by the program.
+
+A name counts as used when some module of the library other than
+`__init__.py`, or a file under `scripts/` or `perfbench/`, reads it outside
+its own definition.  Code only tests call belongs in the tests.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import destx
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class _Reads(ast.NodeVisitor):
+    """The names a module reads, as bare names or attributes, skipping the
+    body of the function or class that defines each name."""
+
+    def __init__(self):
+        self.names = set()
+        self._defining = []
+
+    def _definition(self, node):
+        self._defining.append(node.name)
+        self.generic_visit(node)
+        self._defining.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _read(self, name):
+        if name not in self._defining:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._read(node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node.attr)
+        self.generic_visit(node)
+
+
+def _program_files():
+    library = [p for p in (ROOT / "src" / "destx").glob("*.py") if p.name != "__init__.py"]
+    return library + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def test_every_export_is_used_by_the_program():
+    reads = _Reads()
+    for path in _program_files():
+        reads.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    exported = [
+        name for name in destx.__all__
+        if inspect.isfunction(getattr(destx, name)) or inspect.isclass(getattr(destx, name))
+    ]
+    assert len(exported) > 40
+    assert sorted(set(exported) - reads.names) == []

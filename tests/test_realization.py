@@ -22,19 +22,17 @@ from destx import (
     distinguishability,
     extract_min_transmit,
     format_policy,
-    make_labeled,
     parse_labeled,
     parse_policy,
     rank,
     realize_policy,
     synthesize_gstar,
     transmitted_count,
-    uniform_policy,
     unobservable_reach,
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
-from randgen import random_plant, random_policy
+from randgen import make_labeled, random_plant, random_policy, uniform_policy
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
 
