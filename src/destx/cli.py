@@ -117,7 +117,7 @@ def cmd_synthesize(args) -> int:
     plant = load_plant(args.plant)
     spec = load_pairs(args.pairs)
     prop = distinguishability(spec, plant)
-    sysd = build_labeled_system(plant)
+    sysd = build_labeled_system(plant, prop)
     obs = build_observer(sysd, state_budget=args.resolved_budget)
     gstar = synthesize_gstar(obs, prop)
     pin = None

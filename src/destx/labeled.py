@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .automata import Plant, explore
 from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
+from .properties import ISProperty
 
 Y = "Y"
 N = "N"
@@ -84,20 +85,26 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
 class LabeledSystem:
     """All decision versions of a plant's states, with step helpers.
 
+    A system may carry a property, fixed when it is built; the observer
+    code then drops every range, union and estimate that violates it
+    (`admits`).  That is what `synthesize` builds.
+
     Immutable after construction apart from three memo tables:
 
     * `_reach_cache`, keyed on a labeled state: its suppressed reach, of
       which `unobservable_reach` unions one per seed;
     * `_cover_cache`, keyed on a labeled state: its family of run-tree
-      ranges (`_cover_families`);
+      ranges that hold the property (`_cover_families`);
     * `_step_cache`, keyed on a frozenset of plant state names: the sorted
-      admissible estimates over them (`_estimates_over`).  The keys are
-      {initial}, for the observer's initial estimates, and the targets of
-      every transmitted event an observer step has followed.
+      admissible estimates over them that hold the property
+      (`_estimates_over`).  The keys are {initial}, for the observer's
+      initial estimates, and the targets of every transmitted event an
+      observer step has followed.
     """
 
-    def __init__(self, plant: Plant, states: Sequence[LabeledState]):
+    def __init__(self, plant: Plant, states: Sequence[LabeledState], prop: ISProperty | None = None):
         self.plant = plant
+        self.prop = prop
         self.states = tuple(sorted(states, key=LabeledState.sort_key))
         self._versions: dict[str, tuple[LabeledState, ...]] = {}
         for ls in self.states:
@@ -107,6 +114,11 @@ class LabeledSystem:
         self._reach_cache: dict = {}
         self._cover_cache: dict = {}
         self._step_cache: dict = {}
+
+    def admits(self, members: Iterable[LabeledState]) -> bool:
+        """Whether the plant states of `members` hold the system's property;
+        always true on a system without one."""
+        return self.prop is None or self.prop.holds(frozenset(v.base for v in members))
 
     def versions_of(self, q: str) -> tuple[LabeledState, ...]:
         try:
@@ -133,8 +145,9 @@ class LabeledSystem:
         return f"LabeledSystem({len(self.states)} states over {self.plant!r})"
 
 
-def build_labeled_system(plant: Plant) -> LabeledSystem:
-    """Expand a plant into its decision-labeled system.
+def build_labeled_system(plant: Plant, prop: ISProperty | None = None) -> LabeledSystem:
+    """Expand a plant into its decision-labeled system, whose estimates all
+    hold `prop` when one is given.
 
     A state defining k events contributes 2**k versions, so k is capped at
     `_MAX_EVENTS_PER_STATE`.
@@ -148,7 +161,7 @@ def build_labeled_system(plant: Plant) -> LabeledSystem:
             )
         for labs in itertools.product((N, Y), repeat=len(events)):
             states.append(LabeledState(q, tuple(zip(events, labs))))
-    return LabeledSystem(plant, states)
+    return LabeledSystem(plant, states, prop)
 
 
 def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> frozenset[LabeledState]:

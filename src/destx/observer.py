@@ -18,6 +18,11 @@ initial estimates are the admissible estimates over the initial plant
 state, and transmitting e from an estimate leads to those over the plant
 states its members transmit e into; `_estimates_over` builds both.
 
+On a system built with a property, a range or partial union of ranges
+that violates it is dropped where it is formed.  Violation is upward-closed
+under union, so it could only grow into violating estimates: the observer
+is exactly the full one cut to the estimates that hold the property.
+
 An estimate is an `ObserverState`, a frozenset of labeled states that also
 renders and sorts canonically.
 """
@@ -67,15 +72,18 @@ def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
     return True
 
 
-def _union_choices(parts) -> set[frozenset]:
-    """Distinct unions obtainable by picking one option from every part.
+def _union_choices(parts, keep, start: frozenset = frozenset()) -> set[frozenset]:
+    """Distinct unions of `start` with one option from every part, the
+    partial unions filtered by `keep`.
 
-    Equivalent to unioning each tuple of itertools.product(*parts), but
-    deduplicating after every part keeps the working set at the number of
-    distinct unions instead of the raw product size.  More than
-    `_FAMILY_LIMIT` unions in one call stop it with StateBudgetExceeded.
+    Equivalent to unioning each tuple of itertools.product(*parts) and
+    keeping what `keep` accepts, when `keep` rejects every superset of a set
+    it rejects; deduplicating and filtering after every part keeps the
+    working set at the number of distinct accepted unions instead of the
+    raw product size.  More than `_FAMILY_LIMIT` unions in one call stop it
+    with StateBudgetExceeded.
     """
-    acc: set[frozenset] = {frozenset()}
+    acc: set[frozenset] = {start}
     work = 0
     for options in parts:
         opts = set(options)
@@ -84,7 +92,7 @@ def _union_choices(parts) -> set[frozenset]:
             raise StateBudgetExceeded(
                 f"estimate unions exceeded {_FAMILY_LIMIT} set unions while combining ranges"
             )
-        acc = {a | o for a in acc for o in opts}
+        acc = set(filter(keep, {a | o for a in acc for o in opts}))
     return acc
 
 
@@ -95,8 +103,11 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
     finite partial run tree rooted at v.  The defining step: pick a subset E
     of v's suppressed events, pick one version w of the plant successor for
     each event in E, pick a range already known for w, and union them with
-    {v}.  Results are memoized on the system since fam[v] only depends on
-    the suppressed-reach universe of v.
+    {v}.  Only ranges that hold the system's property are kept, and a
+    state whose own plant state violates it roots none: every range of a
+    tree holds its subtrees' ranges, so a range that holds is built from
+    kept ranges only.  Results are memoized on the system since fam[v] only
+    depends on the suppressed-reach universe of v and the property.
     """
     universe = unobservable_reach(sys, seeds)
     pending = [v for v in universe if v not in sys._cover_cache]
@@ -111,7 +122,7 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
         changed = False
         total = 0
         for v in universe:
-            if v in sys._cover_cache:
+            if v in sys._cover_cache or not sys.admits((v,)):
                 total += len(fam[v])
                 continue
             # per suppressed event: the ways to not follow it (empty) or to
@@ -122,8 +133,7 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
                 for w in opts:
                     ways.update(fam[w])
                 per_event.append(ways)
-            for sub in _union_choices(per_event):
-                rng = frozenset({v}) | sub
+            for rng in _union_choices(per_event, sys.admits, frozenset({v})):
                 if rng not in fam[v]:
                     fam[v].add(rng)
                     changed = True
@@ -155,13 +165,15 @@ def _estimates_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[Observer
     versions.  An estimate seeded by a core, one version of each state, is
     such a union, and such a union is an estimate over the core its ranges
     are rooted at, so one union over the pooled families of each state's
-    versions covers every core.  Memoized on the system: the result depends
+    versions covers every core.  Unions that violate the system's property
+    are dropped as they form.  Memoized on the system: the result depends
     on nothing else."""
     hit = sys._step_cache.get(bases)
     if hit is None:
         pools = [sys.versions_of(b) for b in sorted(bases)]
         fam = _cover_families(sys, [v for pool in pools for v in pool])
-        ranges = _union_choices({rng for v in pool for rng in fam[v]} for pool in pools) if pools else ()
+        pooled = ({rng for v in pool for rng in fam[v]} for pool in pools)
+        ranges = _union_choices(pooled, sys.admits) if pools else ()
         hit = sys._step_cache[bases] = _sorted_estimates(rng for rng in ranges if reach_closed(sys, rng))
     return hit
 

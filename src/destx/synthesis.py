@@ -5,7 +5,10 @@ then repeatedly removes states that lost a transition the full observer
 had: a receiver sitting in such a state could be forced into a violating
 estimate by the next transmission.  What survives, trimmed once to what the
 surviving initials reach, is the largest observer fragment within which
-every transmission choice keeps the property.
+every transmission choice keeps the property.  `synthesize` builds the
+observer on a system that carries the property, so the violating estimates
+are never formed and the first cut is the identity; whether the full
+observer had a transition is read off the estimate itself.
 
 Stage two scores the sub-automaton each surviving initial reaches, picks
 one root, and walks from it committing to a single successor per (state,
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .automata import explore
 from .errors import Infeasible, UnknownInitial
-from .labeled import N, LabeledSystem
+from .labeled import N, Y, LabeledSystem
 from .observer import DynamicObserver, ObserverState
 from .properties import ISProperty
 
@@ -58,13 +61,24 @@ def consistency_fixpoint(full: DynamicObserver, g0: DynamicObserver) -> DynamicO
     the removal of a state that stays reachable.  The result may have no
     initial state; that is the synthesis-level "no feasible policy" signal,
     reported by `extract_min_transmit` as Infeasible.
+
+    `full` is not read, so `g0` may come from a system built with the
+    property: the full observer has a successor on (z, e) exactly when some
+    member of z labels e `Y`.  Its successors are the admissible estimates
+    over the set T of plant states z's members transmit e into, so none
+    when T is empty.  Otherwise the versions of T's states that label every
+    event `Y` suppress nothing, so each is the one-node range of itself and
+    their union is reach closed: it is an estimate over T.
     """
-    events = full.sys.plant.alphabet
+    events = g0.sys.plant.alphabet
     keep = set(g0.states)
     while True:
         bad = {
             z for z in keep
-            if any(full.successors(z, e) and keep.isdisjoint(full.successors(z, e)) for e in events)
+            if any(
+                keep.isdisjoint(g0.successors(z, e))
+                for e in events if any(v._map.get(e) == Y for v in z)
+            )
         }
         if not bad:
             return _restrict_reachable(g0, keep)

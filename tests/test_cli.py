@@ -229,16 +229,24 @@ def test_verify_prop1_bounded_by_budget():
     )
 
 
+DENSE3 = (
+    "alphabet a b\nstates q0 q1 q2\ninitial q0\n"
+    "trans q0 a q1\ntrans q0 b q2\ntrans q1 a q0\ntrans q1 b q2\ntrans q2 a q2\ntrans q2 b q1\n"
+)
+RING_3_2 = (
+    "alphabet e0 e1\nstates q0 q1 q2\ninitial q0\n"
+    "trans q0 e0 q1\ntrans q0 e1 q2\ntrans q1 e0 q2\ntrans q1 e1 q0\ntrans q2 e0 q0\ntrans q2 e1 q1\n"
+)
+
+
 def test_estimate_unions_bounded(tmp_path):
     # one step of this plant unions run-tree ranges for minutes; the fixed
-    # cap on unions per step stops every command that builds estimates
+    # cap on unions per step stops every command that builds every
+    # estimate, and synthesize with no pairs prunes none
     plant = tmp_path / "dense3.des"
-    plant.write_text(
-        "alphabet a b\nstates q0 q1 q2\ninitial q0\n"
-        "trans q0 a q1\ntrans q0 b q2\ntrans q1 a q0\ntrans q1 b q2\ntrans q2 a q2\ntrans q2 b q1\n"
-    )
+    plant.write_text(DENSE3)
     spec = tmp_path / "dense3.pairs"
-    spec.write_text("pair q0 q1\n")
+    spec.write_text("")
     out = tmp_path / "dense3.policy"
     for args in (
         ("build-observer", str(plant), "--budget", "300"),
@@ -250,6 +258,22 @@ def test_estimate_unions_bounded(tmp_path):
         assert p.stdout == ""
         assert p.stderr == "error: estimate unions exceeded 500000 set unions while combining ranges\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("des", [DENSE3, RING_3_2], ids=["dense3", "ring(3,2)"])
+def test_pruned_synthesis_decides_past_union_cap(tmp_path, des):
+    # the unions that merge q0 and q1 are dropped as they form, so the
+    # plants whose full observer passes the union cap are decided
+    plant = tmp_path / "p.des"
+    plant.write_text(des)
+    spec = tmp_path / "p.pairs"
+    spec.write_text("pair q0 q1\n")
+    out = tmp_path / "p.policy"
+    p = run("synthesize", str(plant), str(spec), str(out), timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.startswith("feasible\n")
+    p = run("verify", str(plant), str(out), str(spec), "--depth", "6", timeout=10)
+    assert p.returncode == 0, p.stdout
 
 
 def test_depth_out_of_range():

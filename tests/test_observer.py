@@ -400,7 +400,7 @@ def _estimates_over_per_core(sys, bases):
     cores = itertools.product(*(sys.versions_of(b) for b in sorted(bases))) if bases else ()
     for core in cores:
         fam = _cover_families(sys, core)
-        out.update(rng for rng in _union_choices(fam[v] for v in core) if reach_closed(sys, rng))
+        out.update(rng for rng in _union_choices((fam[v] for v in core), sys.admits) if reach_closed(sys, rng))
     return tuple(sorted(map(ObserverState, out), key=ObserverState.sort_key))
 
 

@@ -285,7 +285,7 @@ def test_ring_synthesized_policy_satisfies_problem1(n, b):
     states = [f"q{i}" for i in range(n)]
     plant = Plant(states, ["e"], {(states[i], "e"): states[(i + 1) % n] for i in range(n)}, "q0")
     prop = distinguishability(DistinguishabilitySpec.of([("q0", f"q{b}")]), plant)
-    lsys = build_labeled_system(plant)
+    lsys = build_labeled_system(plant, prop)
     policy = realize_policy(lsys, extract_min_transmit(synthesize_gstar(build_observer(lsys), prop)))
     report = check_property_satisfaction(plant, policy, prop, min(12, 2 * n))
     assert report.ok, report.line()

@@ -23,6 +23,7 @@ from destx import (
     prune_violating,
     synthesize_gstar,
 )
+from destx.labeled import Y
 from destx.observer import ObserverState
 from destx.synthesis import _restrict_reachable
 from randgen import random_plant
@@ -72,11 +73,23 @@ def _fixpoint_by_waves(full, g0):
 
 
 def _assert_fixpoint_matches_waves(full, plant, pairs):
-    """consistency_fixpoint equals the wave loop; returns the wave count."""
-    g0 = prune_violating(full, distinguishability(DistinguishabilitySpec.of(pairs), plant))
-    got = consistency_fixpoint(full, g0)
+    """consistency_fixpoint equals the wave loop, and the observer built on
+    the system that carries the property equals the pruned full observer,
+    before the fixpoint and after it, with range families that are the full
+    ones cut to what holds the property; returns the wave count."""
+    prop = distinguishability(DistinguishabilitySpec.of(pairs), plant)
+    g0 = prune_violating(full, prop)
+    psys = build_labeled_system(plant, prop)
+    pruned = build_observer(psys)
+    for v, fam in psys._cover_cache.items():
+        assert fam == {rng for rng in full.sys._cover_cache[v] if psys.admits(rng)}, (pairs, v)
     ref, waves = _fixpoint_by_waves(full, g0)
-    assert (got.states, got.initials, got.trans) == (ref.states, ref.initials, ref.trans), pairs
+    for got, want in (
+        (pruned, g0),
+        (consistency_fixpoint(full, g0), ref),
+        (synthesize_gstar(pruned, prop), ref),
+    ):
+        assert (got.states, got.initials, got.trans) == (want.states, want.initials, want.trans), pairs
     return waves
 
 
@@ -91,7 +104,7 @@ def test_fixpoint_matches_waves(obs, g0, plant):
 
 
 def test_fixpoint_matches_waves_random():
-    for seed in range(200):
+    for seed in range(300):
         rng = random.Random(seed)
         plant = random_plant(rng)
         obs = build_observer(build_labeled_system(plant))
@@ -108,6 +121,45 @@ def test_fixpoint_matches_waves_random():
     ):
         plant = random_plant(random.Random(seed))
         assert _assert_fixpoint_matches_waves(build_observer(build_labeled_system(plant)), plant, pairs) == 2
+
+
+def test_pruned_build_matches_on_rings_and_self_pairs(obs, plant):
+    # ring(n,1) with every pair (q0, qb), and on the running example every
+    # pair of a state with itself, which leaves some plant states without
+    # any estimate and, for q0, no initial estimate at all
+    for n in range(3, 9):
+        states = [f"q{i}" for i in range(n)]
+        ring = Plant(states, ["e"], {(states[i], "e"): states[(i + 1) % n] for i in range(n)}, "q0")
+        full = build_observer(build_labeled_system(ring))
+        for b in range(1, n):
+            _assert_fixpoint_matches_waves(full, ring, [("q0", f"q{b}")])
+    for q in sorted(plant.states):
+        _assert_fixpoint_matches_waves(obs, plant, [(q, q)])
+    prop = distinguishability(DistinguishabilitySpec.of([("q0", "q0")]), plant)
+    assert build_observer(build_labeled_system(plant, prop)).states == ()
+
+
+def _assert_successor_exists_iff_member_transmits(full):
+    """The full observer moves from z on e exactly when some member of z
+    labels e Y, the bit consistency_fixpoint reads; returns the pairs checked."""
+    checked = 0
+    for z in full.states:
+        for e in full.sys.plant.alphabet:
+            assert bool(full.successors(z, e)) == any(v._map.get(e) == Y for v in z), (z, e)
+            checked += 1
+    return checked
+
+
+def test_successor_exists_iff_member_transmits(obs):
+    checked = _assert_successor_exists_iff_member_transmits(obs)
+    # ring(2,2): ej moves qi to q((i + j + 1) mod 2)
+    trans = {(f"q{i}", f"e{j}"): f"q{(i + j + 1) % 2}" for i in range(2) for j in range(2)}
+    ring = Plant(["q0", "q1"], ["e0", "e1"], trans, "q0")
+    checked += _assert_successor_exists_iff_member_transmits(build_observer(build_labeled_system(ring)))
+    for seed in range(300):
+        plant = random_plant(random.Random(seed))
+        checked += _assert_successor_exists_iff_member_transmits(build_observer(build_labeled_system(plant)))
+    assert checked >= 7000
 
 
 def test_fixpoint_trims_stranded_states(lsys, plant):
