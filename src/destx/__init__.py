@@ -30,7 +30,6 @@ from .estimation import (
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
-    estimate_states,
 )
 from .labeled import (
     LabeledState,

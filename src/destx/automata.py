@@ -70,20 +70,8 @@ class Plant:
         """Successor of `q` under `e`, or None when the move is undefined."""
         return self._trans.get((q, e))
 
-    def run_word(self, q: str, w: Iterable[str]) -> str | None:
-        """State reached from `q` along `w`, or None once any step is undefined."""
-        cur: str | None = q
-        for e in w:
-            if cur is None:
-                return None
-            cur = self._trans.get((cur, e))
-        return cur
-
     def defined_events(self, q: str) -> frozenset[str]:
         return self._defined[q]
-
-    def transitions(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(sorted((q, e, p) for (q, e), p in self._trans.items()))
 
     def words_upto(self, depth: int) -> list[Word]:
         """All generated words of length at most `depth`, canonically ordered.
@@ -114,21 +102,6 @@ class Plant:
 
     def __repr__(self):
         return f"Plant(states={len(self.states)}, events={len(self.alphabet)}, initial={self.initial!r})"
-
-
-def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
-    """Number of words of length <= depth, or None once it exceeds cap.
-
-    Counts words per end state, so it never enumerates them."""
-    def moves(q):
-        return ((e, plant.step(q, e)) for e in sorted(plant.defined_events(q)))
-
-    total = 0
-    for _n, level in shortlex_levels(plant.initial, depth, moves):
-        total += sum(count for _w, count in level.values())
-        if total > cap:
-            return None
-    return total
 
 
 def explore(roots, alphabet, step, budget: int | None = None):

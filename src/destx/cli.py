@@ -61,9 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, depth=False):
         sp.add_argument(
             "--budget", type=int, default=None,
-            help="cap on observer states or, in verify, on the entries of PROP1's walk, the plant "
-            "words up to the depth and the brute-force estimate-table entries "
-            "(default: DESTX_BUDGET, else 100000)",
+            help="cap on observer states or, in verify, on the entries of each check's walk and the "
+            "brute-force estimate-table triples (default: DESTX_BUDGET, else 100000)",
         )
         if depth:
             sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="word-length bound")

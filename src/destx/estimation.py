@@ -2,11 +2,11 @@
 
 Two independent routes to the receiver's estimate:
 
-* the tracker: a subset construction over the policy's states, stepped by
-  transmitted events only, with suppressed-step closure folded in.  The
-  product of the policy with the labeled plant is diagonal, every reachable
-  product state pairing a policy state with itself, so this equals the
-  tracker of that product (see `Estimator`);
+* the tracker: a subset construction over the policy's states, built as it
+  is stepped by transmitted events, with suppressed-step closure folded in.
+  The product of the policy with the labeled plant is diagonal, every
+  reachable product state pairing a policy state with itself, so this
+  equals the tracker of that product (see `Estimator`);
 * brute force: read the estimate straight off the definition, as the end
   states of the plant words within a length bound that the policy projects
   onto the same transmitted word.  The words are not listed one by one: a
@@ -24,14 +24,18 @@ verdict and continuations, (tracker state, estimate union) for PROP1 over
 observed words and (plant state, policy state, projection) for THM1 and
 PROBLEM1 over plant words, and each key is checked once for all its words.
 They are bounded substitutes for the universal statements, not proofs.
-Each stops with InstanceTooLarge when its work passes the budget.
+One budget caps the entries of each walk, summed over its levels, and the
+triples of the brute-force table.  An entry stands for at least one word,
+so no depth whose words fit the budget is refused.  The tracker needs no
+cap of its own: PROP1 steps it at most once per event of an entry, THM1
+once per new projection and a replay once per event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Plant, Word, explore, lang_size_capped, render_word, shortlex_levels
+from .automata import Plant, Word, explore, render_word, shortlex_levels
 from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system, unobservable_reach
 from .observer import ObserverState
@@ -40,7 +44,8 @@ from .realization import Policy
 
 
 class Estimator:
-    """Deterministic tracker: a subset construction over policy states.
+    """Deterministic tracker: a subset construction over policy states,
+    built on demand.
 
     A tracker state is the set of policy states the plant may be in, given
     the transmitted events so far, closed under the policy's suppressed
@@ -52,16 +57,18 @@ class Estimator:
     product of the policy with the labeled plant, whose reachable states all
     pair a policy state with itself.  The labeled-plant estimate is the set
     itself.  `sys` supplies the alphabet.
+
+    `step` builds a successor the first time it is asked for and memoizes
+    it, so a caller builds only the tracker states it visits; `states` holds
+    the tracker states built so far, the initial one first.
     """
 
     def __init__(self, sys: LabeledSystem, policy: Policy):
         self.sys = sys
         self.policy = policy
         self.initial = self._close((policy.initial,))
-        self.states, trans = explore((self.initial,), sys.plant.alphabet, self._step_raw)
-        self.trans: dict[tuple[ObserverState, str], ObserverState] = {
-            key: h2 for key, (h2,) in trans.items()
-        }
+        self.states: dict[ObserverState, None] = {self.initial: None}
+        self._trans: dict[tuple[ObserverState, str], ObserverState | None] = {}
 
     def _move(self, x: LabeledState, e: str, lab: str) -> tuple[LabeledState, ...]:
         """The policy's move from `x` on `e`, if `x` labels `e` with `lab`."""
@@ -71,22 +78,39 @@ class Estimator:
     def _close(self, seed) -> ObserverState:
         return ObserverState(explore(seed, self.sys.plant.alphabet, lambda x, e: self._move(x, e, N))[0])
 
-    def _step_raw(self, h: ObserverState, e: str) -> tuple[ObserverState, ...]:
-        moved = {x2 for x in h for x2 in self._move(x, e, Y)}
-        return (self._close(moved),) if moved else ()
-
     def step(self, h: ObserverState, e: str) -> ObserverState | None:
-        return self.trans.get((h, e))
+        """The tracker state after `h` on the transmitted event `e`, or None
+        when no member of `h` transmits `e`."""
+        if (h, e) not in self._trans:
+            moved = {x2 for x in h for x2 in self._move(x, e, Y)}
+            h2 = self._close(moved) if moved else None
+            if h2 is not None:
+                self.states.setdefault(h2)
+            self._trans[(h, e)] = h2
+        return self._trans[(h, e)]
 
 
-def estimate_states(h: ObserverState) -> frozenset[str]:
-    return h.underlying()
+def _capped_levels(check: str, entries: str, root, successors, depth: int, budget: int):
+    """`shortlex_levels`, stopped with InstanceTooLarge once the entries of
+    all levels so far pass `budget`; the message names the check and what
+    its entries are."""
+    total = 0
+    for n, level in shortlex_levels(root, depth, successors):
+        total += len(level)
+        if total > budget:
+            raise InstanceTooLarge(
+                f"{check}: more than {budget} {entries} up to length {n}, over the budget"
+            )
+        yield n, level
+
+
+_TRIPLES = "(plant state, policy state, projection) entries over the plant words"
 
 
 def _triples(policy: Policy):
-    """The (event, triple) successors of a (plant state, policy state,
-    projection) triple, in event order; the projection grows by each event
-    the policy state transmits."""
+    """The triple of the empty word, and the (event, triple) successors of a
+    (plant state, policy state, projection) triple in event order; the
+    projection grows by each event the policy state transmits."""
     plant = policy.plant
 
     def successors(t):
@@ -94,7 +118,7 @@ def _triples(policy: Policy):
         for e in sorted(plant.defined_events(q)):
             yield e, (plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
 
-    return successors
+    return (plant.initial, policy.initial, ()), successors
 
 
 class _EstimateTable:
@@ -109,8 +133,7 @@ class _EstimateTable:
     `reach[p][q] <= D`, which is the estimate by definition."""
 
     def __init__(self, policy: Policy):
-        self.successors = _triples(policy)
-        start = (policy.plant.initial, policy.initial, ())
+        start, self.successors = _triples(policy)
         self.seen = {start}
         self.frontier = [start]
         self.level = 0
@@ -242,14 +265,12 @@ def check_tracker_containment(
                 after[(allowed, e)] = unobservable_reach(sys, (w for b in bases for w in sys.versions_of(b)))
             yield e, (h2, after[(allowed, e)])
 
-    checked = entries = 0
-    for n, level in shortlex_levels((est.initial, unobservable_reach(sys, sys.initials)), depth, successors):
-        entries += len(level)
-        if entries > budget:
-            raise InstanceTooLarge(
-                f"PROP1: more than {budget} (tracker state, estimate union) entries "
-                f"over the observed words up to length {n}, over the budget"
-            )
+    levels = _capped_levels(
+        "PROP1", "(tracker state, estimate union) entries over the observed words",
+        (est.initial, unobservable_reach(sys, sys.initials)), successors, depth, budget,
+    )
+    checked = 0
+    for _n, level in levels:
         for (h, allowed), (w, count) in level.items():
             if not h <= allowed:
                 return CheckReport(
@@ -261,13 +282,6 @@ def check_tracker_containment(
     return CheckReport("PROP1", True, checked, depth)
 
 
-def _check_word_budget(plant: Plant, depth: int, budget: int, check: str) -> None:
-    if lang_size_capped(plant, depth, budget) is None:
-        raise InstanceTooLarge(
-            f"{check}: more than {budget} plant words up to depth {depth}, over the budget"
-        )
-
-
 def check_estimate_agreement(
     plant: Plant, policy: Policy, depth: int, budget: int = 100_000
 ) -> CheckReport:
@@ -276,9 +290,9 @@ def check_estimate_agreement(
     labeled states so suppressed continuations are not cut off.  Both sides
     depend on a word only through its length and projection, so each
     distinct (plant state, policy state, projection) triple of a level is
-    compared once.  The plant words up to the depth and the estimate table
-    are both capped by `budget`."""
-    _check_word_budget(plant, depth, budget, "THM1")
+    compared once, and the tracker is stepped once per new projection.  The
+    entries of the walk, summed over its levels, and the triples of the
+    estimate table are both capped by `budget`."""
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
     table = _estimate_table(policy)
@@ -286,16 +300,16 @@ def check_estimate_agreement(
     # tracker state and estimate per projection; a key's projection is that
     # of a key one level up, which came first, or one event longer
     trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
-        (): (est.initial, estimate_states(est.initial))
+        (): (est.initial, est.initial.underlying())
     }
     checked = 0
-    for n, level in shortlex_levels((plant.initial, policy.initial, ()), depth, _triples(policy)):
+    for n, level in _capped_levels("THM1", _TRIPLES, *_triples(policy), depth, budget):
         table.extend(n + slack, budget, "THM1")
         for (_q, _x, proj), (w, count) in level.items():
             if proj not in trackers:
                 h = trackers[proj[:-1]][0]
                 h = est.step(h, proj[-1]) if h is not None else None
-                trackers[proj] = (h, estimate_states(h) if h is not None else frozenset())
+                trackers[proj] = (h, h.underlying() if h is not None else frozenset())
             tracker = trackers[proj][1]
             brute = table.estimate(proj, n + slack)
             if tracker != brute:
@@ -312,14 +326,14 @@ def check_property_satisfaction(
     plant: Plant, policy: Policy, prop: ISProperty, depth: int, budget: int = 100_000
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
-    up to the depth, with the same slack, budget and walk over distinct
-    triples as THM1."""
-    _check_word_budget(plant, depth, budget, "PROBLEM1")
+    up to the depth, with the same slack, budget and capped walk over
+    distinct triples as THM1.  It reads only the brute-force table, so it
+    builds no tracker."""
     bound = depth + len(build_labeled_system(plant).states)
     table = _estimate_table(policy)
     table.extend(bound, budget, "PROBLEM1")
     checked = 0
-    for _n, level in shortlex_levels((plant.initial, policy.initial, ()), depth, _triples(policy)):
+    for _n, level in _capped_levels("PROBLEM1", _TRIPLES, *_triples(policy), depth, budget):
         for (_q, _x, proj), (w, count) in level.items():
             estimate = table.estimate(proj, bound)
             if not prop.holds(estimate):
@@ -347,7 +361,7 @@ class TraceSession:
 
     @property
     def estimate(self) -> frozenset[str]:
-        return estimate_states(self.h)
+        return self.h.underlying()
 
     def step(self, e: str) -> tuple[bool, frozenset[str]]:
         q2 = self.plant.step(self.state, e)

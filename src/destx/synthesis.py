@@ -24,6 +24,7 @@ the schedule is the walk whose step commits to one successor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .automata import explore
 from .errors import Infeasible, UnknownInitial
@@ -128,7 +129,8 @@ def extract_min_transmit(
     count is chosen (or the pinned one); from it, each (state, event)
     commits to the successor with the highest count.  All ties break toward
     the canonically smallest candidate, so the result is a pure function of
-    its inputs.
+    its inputs.  Each estimate's count is taken once per call, however
+    many sub-automata hold it.
     """
     if not gstar.initials:
         raise Infeasible("no estimate survives pruning; the property cannot be enforced")
@@ -139,10 +141,11 @@ def extract_min_transmit(
         if pin_initial not in roots:
             raise UnknownInitial(f"{pin_initial.render()} is not a surviving initial estimate")
         roots = (pin_initial,)
+    count = cache(lambda z: count_nontransmitted(sys, z, nz_mode))
 
     def score(root: ObserverState) -> int:
         states, _ = explore((root,), alphabet, gstar.successors)
-        return sum(count_nontransmitted(sys, z, nz_mode) for z in states)
+        return sum(count(z) for z in states)
 
     best = roots[0]
     best_score = score(best)
@@ -155,7 +158,7 @@ def extract_min_transmit(
         cands = gstar.successors(z, e)
         if not cands:
             return ()
-        return (min(cands, key=lambda t: (-count_nontransmitted(sys, t, nz_mode), t.sort_key())),)
+        return (min(cands, key=lambda t: (-count(t), t.sort_key())),)
 
     states, trans = explore((best,), alphabet, pick)
     return DeterministicSchedule(

@@ -7,11 +7,30 @@ a bounded number of words up to the depths the checkers explore.
 
 import random
 
-from destx import LabeledState, Plant, Policy, build_labeled_system
-from destx.automata import lang_size_capped
+from destx import LabeledState, Plant, Policy, build_labeled_system, shortlex_levels
 from destx.labeled import N, Y
 
 EVENTS = ("a", "b", "c")
+
+
+def transitions(plant: Plant) -> list[tuple[str, str, str]]:
+    """The plant's moves (q, e, q2), sorted."""
+    return [(q, e, plant.step(q, e)) for q in sorted(plant.states) for e in sorted(plant.defined_events(q))]
+
+
+def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
+    """Number of words of length <= depth, or None once it exceeds cap.
+
+    Counts words per end state, so it never enumerates them."""
+    def moves(q):
+        return ((e, plant.step(q, e)) for e in sorted(plant.defined_events(q)))
+
+    total = 0
+    for _n, level in shortlex_levels(plant.initial, depth, moves):
+        total += sum(count for _w, count in level.values())
+        if total > cap:
+            return None
+    return total
 
 
 def make_labeled(base: str, decisions: dict[str, str]) -> LabeledState:
@@ -26,7 +45,7 @@ def uniform_policy(plant: Plant, decision: str) -> Policy:
         for q in plant.states
     }
     trans = {
-        (version[q], e): version[p] for (q, e, p) in plant.transitions()
+        (version[q], e): version[p] for (q, e, p) in transitions(plant)
     }
     return Policy(plant, version[plant.initial], trans)
 
@@ -73,7 +92,7 @@ def random_policy(rng: random.Random, plant: Plant) -> Policy:
         decisions = {e: rng.choice((Y, N)) for e in sorted(plant.defined_events(q))}
         versions[q] = make_labeled(q, decisions)
     trans = {
-        (versions[q], e): versions[q2] for q, e, q2 in plant.transitions()
+        (versions[q], e): versions[q2] for q, e, q2 in transitions(plant)
     }
     return Policy(plant, versions[plant.initial], trans)
 
@@ -86,7 +105,7 @@ def random_policy_with_memory(rng: random.Random, plant: Plant) -> Policy:
     versions = {q: [x for x in sys.states if x.base == q] for q in plant.states}
     trans = {
         (x, e): rng.choice(versions[q2])
-        for q, e, q2 in plant.transitions()
+        for q, e, q2 in transitions(plant)
         for x in versions[q]
     }
     return Policy(plant, rng.choice(versions[plant.initial]), trans)
@@ -110,6 +129,6 @@ def flip_to_suppress(rng: random.Random, plant: Plant, policy: Policy):
         new_versions[q] = make_labeled(q, decisions)
     trans = {
         (new_versions[q], e): new_versions[q2]
-        for q, e, q2 in plant.transitions()
+        for q, e, q2 in transitions(plant)
     }
     return Policy(plant, new_versions[plant.initial], trans)

@@ -206,16 +206,88 @@ def test_non_utf8_input(tmp_path, kind):
 
 
 def test_verify_bounded_by_budget(tmp_path):
+    # the policy suppresses every event, so each fib word is silent and
+    # each level of THM1's walk holds one triple: 33 up to depth 32
     plant = tmp_path / "fib.des"
     plant.write_text("alphabet a b\nstates q0 q1\ninitial q0\ntrans q0 a q1\ntrans q0 b q1\ntrans q1 b q0\n")
     spec = tmp_path / "fib.pairs"
-    spec.write_text("pair q0 q1\n")
-    out = tmp_path / "fib.policy"
-    assert run("synthesize", str(plant), str(spec), str(out)).returncode == 0
-    p = run("verify", str(plant), str(out), str(spec), "--depth", "32", "--budget", "1000")
+    spec.write_text("")
+    silent = tmp_path / "fib.policy"
+    silent.write_text("initial q0NN\ntrans q0NN a q1N\ntrans q0NN b q1N\ntrans q1N b q0NN\n")
+    p = run("verify", str(plant), str(silent), str(spec), "--depth", "32", "--budget", "32")
     assert p.returncode == 3
     assert p.stdout == ""
-    assert p.stderr == "error: THM1: more than 1000 plant words up to depth 32, over the budget\n"
+    assert p.stderr == (
+        "error: THM1: more than 32 (plant state, policy state, projection) entries "
+        "over the plant words up to length 32, over the budget\n"
+    )
+    p = run("verify", str(plant), str(silent), str(spec), "--depth", "32", "--budget", "33")
+    assert p.returncode == 0
+    assert p.stdout.splitlines()[1:] == ["THM1 ok words=262141 depth=32", "PROBLEM1 ok words=262141 depth=32"]
+
+
+LADDER = "alphabet a b\nstates q0 q1 q2\ninitial q0\ntrans q0 a q1\ntrans q0 b q2\ntrans q1 a q0\ntrans q2 b q0\n"
+HOLLOW = (
+    "alphabet a b\nstates q0 q1 q2\ninitial q0\n"
+    "trans q0 a q0\ntrans q0 b q0\ntrans q1 a q2\ntrans q1 b q1\ntrans q2 a q1\ntrans q2 b q2\n"
+)
+
+
+@pytest.mark.parametrize("des, pair", [(LADDER, "q1 q2"), (HOLLOW, "q0 q1")], ids=["ladder", "hollow"])
+def test_verify_depth_32_within_default_budget(tmp_path, des, pair):
+    # ladder has 262,141 words up to depth 32 and hollow 8,589,934,591, far
+    # past the default budget; their walks hold a few hundred entries
+    plant = tmp_path / "p.des"
+    plant.write_text(des)
+    spec = tmp_path / "p.pairs"
+    spec.write_text(f"pair {pair}\n")
+    out = tmp_path / "p.policy"
+    assert run("synthesize", str(plant), str(spec), str(out)).returncode == 0
+    p = run("verify", str(plant), str(out), str(spec), "--depth", "32", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert [line.split()[:2] for line in p.stdout.splitlines()] == [["PROP1", "ok"], ["THM1", "ok"], ["PROBLEM1", "ok"]]
+
+
+@pytest.fixture
+def shift_register(tmp_path):
+    """Plant, policy and empty pairs file whose tracker has 2^17 states.
+
+    States p0 … p18: p0 transmits a and b as self-loops and suppresses c
+    into p1, p1 transmits a into p2, and each p_i with 2 <= i < 18 transmits
+    a and b into p_{i+1}.  A tracker state is {p0, p1} plus any subset of
+    p2 … p18."""
+    n = 18
+    moves = [("p0", "a", "p0"), ("p0", "b", "p0"), ("p0", "c", "p1"), ("p1", "a", "p2")]
+    moves += [(f"p{i}", e, f"p{i + 1}") for i in range(2, n) for e in "ab"]
+    labels = {"p0": "YYN", "p1": "Y", **{f"p{i}": "YY" for i in range(2, n)}, f"p{n}": ""}
+    plant = tmp_path / "shift.des"
+    plant.write_text(
+        "alphabet a b c\nstates " + " ".join(labels) + "\ninitial p0\n"
+        + "".join(f"trans {q} {e} {q2}\n" for q, e, q2 in moves)
+    )
+    policy = tmp_path / "shift.policy"
+    policy.write_text(
+        "initial p0YYN\n" + "".join(f"trans {q}{labels[q]} {e} {q2}{labels[q2]}\n" for q, e, q2 in moves)
+    )
+    spec = tmp_path / "shift.pairs"
+    spec.write_text("")
+    return str(plant), str(policy), str(spec)
+
+
+def test_tracker_built_on_demand(shift_register):
+    # each command builds only the tracker states it visits, so both finish
+    # long before a full subset construction would
+    plant, policy, spec = shift_register
+    p = run("verify", plant, policy, spec, "--budget", "10", "--depth", "2", timeout=3)
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == (
+        "error: THM1: the brute-force estimate table passed the budget of 10 "
+        "(plant state, policy state, projection) triples at word length 2\n"
+    )
+    p = run("simulate", plant, policy, "--trace", "a", timeout=3)
+    assert p.returncode == 0
+    assert p.stdout == "initial estimate={p0,p1}\n1 a sent=Y proj=a estimate={p0,p1,p2}\n"
 
 
 def test_verify_prop1_bounded_by_budget():

@@ -24,7 +24,7 @@ from destx import (
     check_tracker_containment,
     consistency_fixpoint,
     distinguishability,
-    estimate_states,
+    explore,
     extract_min_transmit,
     parse_labeled,
     prune_violating,
@@ -72,6 +72,16 @@ def _after(est, observed):
         if h is None:
             return None
     return h
+
+
+def _full_tracker(est):
+    """Every tracker state and move, built by walking `est.step` from the
+    initial state."""
+    def step(h, e):
+        h2 = est.step(h, e)
+        return () if h2 is None else (h2,)
+
+    return explore((est.initial,), est.sys.plant.alphabet, step)
 
 
 def _render(states):
@@ -143,7 +153,7 @@ def _thm1_word_by_word(plant, policy, depth, cache):
     for s in plant.words_upto(depth):
         checked += 1
         h = _after(est, policy.projection(s))
-        tracker = destx.estimation.estimate_states(h) if h is not None else frozenset()
+        tracker = h.underlying() if h is not None else frozenset()
         brute = _buckets_word_by_word(policy, len(s) + slack, cache).get(policy.projection(s), frozenset())
         if tracker != brute:
             return CheckReport("THM1", False, checked, depth, s, expected=_render(brute), got=_render(tracker))
@@ -237,8 +247,10 @@ def _product_tracker(sys, policy):
 
 def _assert_tracker_matches_product(sys, policy, depth=6):
     """Same state count, and the same estimate on every observed word up to
-    `depth`, as the product tracker."""
+    `depth`, as the product tracker; the estimator has built only what it
+    was asked for."""
     est = Estimator(sys, policy)
+    assert list(est.states) == [est.initial]
     h0, step = _product_tracker(sys, policy)
     alphabet = sorted(sys.plant.alphabet)
     states = {h0}
@@ -265,7 +277,8 @@ def _assert_tracker_matches_product(sys, policy, depth=6):
             if hp2 is not None and hp2 not in states:
                 states.add(hp2)
                 work.append(hp2)
-    assert len(states) == len(est.states)
+    tracker_states, _ = _full_tracker(est)
+    assert len(states) == len(tracker_states) == len(est.states)
 
 
 def test_estimator_matches_product_running_example(lsys, plant, hand_policy, pinned_policy, default_policy):
@@ -284,10 +297,10 @@ def test_estimator_matches_product_random():
 
 def test_estimator_hand_policy(lsys, hand_policy):
     est = Estimator(lsys, hand_policy)
-    assert sorted(estimate_states(est.initial)) == ["q0", "q1", "q5"]
+    assert sorted(est.initial.underlying()) == ["q0", "q1", "q5"]
     h = _after(est, ("σ2",))
     assert h.render() == "(q1Y,q2N)"
-    assert sorted(estimate_states(h)) == ["q1", "q2"]
+    assert sorted(h.underlying()) == ["q1", "q2"]
     # σ1 is never transmitted by this policy
     assert _after(est, ("σ1",)) is None
     assert _after(est, ()) == est.initial
@@ -295,14 +308,16 @@ def test_estimator_hand_policy(lsys, hand_policy):
 
 def test_estimator_uniform(lsys, plant):
     est_n = Estimator(lsys, uniform_policy(plant, N))
-    assert len(est_n.states) == 1
-    assert est_n.trans == {}
-    assert estimate_states(est_n.initial) == frozenset(plant.states)
+    states, trans = _full_tracker(est_n)
+    assert len(states) == 1
+    assert trans == {}
+    assert est_n.initial.underlying() == frozenset(plant.states)
 
     est_y = Estimator(lsys, uniform_policy(plant, Y))
-    assert len(est_y.states) == 6
-    assert sorted(estimate_states(_after(est_y, ("σ2", "σ2")))) == ["q2"]
-    for h in est_y.states:
+    states, _ = _full_tracker(est_y)
+    assert len(states) == 6
+    assert sorted(_after(est_y, ("σ2", "σ2")).underlying()) == ["q2"]
+    for h in states:
         assert len(h) == 1  # full transmission pins the state
 
 
@@ -548,8 +563,8 @@ def test_bruteforce_matches_word_by_word_random():
 
 def test_bruteforce_matches_word_by_word_thm1_failures(monkeypatch, plant, hand_policy, pinned_policy):
     # a tracker that forgets the largest state of every estimate it reports
-    real = destx.estimation.estimate_states
-    monkeypatch.setattr(destx.estimation, "estimate_states", lambda h: real(h) - {max(real(h))})
+    real = ObserverState.underlying
+    monkeypatch.setattr(ObserverState, "underlying", lambda h: real(h) - {max(real(h))})
     prop = distinguishability(DistinguishabilitySpec.of([]), plant)
     for pol in _running_policies(plant, hand_policy, pinned_policy):
         lines = _assert_bruteforce_matches(plant, pol, prop)
@@ -570,18 +585,28 @@ def test_estimate_table_counts_triples_not_words():
 
 def test_checks_bounded_by_budget():
     pol, prop = _synthesized(FIB, [("q0", "q1")])
-    # fib has 2,045 words up to depth 18 and its table 16,381 triples; each
-    # call gets a fresh copy of the policy, which caches the table
+    # suppressing everything leaves every fib word silent, so its 2,045
+    # words up to depth 18 fall into one triple per level, 19 in all, and
+    # its table holds two triples
+    silent = uniform_policy(FIB, N)
+    free = distinguishability(DistinguishabilitySpec.of([]), FIB)
+    # fib's synthesized policy has a table of 16,381 triples; each call gets
+    # a fresh copy of the policy, which caches the table
     for name, check in (
-        ("THM1", lambda p, budget: check_estimate_agreement(FIB, p, 18, budget)),
-        ("PROBLEM1", lambda p, budget: check_property_satisfaction(FIB, p, prop, 18, budget)),
+        ("THM1", lambda p, pr, budget: check_estimate_agreement(FIB, p, 18, budget)),
+        ("PROBLEM1", lambda p, pr, budget: check_property_satisfaction(FIB, p, pr, 18, budget)),
     ):
+        with pytest.raises(
+            InstanceTooLarge,
+            match=rf"^{name}: more than 18 \(plant state, policy state, projection\) entries "
+            r"over the plant words up to length 18, over the budget$",
+        ):
+            check(Policy(FIB, silent.initial, silent.trans), free, 18)
+        assert check(Policy(FIB, silent.initial, silent.trans), free, 19).line() == f"{name} ok words=2045 depth=18"
         fresh = Policy(FIB, pol.initial, pol.trans)
-        with pytest.raises(InstanceTooLarge, match=f"^{name}: more than 2000 plant words up to depth 18"):
-            check(fresh, 2000)
         with pytest.raises(InstanceTooLarge, match=f"^{name}: the brute-force estimate table passed the budget of 5000"):
-            check(fresh, 5000)
+            check(fresh, prop, 5000)
         table = destx.estimation._estimate_table(fresh)
         assert len(table.seen) <= 5000  # the level that passed the budget is not kept
-        assert check(fresh, 16_381).ok
+        assert check(fresh, prop, 16_381).ok
         assert len(table.seen) == 16_381

@@ -1,4 +1,4 @@
-"""Every function and class that `destx` exports is used by the program.
+"""Every function, method and class of the library is used by the program.
 
 A name counts as used when some module of the library other than
 `__init__.py`, or a file under `scripts/` or `perfbench/`, reads it outside
@@ -41,18 +41,42 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _program_files():
-    library = [p for p in (ROOT / "src" / "destx").glob("*.py") if p.name != "__init__.py"]
-    return library + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "destx").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _program_reads():
+    reads = _Reads()
+    for path in (
+        [p for p in LIBRARY if p.name != "__init__.py"]
+        + sorted((ROOT / "scripts").glob("*.py"))
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    ):
+        reads.visit(_parse(path))
+    return reads.names
 
 
 def test_every_export_is_used_by_the_program():
-    reads = _Reads()
-    for path in _program_files():
-        reads.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     exported = [
         name for name in destx.__all__
         if inspect.isfunction(getattr(destx, name)) or inspect.isclass(getattr(destx, name))
     ]
     assert len(exported) > 40
-    assert sorted(set(exported) - reads.names) == []
+    assert sorted(set(exported) - _program_reads()) == []
+
+
+def test_every_definition_is_used_by_the_program():
+    # every function, method and class defined in the library, nested ones
+    # included; dunders are called by the language, not read by name
+    defined = {
+        node.name
+        for path in LIBRARY
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    assert len(defined) > 100
+    assert sorted(defined - _program_reads()) == []
