@@ -29,7 +29,6 @@ renders and sorts canonically.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from .automata import explore
@@ -239,62 +238,73 @@ def closure_family_bruteforce(
     the candidate, instead of running the production fixpoint: level 0 maps
     each member v to {{v}}, and level d+1 unions {v} with, per suppressed
     event, either nothing or one level-d range of a successor version.
+    The oracle reads the system only through `sys.suppressed_moves`, with
+    its own universe walk, closure check and reach walk.  A set is an int
+    bitmask over the universe in `LabeledState.sort_key` order, and each
+    member has one target mask per suppressed event.
 
-    The level loop stops early on two exact exits.  Reject: once a level
-    equals the one before it for every member, every deeper level equals it
-    too, because each level is a fixed function of the previous one.
-    Accept: once the candidate is a level-d range of the seed it is one at
-    every deeper level, because following no event keeps every earlier
-    range, so the families only grow.  The answer is therefore the one at
-    level `depth` for any `depth`, which defaults to |U|^2 + 1.
+    The level loop stops early on two exact exits.  Accept: once the
+    candidate is a level-d range of the seed it is one at every deeper
+    level, because following no event keeps every earlier range, so each
+    family holds the one before.  Reject: once no family grows, every
+    deeper level equals this one, because each level is a fixed function
+    of the previous one.  So the loop's answer is the one at level `depth`,
+    which defaults to |U|^2 + 1.
     """
-    universe = sorted(unobservable_reach(sys, (seed,)), key=LabeledState.sort_key)
-    if len(universe) > 20:
-        raise InstanceTooLarge(f"oracle universe has {len(universe)} states, cap is 20")
+    seen, work = {seed}, [seed]
+    while work:
+        for _e, opts in sys.suppressed_moves(work.pop()):
+            work.extend(w for w in opts if w not in seen)
+            seen.update(opts)
+    universe = sorted(seen, key=LabeledState.sort_key)
+    n = len(universe)
+    if n > 20:
+        raise InstanceTooLarge(f"oracle universe has {n} states, cap is 20")
     if depth is None:
-        depth = len(universe) * len(universe) + 1
+        depth = n * n + 1
+    index = {v: i for i, v in enumerate(universe)}
+    moves = [[sum(1 << index[w] for w in opts) for _e, opts in sys.suppressed_moves(v)] for v in universe]
+    root = index[seed]
+    # target mask -> mask of the members that must answer it
+    needed = {t: sum(1 << i for i, ts in enumerate(moves) if t in ts) for ts in moves for t in ts}
 
-    def plain_reach(inside: frozenset[LabeledState]) -> frozenset[LabeledState]:
-        seen = {seed}
-        work = [seed]
-        while work:
-            v = work.pop()
-            for _e, opts in sys.suppressed_moves(v):
-                for w in opts:
-                    if w in inside and w not in seen:
-                        seen.add(w)
-                        work.append(w)
-        return frozenset(seen)
+    def bits(mask: int) -> list[int]:
+        return [i for i in range(n) if mask >> i & 1]
 
-    def realizable(cand: frozenset[LabeledState]) -> bool:
-        moves = {
-            v: [[w for w in opts if w in cand] for _e, opts in sys.suppressed_moves(v)]
-            for v in cand
-        }
-        level = {v: frozenset({frozenset({v})}) for v in cand}
+    def plain_reach(cand: int) -> int:
+        reached = frontier = 1 << root
+        while frontier:
+            step = 0
+            for t, need in needed.items():
+                if need & frontier:
+                    step |= t
+            frontier = step & cand & ~reached
+            reached |= frontier
+        return reached
+
+    def realizable(cand: int) -> bool:
+        members = [(i, [bits(t & cand) for t in moves[i]]) for i in bits(cand)]
+        level = [{1 << i} for i in range(n)]
         for _ in range(depth):
-            if cand in level[seed]:
+            if cand in level[root]:
                 return True
-            nxt = {}
-            for v in cand:
+            nxt, grew = level[:], False
+            for i, events in members:
                 # per suppressed event: follow nothing, or one range of a version
-                per_event = [{frozenset(), *(r for w in opts for r in level[w])} for opts in moves[v]]
-                root = frozenset({v})
-                nxt[v] = frozenset(root.union(*combo) for combo in itertools.product(*per_event))
-            if nxt == level:
+                acc = {1 << i}
+                for opts in events:
+                    ways = {0}.union(*[level[w] for w in opts])
+                    acc = {a | r for a in acc for r in ways}
+                grew = grew or len(acc) > len(level[i])
+                nxt[i] = acc
+            if not grew:
                 return False
             level = nxt
-        return cand in level[seed]
+        return cand in level[root]
 
-    others = [v for v in universe if v != seed]
     found = []
-    for k in range(len(others) + 1):
-        for extra in itertools.combinations(others, k):
-            cand = frozenset({seed, *extra})
-            if not reach_closed(sys, cand):
-                continue
-            if plain_reach(cand) != cand:
-                continue
-            if realizable(cand):
-                found.append(cand)
+    for cand in range(1 << n):
+        if cand >> root & 1 and all(t & cand for t, need in needed.items() if need & cand):
+            if plain_reach(cand) == cand and realizable(cand):
+                found.append(frozenset(universe[i] for i in bits(cand)))
     return _sorted_estimates(found)

@@ -145,7 +145,7 @@ def test_criterion_4_random_agreement_and_containment():
 def test_criterion_5_oracle_equivalence():
     t0 = time.monotonic()
     seeds = 0
-    for i in range(100):
+    for i in range(300):
         rng = random.Random(1000 + i)
         plant = random_plant(rng, max_states=4)
         lsys = build_labeled_system(plant)

@@ -153,17 +153,30 @@ def test_oracle_maxs_has_no_depth():
     assert "--depth" not in p.stdout
 
 
-def test_oracle_maxs_mismatch(monkeypatch, capsys):
-    real = cli.closure_family
+def _lossy(real):
+    """`real` with the first estimate of seed q0NNY dropped."""
 
     def lossy(sysd, seed):
         fam = real(sysd, seed)
         return fam[1:] if seed.render() == "q0NNY" else fam
 
-    monkeypatch.setattr(cli, "closure_family", lossy)
+    return lossy
+
+
+def test_oracle_maxs_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "closure_family", _lossy(cli.closure_family))
     assert cli.main(["oracle-maxs", PLANT]) == 5
     assert capsys.readouterr().out == (
         "MISMATCH seed=q0NNY only-fast=[] only-brute=['(q0NNY,q1Y,q5)']\n"
+        "seeds 17 mismatches 1\n"
+    )
+
+
+def test_oracle_maxs_lossy_brute_side(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "closure_family_bruteforce", _lossy(cli.closure_family_bruteforce))
+    assert cli.main(["oracle-maxs", PLANT]) == 5
+    assert capsys.readouterr().out == (
+        "MISMATCH seed=q0NNY only-fast=['(q0NNY,q1Y,q5)'] only-brute=[]\n"
         "seeds 17 mismatches 1\n"
     )
 
@@ -246,6 +259,28 @@ def test_verify_depth_32_within_default_budget(tmp_path, des, pair):
     p = run("verify", str(plant), str(out), str(spec), "--depth", "32", timeout=30)
     assert p.returncode == 0, p.stderr
     assert [line.split()[:2] for line in p.stdout.splitlines()] == [["PROP1", "ok"], ["THM1", "ok"], ["PROBLEM1", "ok"]]
+
+
+RING_6_1 = "alphabet e\nstates q0 q1 q2 q3 q4 q5\ninitial q0\n" + "".join(
+    f"trans q{i} e q{(i + 1) % 6}\n" for i in range(6)
+)
+RING_2_2 = (
+    "alphabet e0 e1\nstates q0 q1\ninitial q0\n"
+    "trans q0 e0 q1\ntrans q0 e1 q0\ntrans q1 e0 q0\ntrans q1 e1 q1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "des, seeds", [(RING_6_1, 12), (RING_2_2, 8), (HOLLOW, 12)], ids=["ring(6,1)", "ring(2,2)", "hollow"]
+)
+def test_oracle_maxs_shapes(tmp_path, des, seeds):
+    # a 12-state suppressed cycle with one event per state, and two events
+    # per state with self-loops
+    plant = tmp_path / "plant.des"
+    plant.write_text(des)
+    p = run("oracle-maxs", str(plant), timeout=10)
+    assert p.returncode == 0
+    assert p.stdout == f"seeds {seeds} mismatches 0\n"
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import types
+from sys import setprofile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,19 +267,70 @@ def _bruteforce_top_down(sys, seed, depth=None):
     return tuple(sorted((ObserverState(c) for c in found), key=ObserverState.sort_key))
 
 
+LADDER = Plant(["q0", "q1", "q2"], ["a", "b"], {("q0", "a"): "q1", ("q0", "b"): "q2", ("q1", "a"): "q0", ("q2", "b"): "q0"}, "q0")
+# q0 loops on both events; q1 and q2 loop on one and swap on the other
+HOLLOW = Plant(
+    ["q0", "q1", "q2"],
+    ["a", "b"],
+    {("q0", "a"): "q0", ("q0", "b"): "q0", ("q1", "a"): "q2", ("q1", "b"): "q1", ("q2", "a"): "q1", ("q2", "b"): "q2"},
+    "q0",
+)
+
+
 def test_bruteforce_levels_match_top_down(lsys):
     """The level loop's two early exits give the full-depth answer: the
-    same tuple as the top-down families at every depth, default included."""
-    ring4 = Plant([f"q{i}" for i in range(4)], ["e0"], {(f"q{i}", "e0"): f"q{(i + 1) % 4}" for i in range(4)}, "q0")
-    systems = {"running example": lsys, "ring(4,1)": build_labeled_system(ring4)}
+    same tuple as the top-down families at every depth, default included.
+    ring(2,2), the ladder and the hollow plant have states with two
+    suppressed events and self-loops; the top-down families take minutes
+    there at the default depth, so they run at small depths only."""
+    all_depths, small = (None, 0, 1, 2, 3), (0, 1, 2)
+    systems = {"running example": (lsys, all_depths), "ring(4,1)": (build_labeled_system(_ring(4, 1)), all_depths)}
     for i in range(20):  # the first criterion-5 plants
-        systems[f"random plant {1000 + i}"] = build_labeled_system(random_plant(random.Random(1000 + i), max_states=4))
-    for name, sysd in systems.items():
+        plant = random_plant(random.Random(1000 + i), max_states=4)
+        systems[f"random plant {1000 + i}"] = (build_labeled_system(plant), all_depths)
+    for name, plant in (("ring(2,2)", _ring(2, 2)), ("ladder", LADDER), ("hollow", HOLLOW)):
+        systems[name] = (build_labeled_system(plant), small)
+    for name, (sysd, depths) in systems.items():
         for seed in sysd.states:
-            for depth in (None, 0, 1, 2, 3):
+            for depth in depths:
                 assert closure_family_bruteforce(sysd, seed, depth) == _bruteforce_top_down(sysd, seed, depth), (
                     f"{name}, seed {seed.render()}, depth {depth}"
                 )
+
+
+def test_bruteforce_is_independent():
+    """The oracle runs its own universe walk, closure check and reach walk:
+    no code object of it, nested functions included, names the production
+    code it checks."""
+    production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore"}
+    codes, names = [closure_family_bruteforce.__code__], set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    assert "suppressed_moves" in names
+    assert not names & production
+
+
+def test_bruteforce_default_depth(lsys):
+    """The default depth is |U|^2 + 1.  The level loop's exits stop it long
+    before that level on every plant here, so the test reads the `depth`
+    each call ends with instead of its answer."""
+    depths = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is closure_family_bruteforce.__code__:
+            depths.append(frame.f_locals["depth"])
+
+    setprofile(profile)
+    try:
+        for seed in lsys.states:
+            closure_family_bruteforce(lsys, seed)
+        closure_family_bruteforce(lsys, lsys.states[0], 3)
+    finally:
+        setprofile(None)
+    sizes = [len(unobservable_reach(lsys, (seed,))) for seed in lsys.states]
+    assert depths == [n * n + 1 for n in sizes] + [3]
 
 
 def test_bruteforce_cap():
