@@ -8,11 +8,12 @@ Two independent routes to the receiver's estimate:
   reachable product state pairing a policy state with itself, so this
   equals the tracker of that product (see `Estimator`);
 * brute force: read the estimate straight off the definition, as the end
-  states of the plant words within a length bound that the policy projects
-  onto the same transmitted word.  The words are not listed one by one: a
-  breadth-first table over distinct (plant state, policy state, projection)
-  triples records the shortest word length that reaches each end state,
-  and is grown once per policy, level by level, to the largest bound asked.
+  states of the plant words, of any length, that the policy projects onto
+  the same transmitted word.  The words are not listed one by one: a table
+  over distinct (plant state, policy state, projection) triples finds, per
+  projection asked for, every triple that such a word reaches, by closing
+  the triples one transmitted event past the projection's prefix under the
+  steps that keep the projection.
 
 The checks below run over all words up to a depth.  PROP1 holds the
 tracker inside the union of the dynamic observer's estimates, which it
@@ -122,59 +123,51 @@ def _triples(policy: Policy):
 
 
 class _EstimateTable:
-    """Breadth-first table of the (plant state, policy state, projection)
-    triples that plant words reach, one level of word length at a time.
+    """The brute-force estimate, exact per projection, built on demand.
 
-    A triple's successors depend on the triple alone, so walking distinct
-    triples breadth-first finds the length of the shortest word reaching
-    each of them.  `reach[p][q]` keeps, per projection p and plant state q,
-    the least of those lengths.  The plant words of length at most D with
-    projection p therefore end exactly in the states q with
-    `reach[p][q] <= D`, which is the estimate by definition."""
+    A triple's successors depend on the triple alone, and each step keeps
+    the projection or extends it by the one event transmitted.  So the
+    triples that plant words with projection p reach, however long the
+    words, are those reached from the triples parked on p by the steps that
+    keep the projection.  The start triple is parked on the empty
+    projection, and every other parked triple is one transmitted event past
+    a triple of p[:-1].  `estimate(p)` therefore admits p[:-1] first, then
+    closes p's parked triples, parking each transmitted successor under its
+    own projection; the plant states of p's triples are the estimate by
+    definition.  Every triple the table holds, parked ones included, counts
+    against `budget`, past which InstanceTooLarge names `check`."""
 
-    def __init__(self, policy: Policy):
+    def __init__(self, policy: Policy, budget: int, check: str):
         start, self.successors = _triples(policy)
-        self.seen = {start}
-        self.frontier = [start]
-        self.level = 0
-        self.reach: dict[Word, dict[str, int]] = {(): {policy.plant.initial: 0}}
+        self.budget, self.check = budget, check
+        self.parked: dict[Word, dict[tuple[str, LabeledState, Word], None]] = {(): {start: None}}
+        self.size = 1
+        self.estimates: dict[Word, frozenset[str]] = {}
 
-    def extend(self, bound: int, budget: int, check: str) -> None:
-        """Grow the table until it covers every word of length <= bound.
-
-        Growth stops with InstanceTooLarge once the table would hold more
-        than `budget` triples; levels an earlier call already built are read
-        as they are.  A level is committed only once it is complete, so a
-        PolicyIncomplete or InstanceTooLarge leaves the table as it was."""
-        while self.level < bound and self.frontier:
-            fresh: dict[tuple[str, LabeledState, Word], None] = {}
-            for t0 in self.frontier:
-                for _e, t in self.successors(t0):
-                    if t in self.seen or t in fresh:
+    def estimate(self, proj: Word) -> frozenset[str]:
+        """Endpoints of the plant words, of any length, with projection `proj`."""
+        if proj not in self.estimates:
+            if proj:
+                self.estimate(proj[:-1])
+            triples = self.parked.pop(proj, {})
+            work = list(triples)
+            while work:
+                for _e, t in self.successors(work.pop()):
+                    into = triples if t[2] == proj else self.parked.setdefault(t[2], {})
+                    if t in into:
                         continue
-                    fresh[t] = None
-                    if len(self.seen) + len(fresh) > budget:
+                    into[t] = None
+                    if into is triples:
+                        work.append(t)
+                    self.size += 1
+                    if self.size > self.budget:
                         raise InstanceTooLarge(
-                            f"{check}: the brute-force estimate table passed the budget of "
-                            f"{budget} (plant state, policy state, projection) triples "
-                            f"at word length {self.level + 1}"
+                            f"{self.check}: the brute-force estimate table passed the budget of "
+                            f"{self.budget} (plant state, policy state, projection) triples "
+                            f"at projection length {len(proj)}"
                         )
-            self.level += 1
-            for q, x, proj in fresh:
-                self.reach.setdefault(proj, {}).setdefault(q, self.level)
-            self.seen.update(fresh)
-            self.frontier = list(fresh)
-
-    def estimate(self, proj: Word, bound: int) -> frozenset[str]:
-        """Endpoints of the plant words of length <= bound with projection
-        `proj`; the table must already cover `bound`."""
-        return frozenset(q for q, n in self.reach.get(proj, {}).items() if n <= bound)
-
-
-def _estimate_table(policy: Policy) -> _EstimateTable:
-    if policy._estimate_table is None:
-        policy._estimate_table = _EstimateTable(policy)
-    return policy._estimate_table
+            self.estimates[proj] = frozenset(q for q, _x, _p in triples)
+        return self.estimates[proj]
 
 
 @dataclass
@@ -286,32 +279,29 @@ def check_estimate_agreement(
     plant: Plant, policy: Policy, depth: int, budget: int = 100_000
 ) -> CheckReport:
     """Tracker estimates equal brute-force estimates for every plant word up
-    to the depth.  The brute-force side searches deeper by the number of
-    labeled states so suppressed continuations are not cut off.  Both sides
-    depend on a word only through its length and projection, so each
-    distinct (plant state, policy state, projection) triple of a level is
-    compared once, and the tracker is stepped once per new projection.  The
-    entries of the walk, summed over its levels, and the triples of the
-    estimate table are both capped by `budget`."""
-    sys = build_labeled_system(plant)
-    est = Estimator(sys, policy)
-    table = _estimate_table(policy)
-    slack = len(sys.states)
+    to the depth.  The brute-force side is exact: it takes the end states of
+    every plant word with the same projection, however long.  Both sides
+    depend on a word only through its projection, so each distinct (plant
+    state, policy state, projection) triple of a level is compared once, and
+    the tracker is stepped once per new projection.  The entries of the
+    walk, summed over its levels, and the triples of the estimate table are
+    both capped by `budget`."""
+    est = Estimator(build_labeled_system(plant), policy)
+    table = _EstimateTable(policy, budget, "THM1")
     # tracker state and estimate per projection; a key's projection is that
     # of a key one level up, which came first, or one event longer
     trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
         (): (est.initial, est.initial.underlying())
     }
     checked = 0
-    for n, level in _capped_levels("THM1", _TRIPLES, *_triples(policy), depth, budget):
-        table.extend(n + slack, budget, "THM1")
+    for _n, level in _capped_levels("THM1", _TRIPLES, *_triples(policy), depth, budget):
         for (_q, _x, proj), (w, count) in level.items():
             if proj not in trackers:
                 h = trackers[proj[:-1]][0]
                 h = est.step(h, proj[-1]) if h is not None else None
                 trackers[proj] = (h, h.underlying() if h is not None else frozenset())
             tracker = trackers[proj][1]
-            brute = table.estimate(proj, n + slack)
+            brute = table.estimate(proj)
             if tracker != brute:
                 return CheckReport(
                     "THM1", False, checked + 1, depth, w,
@@ -326,16 +316,14 @@ def check_property_satisfaction(
     plant: Plant, policy: Policy, prop: ISProperty, depth: int, budget: int = 100_000
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
-    up to the depth, with the same slack, budget and capped walk over
-    distinct triples as THM1.  It reads only the brute-force table, so it
-    builds no tracker."""
-    bound = depth + len(build_labeled_system(plant).states)
-    table = _estimate_table(policy)
-    table.extend(bound, budget, "PROBLEM1")
+    up to the depth, with the same exact brute-force estimate, budget and
+    capped walk over distinct triples as THM1.  It reads only its own
+    estimate table, so it builds no tracker."""
+    table = _EstimateTable(policy, budget, "PROBLEM1")
     checked = 0
     for _n, level in _capped_levels("PROBLEM1", _TRIPLES, *_triples(policy), depth, budget):
         for (_q, _x, proj), (w, count) in level.items():
-            estimate = table.estimate(proj, bound)
+            estimate = table.estimate(proj)
             if not prop.holds(estimate):
                 return CheckReport(
                     "PROBLEM1", False, checked + 1, depth, w,

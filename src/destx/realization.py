@@ -51,9 +51,6 @@ class Policy:
             if tuple(sorted(plant.defined_events(x.base))) != x.events():
                 raise ParseError(f"{x.render()} does not label exactly the defined events")
         self.states = tuple(sorted(seen, key=LabeledState.sort_key))
-        # estimation's brute-force estimate table, grown on demand; not part
-        # of equality
-        self._estimate_table = None
 
     def step(self, x: LabeledState, e: str) -> LabeledState:
         nxt = self.trans.get((x, e))

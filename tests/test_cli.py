@@ -318,11 +318,24 @@ def test_tracker_built_on_demand(shift_register):
     assert p.stdout == ""
     assert p.stderr == (
         "error: THM1: the brute-force estimate table passed the budget of 10 "
-        "(plant state, policy state, projection) triples at word length 2\n"
+        "(plant state, policy state, projection) triples at projection length 1\n"
     )
     p = run("simulate", plant, policy, "--trace", "a", timeout=3)
     assert p.returncode == 0
     assert p.stdout == "initial estimate={p0,p1}\n1 a sent=Y proj=a estimate={p0,p1,p2}\n"
+
+
+def test_verify_shift_register_default_budget(shift_register):
+    # the brute-force table holds only the triples of the projections asked
+    # for, so the family's 79 labeled states cost it nothing
+    plant, policy, spec = shift_register
+    p = run("verify", plant, policy, spec, "--depth", "6", timeout=5)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == (
+        "PROP1 ok words=127 depth=6\n"
+        "THM1 ok words=319 depth=6\n"
+        "PROBLEM1 ok words=319 depth=6\n"
+    )
 
 
 def test_verify_prop1_bounded_by_budget():

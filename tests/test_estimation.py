@@ -1,6 +1,7 @@
 """Receiver-side estimation: tracker, brute force, and the checkers."""
 
 import random
+import types
 
 import pytest
 
@@ -35,12 +36,43 @@ from destx.observer import ObserverState
 from randgen import flip_to_suppress, random_plant, random_policy, random_policy_with_memory, uniform_policy
 
 
-def _bruteforce_estimate(policy, s, bound):
-    """Endpoints of the plant words of length <= bound that project like
-    `s`, read off the policy's brute-force estimate table."""
-    table = destx.estimation._estimate_table(policy)
-    table.extend(bound, 100_000, "test")
-    return table.estimate(policy.projection(s), bound)
+def _bruteforce_estimate(policy, s, bound=None):
+    """Word-length reference for the exact estimate table: the end states of
+    the plant words of length <= `bound` that project like `s`, found
+    breadth-first over (plant state, policy state, projection) triples, one
+    level of word length at a time.  A step only extends a projection, so
+    only triples whose projection is a prefix of the target p are kept.
+
+    The bound defaults to |p| + (|p|+1)(|X|-1), X the policy's states, which
+    reaches every triple with projection p when the policy has a move for
+    every defined event of its states; the answer is then the exact
+    estimate.  A policy state x fixes its plant state x.base, so a triple is
+    fixed by its policy state and projection.  Cut a shortest word reaching
+    a triple at its |p| transmitted events into |p|+1 stretches of
+    suppressed steps.  If a policy state repeated within one stretch, both
+    visits would be the same triple, and cutting the loop between them
+    would leave a shorter word reaching the same end.  So a stretch visits
+    at most |X| policy states and takes at most |X|-1 steps."""
+    plant, target = policy.plant, policy.projection(s)
+    if bound is None:
+        bound = len(target) + (len(target) + 1) * (len(policy.states) - 1)
+    start = (plant.initial, policy.initial, ())
+    seen, frontier = {start}, [start]
+    for _ in range(bound):
+        fresh = []
+        for q, x, p in frontier:
+            for e in sorted(plant.defined_events(q)):
+                t = (plant.step(q, e), policy.step(x, e), p + (e,) if x.label(e) == Y else p)
+                if t[2] == target[:len(t[2])] and t not in seen:
+                    seen.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    return frozenset(q for q, _x, p in seen if p == target)
+
+
+def _exact_estimate(policy, s):
+    """The same, from a fresh exact table."""
+    return destx.estimation._EstimateTable(policy, 100_000, "test").estimate(policy.projection(s))
 
 
 def _synthesized(plant, pairs):
@@ -54,7 +86,7 @@ def _synthesized(plant, pairs):
 FIB = Plant(["q0", "q1"], ["a", "b"], {("q0", "a"): "q1", ("q0", "b"): "q1", ("q1", "b"): "q0"}, "q0")
 
 # one reachable state with two self-loops, and two unreachable states that
-# raise the labeled states, and with them the brute-force slack, to twelve
+# raise the labeled states to twelve
 HOLLOW = Plant(
     ["q0", "q1", "q2"], ["a", "b"],
     {("q0", "a"): "q0", ("q0", "b"): "q0", ("q1", "a"): "q2", ("q1", "b"): "q1",
@@ -120,8 +152,9 @@ def _prop1_word_by_word(plant, policy, depth):
 
 
 def _buckets_word_by_word(policy, depth, cache):
-    """Reference for the estimate table: endpoint states of every plant word
-    up to `depth`, one word at a time, keyed by the word's projection."""
+    """Reference for `_bruteforce_estimate` at a bound: endpoint states of
+    every plant word up to `depth`, one word at a time, keyed by the word's
+    projection."""
     if depth in cache:
         return cache[depth]
     plant = policy.plant
@@ -143,18 +176,25 @@ def _buckets_word_by_word(policy, depth, cache):
     return cache[depth]
 
 
+def _estimate_by_projection(policy, s, cache):
+    """`_bruteforce_estimate` at the proven bound, memoized per projection."""
+    proj = policy.projection(s)
+    if proj not in cache:
+        cache[proj] = _bruteforce_estimate(policy, s)
+    return cache[proj]
+
+
 def _thm1_word_by_word(plant, policy, depth, cache):
     """Reference for check_estimate_agreement: every word replayed from the
-    start, its brute-force estimate read from a table for its own bound."""
-    sys = build_labeled_system(plant)
-    est = Estimator(sys, policy)
-    slack = len(sys.states)
+    start, its brute-force estimate read from the word-length reference at
+    the proven bound."""
+    est = Estimator(build_labeled_system(plant), policy)
     checked = 0
     for s in plant.words_upto(depth):
         checked += 1
         h = _after(est, policy.projection(s))
         tracker = h.underlying() if h is not None else frozenset()
-        brute = _buckets_word_by_word(policy, len(s) + slack, cache).get(policy.projection(s), frozenset())
+        brute = _estimate_by_projection(policy, s, cache)
         if tracker != brute:
             return CheckReport("THM1", False, checked, depth, s, expected=_render(brute), got=_render(tracker))
     return CheckReport("THM1", True, checked, depth)
@@ -162,11 +202,10 @@ def _thm1_word_by_word(plant, policy, depth, cache):
 
 def _problem1_word_by_word(plant, policy, prop, depth, cache):
     """Reference for check_property_satisfaction."""
-    buckets = _buckets_word_by_word(policy, depth + len(build_labeled_system(plant).states), cache)
     checked = 0
     for s in plant.words_upto(depth):
         checked += 1
-        estimate = buckets[policy.projection(s)]
+        estimate = _estimate_by_projection(policy, s, cache)
         if not prop.holds(estimate):
             return CheckReport(
                 "PROBLEM1", False, checked, depth, s,
@@ -177,15 +216,17 @@ def _problem1_word_by_word(plant, policy, prop, depth, cache):
 
 
 def _assert_bruteforce_matches(plant, policy, prop):
-    """The table-backed estimates and THM1/PROBLEM1 reports equal the
-    word-by-word references; returns the report lines."""
-    cache = {}
+    """The word-length reference at a bound equals the words up to that
+    bound, and the THM1/PROBLEM1 reports equal the word-by-word references;
+    returns the report lines."""
+    buckets = {}
     for s in plant.words_upto(3):
         for extra in (0, 2, 7):
             bound = len(s) + extra
-            ref = _buckets_word_by_word(policy, bound, cache).get(policy.projection(s), frozenset())
+            ref = _buckets_word_by_word(policy, bound, buckets).get(policy.projection(s), frozenset())
             assert _bruteforce_estimate(policy, s, bound) == ref, (s, bound)
     lines = []
+    cache = {}
     for depth in (3, 5):
         got = check_estimate_agreement(plant, policy, depth)
         assert got.line() == _thm1_word_by_word(plant, policy, depth, cache).line()
@@ -194,6 +235,18 @@ def _assert_bruteforce_matches(plant, policy, prop):
         assert got.line() == _problem1_word_by_word(plant, policy, prop, depth, cache).line()
         lines.append(got.line())
     return lines
+
+
+def _assert_exact_matches_reference(policy):
+    """For each depth 0-5, a fresh exact table, asked the projections of the
+    plant words up to the depth in shortlex order as THM1 asks them, gives
+    the word-length reference's estimate at the proven bound."""
+    refs = {}
+    for depth in range(6):
+        table = destx.estimation._EstimateTable(policy, 100_000, "test")
+        for s in policy.plant.words_upto(depth):
+            ref = _estimate_by_projection(policy, s, refs)
+            assert table.estimate(policy.projection(s)) == ref, s
 
 
 def _assert_prop1_matches(plant, policy, depth):
@@ -324,20 +377,27 @@ def test_estimator_uniform(lsys, plant):
 def test_estimate_bruteforce(plant, hand_policy):
     an = uniform_policy(plant, N)
     ay = uniform_policy(plant, Y)
-    assert _bruteforce_estimate(an, (), 6) == frozenset(plant.states)
-    # shallow search sees only what one step can reach
-    assert sorted(_bruteforce_estimate(an, (), 1)) == ["q0", "q1", "q3", "q5"]
-    assert _bruteforce_estimate(ay, ("σ2",), 7) == {"q1"}
-    assert sorted(_bruteforce_estimate(hand_policy, (), 17)) == ["q0", "q1", "q5"]
-    with pytest.raises(WordNotInPlant):
-        _bruteforce_estimate(an, ("σ1", "σ1"), 6)
+    for estimate in (_exact_estimate, _bruteforce_estimate):
+        # every state, q2 and q4 two suppressed steps away included
+        assert estimate(an, ()) == frozenset(plant.states)
+        assert estimate(an, ("σ2", "σ2")) == frozenset(plant.states)
+        assert estimate(ay, ("σ2",)) == {"q1"}
+        assert sorted(estimate(hand_policy, ())) == ["q0", "q1", "q5"]
+        with pytest.raises(WordNotInPlant):
+            estimate(an, ("σ1", "σ1"))
 
 
 def test_bruteforce_incomplete_policy(plant, prop):
     partial = Policy(plant, parse_labeled("q0NNY", plant), {})
-    assert _bruteforce_estimate(partial, (), 0) == {"q0"}
+    # the word-length reference steps only below its bound, which is 0 for
+    # the empty projection of a one-state policy, and stops on a step past
+    # the initial state
+    assert _bruteforce_estimate(partial, ()) == {"q0"}
     with pytest.raises(PolicyIncomplete):
         _bruteforce_estimate(partial, (), 3)
+    # the exact table closes the empty projection, stepping q0NNY at once
+    with pytest.raises(PolicyIncomplete):
+        _exact_estimate(partial, ())
     # the checks and their word-by-word references stop alike
     for depth in (3, 5):
         for check in (
@@ -411,15 +471,14 @@ def test_trace_session_suppressed_steps(plant, hand_policy):
     assert ts.observed == ("σ2", "σ2")
 
 
-def test_online_matches_bruteforce(plant, lsys, pinned_policy, hand_policy):
-    slack = len(lsys.states)
+def test_online_matches_bruteforce(plant, pinned_policy, hand_policy):
     for pol in (pinned_policy, hand_policy):
         for s in plant.words_upto(5):
             ts = TraceSession(plant, pol)
             est = frozenset(ts.estimate)
-            for i, e in enumerate(s):
+            for e in s:
                 _, est = ts.step(e)
-            assert est == _bruteforce_estimate(pol, s, len(s) + slack)
+            assert est == _bruteforce_estimate(pol, s)
 
 
 def test_suppressing_more_never_shrinks_silent_estimate():
@@ -432,10 +491,8 @@ def test_suppressing_more_never_shrinks_silent_estimate():
         flipped = flip_to_suppress(rng, plant, pol)
         if flipped is None:
             continue
-        lsys = build_labeled_system(plant)
-        depth = 4 + len(lsys.states)
-        before = _bruteforce_estimate(pol, (), depth)
-        after = _bruteforce_estimate(flipped, (), depth)
+        before = _bruteforce_estimate(pol, ())
+        after = _bruteforce_estimate(flipped, ())
         assert before <= after
         # and projections only lose events, pointwise
         for s in plant.words_upto(4):
@@ -533,12 +590,7 @@ def test_prop1_bounded_by_budget(plant, pinned_policy):
 
 
 def _running_policies(plant, hand_policy, pinned_policy):
-    """Fresh copies: the session fixtures carry estimate tables that other
-    tests have grown, and each copy grows its own from the bounds asked."""
-    return tuple(
-        Policy(plant, pol.initial, pol.trans)
-        for pol in (hand_policy, pinned_policy, uniform_policy(plant, Y), uniform_policy(plant, N))
-    )
+    return (hand_policy, pinned_policy, uniform_policy(plant, Y), uniform_policy(plant, N))
 
 
 def test_bruteforce_matches_word_by_word_running_example(plant, prop, hand_policy, pinned_policy):
@@ -571,16 +623,56 @@ def test_bruteforce_matches_word_by_word_thm1_failures(monkeypatch, plant, hand_
         assert lines[0].startswith("FAIL THM1 word=ε ")
 
 
+def test_exact_table_matches_word_length_reference(plant, hand_policy, pinned_policy, default_policy):
+    ladder = Plant(["q0", "q1", "q2"], ["a", "b"], {("q0", "a"): "q1", ("q0", "b"): "q2", ("q1", "a"): "q0", ("q2", "b"): "q0"}, "q0")
+    for pol in (*_running_policies(plant, hand_policy, pinned_policy), default_policy):
+        _assert_exact_matches_reference(pol)
+    for shape, pair in ((FIB, ("q0", "q1")), (HOLLOW, ("q0", "q1")), (ladder, ("q1", "q2"))):
+        pol, _ = _synthesized(shape, [pair])
+        for p in (pol, uniform_policy(shape, Y), uniform_policy(shape, N)):
+            _assert_exact_matches_reference(p)
+    for seed in range(300):
+        rng = random.Random(seed)
+        plant = random_plant(rng)
+        for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
+            _assert_exact_matches_reference(policy)
+
+
+def test_bruteforce_table_is_independent():
+    """The brute-force side walks plant-word triples on its own: no code
+    object of the estimate table or of `_triples`, nested ones included,
+    names the tracker or observer code it is compared with."""
+    tracker = {"Estimator", "ObserverState", "explore", "unobservable_reach", "build_labeled_system"}
+    codes = [destx.estimation._triples.__code__]
+    codes += [f.__code__ for f in vars(destx.estimation._EstimateTable).values() if isinstance(f, types.FunctionType)]
+    names = set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    assert {"step", "successors"} <= names
+    assert not names & tracker
+
+
+def _table_size(policy, depth):
+    """Triples of a fresh exact table asked the projections of the plant
+    words up to `depth`, as THM1 and PROBLEM1 ask them."""
+    table = destx.estimation._EstimateTable(policy, 100_000, "test")
+    for s in policy.plant.words_upto(depth):
+        table.estimate(policy.projection(s))
+    return table.size
+
+
 def test_estimate_table_counts_triples_not_words():
-    # the deep-verify benchmark's hollow shape: a word-by-word search to
-    # depth 5 + 12 walks 262,143 words, which fall into a few dozen triples
+    # the deep-verify benchmark's hollow shape: 63 words up to depth 5 fall
+    # into 8 triples, and the two unreachable states, which raise the
+    # labeled states to twelve, add none
     pol, prop = _synthesized(HOLLOW, [("q0", "q1")])
     assert len(build_labeled_system(HOLLOW).states) == 12
     assert check_estimate_agreement(HOLLOW, pol, 5).line() == "THM1 ok words=63 depth=5"
     assert check_property_satisfaction(HOLLOW, pol, prop, 5).ok
-    table = destx.estimation._estimate_table(pol)
-    assert table.level == 17
-    assert len(table.seen) < 1000
+    reachable = Plant(["q0"], ["a", "b"], {("q0", "a"): "q0", ("q0", "b"): "q0"}, "q0")
+    assert _table_size(pol, 5) == _table_size(Policy(reachable, pol.initial, pol.trans), 5) == 8
 
 
 def test_checks_bounded_by_budget():
@@ -590,8 +682,9 @@ def test_checks_bounded_by_budget():
     # its table holds two triples
     silent = uniform_policy(FIB, N)
     free = distinguishability(DistinguishabilitySpec.of([]), FIB)
-    # fib's synthesized policy has a table of 16,381 triples; each call gets
-    # a fresh copy of the policy, which caches the table
+    # fib's synthesized policy walks 2,045 entries to depth 18, and its
+    # table, exact for the projections asked, holds 3,069 triples
+    assert _table_size(pol, 18) == 3069
     for name, check in (
         ("THM1", lambda p, pr, budget: check_estimate_agreement(FIB, p, 18, budget)),
         ("PROBLEM1", lambda p, pr, budget: check_property_satisfaction(FIB, p, pr, 18, budget)),
@@ -601,12 +694,12 @@ def test_checks_bounded_by_budget():
             match=rf"^{name}: more than 18 \(plant state, policy state, projection\) entries "
             r"over the plant words up to length 18, over the budget$",
         ):
-            check(Policy(FIB, silent.initial, silent.trans), free, 18)
-        assert check(Policy(FIB, silent.initial, silent.trans), free, 19).line() == f"{name} ok words=2045 depth=18"
-        fresh = Policy(FIB, pol.initial, pol.trans)
-        with pytest.raises(InstanceTooLarge, match=f"^{name}: the brute-force estimate table passed the budget of 5000"):
-            check(fresh, prop, 5000)
-        table = destx.estimation._estimate_table(fresh)
-        assert len(table.seen) <= 5000  # the level that passed the budget is not kept
-        assert check(fresh, prop, 16_381).ok
-        assert len(table.seen) == 16_381
+            check(silent, free, 18)
+        assert check(silent, free, 19).line() == f"{name} ok words=2045 depth=18"
+        with pytest.raises(
+            InstanceTooLarge,
+            match=rf"^{name}: the brute-force estimate table passed the budget of 3068 "
+            r"\(plant state, policy state, projection\) triples at projection length 18$",
+        ):
+            check(pol, prop, 3068)
+        assert check(pol, prop, 3069).ok
