@@ -16,7 +16,6 @@ from .errors import (
     MissingSuccessor,
     ParseError,
     PolicyIncomplete,
-    RankUndefined,
     StateBudgetExceeded,
     UndefinedEvent,
     UnknownInitial,
@@ -49,7 +48,6 @@ from .observer import (
 )
 from .properties import (
     DistinguishabilitySpec,
-    ISProperty,
     distinguishability,
     load_pairs,
 )

@@ -15,6 +15,10 @@ from .errors import ParseError, StateBudgetExceeded
 Word = tuple[str, ...]
 EPSILON: Word = ()
 
+# The one limit on a run's size: observer states, unions and range sets
+# while building estimates, and the entries and table triples of each check.
+DEFAULT_BUDGET = 100_000
+
 
 def word(text: str) -> Word:
     """Split a whitespace-separated trace into a word."""
@@ -90,15 +94,6 @@ class Plant:
             if not layer:
                 break
         return out
-
-    def _key(self):
-        return (self.states, self.alphabet, self.initial, tuple(sorted(self._trans.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, Plant) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"Plant(states={len(self.states)}, events={len(self.alphabet)}, initial={self.initial!r})"

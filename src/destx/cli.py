@@ -10,10 +10,9 @@ oracle.  Exit codes: 0 success, 2 bad input, 3 instance too large,
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
 
-from .automata import load_plant, word
+from .automata import DEFAULT_BUDGET, load_plant, word
 from .errors import (
     AlphabetTooLarge,
     DestxError,
@@ -34,20 +33,11 @@ from .properties import distinguishability, load_pairs
 from .realization import format_policy, load_policy, realize_policy
 from .synthesis import extract_min_transmit, synthesize_gstar
 
-DEFAULT_BUDGET = 100_000
 DEFAULT_DEPTH = 6
 
 
 def _resolve_budget(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("DESTX_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DestxError(f"DESTX_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+    return DEFAULT_BUDGET if flag_value is None else flag_value
 
 
 def _compact(w) -> str:
@@ -61,8 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, depth=False):
         sp.add_argument(
             "--budget", type=int, default=None,
-            help="cap on observer states or, in verify, on the entries of each check's walk and the "
-            "brute-force estimate-table triples (default: DESTX_BUDGET, else 100000)",
+            help="cap on observer states and on the set unions and range sets of each estimate step "
+            "and closure family or, "
+            "in verify, on the entries of each check's walk and the brute-force estimate-table triples "
+            f"(default: {DEFAULT_BUDGET})",
         )
         if depth:
             sp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="word-length bound")
@@ -95,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle-maxs", help="diff the closure family against its brute-force oracle")
     sp.add_argument("plant")
+    common(sp)
     return p
 
 
@@ -173,7 +166,7 @@ def cmd_oracle_maxs(args) -> int:
     sysd = build_labeled_system(plant)
     mismatches = 0
     for seed in sysd.states:
-        fast = set(closure_family(sysd, seed))
+        fast = set(closure_family(sysd, seed, args.resolved_budget))
         brute = set(closure_family_bruteforce(sysd, seed))
         if fast != brute:
             mismatches += 1

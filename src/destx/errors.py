@@ -37,10 +37,6 @@ class UnknownInitial(DestxError):
     """A pinned initial state does not survive synthesis."""
 
 
-class RankUndefined(DestxError):
-    """No ordering of the given states forms a reachability chain."""
-
-
 class MissingSuccessor(DestxError):
     """A schedule state offers no successor for a defined plant move."""
 

@@ -19,8 +19,8 @@ The checks below run over all words up to a depth.  PROP1 holds the
 tracker inside the union of the dynamic observer's estimates, which it
 tracks as one set of labeled states per observed word without building the
 observer; THM1 compares the tracker with brute force, and PROBLEM1 the
-brute-force estimate with the property.  All three share one level walk,
-`shortlex_levels`: each level holds the distinct keys that decide a word's
+brute-force estimate with the property.  All three share one check loop,
+`_first_failure` over the levels of `shortlex_levels`: each level holds the distinct keys that decide a word's
 verdict and continuations, (tracker state, estimate union) for PROP1 over
 observed words and (plant state, policy state, projection) for THM1 and
 PROBLEM1 over plant words, and each key is checked once for all its words.
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Plant, Word, explore, render_word, shortlex_levels
+from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
 from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system, unobservable_reach
 from .observer import ObserverState
-from .properties import ISProperty
+from .properties import DistinguishabilitySpec
 from .realization import Policy
 
 
@@ -89,20 +89,6 @@ class Estimator:
                 self.states.setdefault(h2)
             self._trans[(h, e)] = h2
         return self._trans[(h, e)]
-
-
-def _capped_levels(check: str, entries: str, root, successors, depth: int, budget: int):
-    """`shortlex_levels`, stopped with InstanceTooLarge once the entries of
-    all levels so far pass `budget`; the message names the check and what
-    its entries are."""
-    total = 0
-    for n, level in shortlex_levels(root, depth, successors):
-        total += len(level)
-        if total > budget:
-            raise InstanceTooLarge(
-                f"{check}: more than {budget} {entries} up to length {n}, over the budget"
-            )
-        yield n, level
 
 
 _TRIPLES = "(plant state, policy state, projection) entries over the plant words"
@@ -193,12 +179,33 @@ class CheckReport:
         )
 
 
+def _first_failure(check: str, entries: str, root, successors, depth: int, budget: int, fails) -> CheckReport:
+    """Walk `shortlex_levels` from `root` to `depth` and report on the
+    first key that `fails`, which returns (expected, got) for a failing key
+    and None otherwise.  Keys come in the order of their first words, so
+    the failing word is the shortlex-first one; `words` counts the words of
+    the keys checked before it plus that word.  Once the entries of all
+    levels so far pass `budget` the walk stops with InstanceTooLarge, whose
+    message names the check and what its entries are."""
+    total = checked = 0
+    for n, level in shortlex_levels(root, depth, successors):
+        total += len(level)
+        if total > budget:
+            raise InstanceTooLarge(f"{check}: more than {budget} {entries} up to length {n}, over the budget")
+        for key, (w, count) in level.items():
+            failure = fails(key)
+            if failure is not None:
+                return CheckReport(check, False, checked + 1, depth, w, *failure)
+            checked += count
+    return CheckReport(check, True, checked, depth)
+
+
 def _render_states(states) -> str:
     return "{" + ",".join(sorted(states)) + "}"
 
 
 def check_tracker_containment(
-    plant: Plant, policy: Policy, depth: int, budget: int = 100_000
+    plant: Plant, policy: Policy, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """Every tracker estimate stays inside what the dynamic observer allows
     for the same observation (Proposition 1): the labeled states of the
@@ -234,12 +241,8 @@ def check_tracker_containment(
     tracker holds a state outside that plant reach.
 
     Both the check and the successors of an observed word depend only on
-    its pair (tracker state, A), so the walk, `shortlex_levels`, goes level
-    by level with one entry per distinct pair, carrying the pair's
-    shortlex-first word and its number of words.  Entries come in the order
-    of their first words, so a failure names the shortlex-first failing
-    word; its `words` then counts the words of the pairs checked before plus
-    that word.  The entries of all levels together are capped by
+    its pair (tracker state, A), so the walk has one entry per distinct
+    pair, and the entries of all its levels together are capped by
     `budget`."""
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
@@ -258,25 +261,20 @@ def check_tracker_containment(
                 after[(allowed, e)] = unobservable_reach(sys, (w for b in bases for w in sys.versions_of(b)))
             yield e, (h2, after[(allowed, e)])
 
-    levels = _capped_levels(
+    def fails(key):
+        h, allowed = key
+        if h <= allowed:
+            return None
+        return "subset of " + _render_states(x.render() for x in allowed), _render_states(x.render() for x in h)
+
+    return _first_failure(
         "PROP1", "(tracker state, estimate union) entries over the observed words",
-        (est.initial, unobservable_reach(sys, sys.initials)), successors, depth, budget,
+        (est.initial, unobservable_reach(sys, sys.initials)), successors, depth, budget, fails,
     )
-    checked = 0
-    for _n, level in levels:
-        for (h, allowed), (w, count) in level.items():
-            if not h <= allowed:
-                return CheckReport(
-                    "PROP1", False, checked + 1, depth, w,
-                    expected="subset of " + _render_states(x.render() for x in allowed),
-                    got=_render_states(x.render() for x in h),
-                )
-            checked += count
-    return CheckReport("PROP1", True, checked, depth)
 
 
 def check_estimate_agreement(
-    plant: Plant, policy: Policy, depth: int, budget: int = 100_000
+    plant: Plant, policy: Policy, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """Tracker estimates equal brute-force estimates for every plant word up
     to the depth.  The brute-force side is exact: it takes the end states of
@@ -293,45 +291,36 @@ def check_estimate_agreement(
     trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
         (): (est.initial, est.initial.underlying())
     }
-    checked = 0
-    for _n, level in _capped_levels("THM1", _TRIPLES, *_triples(policy), depth, budget):
-        for (_q, _x, proj), (w, count) in level.items():
-            if proj not in trackers:
-                h = trackers[proj[:-1]][0]
-                h = est.step(h, proj[-1]) if h is not None else None
-                trackers[proj] = (h, h.underlying() if h is not None else frozenset())
-            tracker = trackers[proj][1]
-            brute = table.estimate(proj)
-            if tracker != brute:
-                return CheckReport(
-                    "THM1", False, checked + 1, depth, w,
-                    expected=_render_states(brute),
-                    got=_render_states(tracker),
-                )
-            checked += count
-    return CheckReport("THM1", True, checked, depth)
+
+    def fails(key):
+        proj = key[2]
+        if proj not in trackers:
+            h = trackers[proj[:-1]][0]
+            h = est.step(h, proj[-1]) if h is not None else None
+            trackers[proj] = (h, h.underlying() if h is not None else frozenset())
+        tracker = trackers[proj][1]
+        brute = table.estimate(proj)
+        return None if tracker == brute else (_render_states(brute), _render_states(tracker))
+
+    return _first_failure("THM1", _TRIPLES, *_triples(policy), depth, budget, fails)
 
 
 def check_property_satisfaction(
-    plant: Plant, policy: Policy, prop: ISProperty, depth: int, budget: int = 100_000
+    plant: Plant, policy: Policy, prop: DistinguishabilitySpec, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
     up to the depth, with the same exact brute-force estimate, budget and
     capped walk over distinct triples as THM1.  It reads only its own
     estimate table, so it builds no tracker."""
     table = _EstimateTable(policy, budget, "PROBLEM1")
-    checked = 0
-    for _n, level in _capped_levels("PROBLEM1", _TRIPLES, *_triples(policy), depth, budget):
-        for (_q, _x, proj), (w, count) in level.items():
-            estimate = table.estimate(proj)
-            if not prop.holds(estimate):
-                return CheckReport(
-                    "PROBLEM1", False, checked + 1, depth, w,
-                    expected="estimate satisfying the property",
-                    got=_render_states(estimate) + " (" + prop.describe(estimate) + ")",
-                )
-            checked += count
-    return CheckReport("PROBLEM1", True, checked, depth)
+
+    def fails(key):
+        estimate = table.estimate(key[2])
+        if prop.holds(estimate):
+            return None
+        return "estimate satisfying the property", _render_states(estimate) + " (" + prop.describe(estimate) + ")"
+
+    return _first_failure("PROBLEM1", _TRIPLES, *_triples(policy), depth, budget, fails)
 
 
 class TraceSession:

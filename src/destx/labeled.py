@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .automata import Plant, explore
 from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
-from .properties import ISProperty
+from .properties import DistinguishabilitySpec
 
 Y = "Y"
 N = "N"
@@ -102,7 +102,7 @@ class LabeledSystem:
       observer step has followed.
     """
 
-    def __init__(self, plant: Plant, states: Sequence[LabeledState], prop: ISProperty | None = None):
+    def __init__(self, plant: Plant, states: Sequence[LabeledState], prop: DistinguishabilitySpec | None = None):
         self.plant = plant
         self.prop = prop
         self.states = tuple(sorted(states, key=LabeledState.sort_key))
@@ -145,7 +145,7 @@ class LabeledSystem:
         return f"LabeledSystem({len(self.states)} states over {self.plant!r})"
 
 
-def build_labeled_system(plant: Plant, prop: ISProperty | None = None) -> LabeledSystem:
+def build_labeled_system(plant: Plant, prop: DistinguishabilitySpec | None = None) -> LabeledSystem:
     """Expand a plant into its decision-labeled system, whose estimates all
     hold `prop` when one is given.
 

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .automata import explore
+from .automata import DEFAULT_BUDGET, explore
 from .errors import InstanceTooLarge, StateBudgetExceeded
 from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
-
-_FAMILY_LIMIT = 500_000
 
 
 class ObserverState(frozenset):
@@ -71,7 +69,7 @@ def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
     return True
 
 
-def _union_choices(parts, keep, start: frozenset = frozenset()) -> set[frozenset]:
+def _union_choices(parts, keep, budget: int, start: frozenset = frozenset()) -> set[frozenset]:
     """Distinct unions of `start` with one option from every part, the
     partial unions filtered by `keep`.
 
@@ -79,23 +77,21 @@ def _union_choices(parts, keep, start: frozenset = frozenset()) -> set[frozenset
     keeping what `keep` accepts, when `keep` rejects every superset of a set
     it rejects; deduplicating and filtering after every part keeps the
     working set at the number of distinct accepted unions instead of the
-    raw product size.  More than `_FAMILY_LIMIT` unions in one call stop it
-    with StateBudgetExceeded.
+    raw product size.  More than `budget` unions in one call stop it with
+    StateBudgetExceeded.
     """
     acc: set[frozenset] = {start}
     work = 0
     for options in parts:
         opts = set(options)
         work += len(acc) * len(opts)
-        if work > _FAMILY_LIMIT:
-            raise StateBudgetExceeded(
-                f"estimate unions exceeded {_FAMILY_LIMIT} set unions while combining ranges"
-            )
+        if work > budget:
+            raise StateBudgetExceeded(f"estimate unions exceeded {budget} set unions while combining ranges")
         acc = set(filter(keep, {a | o for a in acc for o in opts}))
     return acc
 
 
-def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[frozenset[LabeledState]]]:
+def _cover_families(sys: LabeledSystem, seeds, budget: int) -> dict[LabeledState, frozenset[frozenset[LabeledState]]]:
     """Least fixpoint of the run-tree range families.
 
     fam[v] collects every set of labeled states that is the range of some
@@ -106,7 +102,9 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
     state whose own plant state violates it roots none: every range of a
     tree holds its subtrees' ranges, so a range that holds is built from
     kept ranges only.  Results are memoized on the system since fam[v] only
-    depends on the suppressed-reach universe of v and the property.
+    depends on the suppressed-reach universe of v and the property.  More
+    than `budget` ranges over the universe, or unions in one step, stop it
+    with StateBudgetExceeded.
     """
     universe = unobservable_reach(sys, seeds)
     pending = [v for v in universe if v not in sys._cover_cache]
@@ -116,11 +114,13 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
     fam: dict[LabeledState, set[frozenset[LabeledState]]] = {
         v: set(sys._cover_cache.get(v, ())) for v in universe
     }
+    # a fixed order makes the budget stop on the same cap in every process
+    order = sorted(universe, key=LabeledState.sort_key)
     changed = True
     while changed:
         changed = False
         total = 0
-        for v in universe:
+        for v in order:
             if v in sys._cover_cache or not sys.admits((v,)):
                 total += len(fam[v])
                 continue
@@ -132,15 +132,13 @@ def _cover_families(sys: LabeledSystem, seeds) -> dict[LabeledState, frozenset[f
                 for w in opts:
                     ways.update(fam[w])
                 per_event.append(ways)
-            for rng in _union_choices(per_event, sys.admits, frozenset({v})):
+            for rng in _union_choices(per_event, sys.admits, budget, frozenset({v})):
                 if rng not in fam[v]:
                     fam[v].add(rng)
                     changed = True
             total += len(fam[v])
-            if total > _FAMILY_LIMIT:
-                raise StateBudgetExceeded(
-                    f"estimate family exceeded {_FAMILY_LIMIT} sets while closing"
-                )
+            if total > budget:
+                raise StateBudgetExceeded(f"estimate family exceeded {budget} sets while closing")
     for v in universe:
         if v not in sys._cover_cache:
             sys._cover_cache[v] = frozenset(fam[v])
@@ -151,13 +149,13 @@ def _sorted_estimates(ranges) -> tuple[ObserverState, ...]:
     return tuple(sorted(map(ObserverState, ranges), key=ObserverState.sort_key))
 
 
-def closure_family(sys: LabeledSystem, seed: LabeledState) -> tuple[ObserverState, ...]:
+def closure_family(sys: LabeledSystem, seed: LabeledState, budget: int = DEFAULT_BUDGET) -> tuple[ObserverState, ...]:
     """All admissible closed estimates grown from a single seed state."""
-    fam = _cover_families(sys, (seed,))
+    fam = _cover_families(sys, (seed,), budget)
     return _sorted_estimates(rng for rng in fam[seed] if reach_closed(sys, rng))
 
 
-def _estimates_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[ObserverState, ...]:
+def _estimates_over(sys: LabeledSystem, bases: frozenset[str], budget: int) -> tuple[ObserverState, ...]:
     """All admissible estimates over the plant states `bases`, the
     observer's initial estimates when `bases` is {initial}: the reach-closed
     unions of one run-tree range per plant state, rooted at any of its
@@ -166,22 +164,24 @@ def _estimates_over(sys: LabeledSystem, bases: frozenset[str]) -> tuple[Observer
     are rooted at, so one union over the pooled families of each state's
     versions covers every core.  Unions that violate the system's property
     are dropped as they form.  Memoized on the system: the result depends
-    on nothing else."""
+    on nothing else, and `budget` only decides whether it is built."""
     hit = sys._step_cache.get(bases)
     if hit is None:
         pools = [sys.versions_of(b) for b in sorted(bases)]
-        fam = _cover_families(sys, [v for pool in pools for v in pool])
+        fam = _cover_families(sys, [v for pool in pools for v in pool], budget)
         pooled = ({rng for v in pool for rng in fam[v]} for pool in pools)
-        ranges = _union_choices(pooled, sys.admits) if pools else ()
+        ranges = _union_choices(pooled, sys.admits, budget) if pools else ()
         hit = sys._step_cache[bases] = _sorted_estimates(rng for rng in ranges if reach_closed(sys, rng))
     return hit
 
 
-def observer_step(sys: LabeledSystem, z: ObserverState, e: str) -> tuple[ObserverState, ...]:
+def observer_step(
+    sys: LabeledSystem, z: ObserverState, e: str, budget: int = DEFAULT_BUDGET
+) -> tuple[ObserverState, ...]:
     """All admissible estimates after `z` transmits `e`: those over the plant
     states its members that transmit `e` move to.  A member labels exactly
     its defined events, so each of those moves is defined."""
-    return _estimates_over(sys, frozenset(sys.plant.step(v.base, e) for v in z if v._map.get(e) == Y))
+    return _estimates_over(sys, frozenset(sys.plant.step(v.base, e) for v in z if v._map.get(e) == Y), budget)
 
 
 class DynamicObserver:
@@ -218,11 +218,14 @@ class DynamicObserver:
         return f"DynamicObserver({len(self.states)} states, {self.transition_count} transitions)"
 
 
-def build_observer(sys: LabeledSystem, state_budget: int = 100_000) -> DynamicObserver:
+def build_observer(sys: LabeledSystem, state_budget: int = DEFAULT_BUDGET) -> DynamicObserver:
     """Explore every admissible estimate reachable from the initial ones,
-    the estimates over the initial plant state."""
-    initials = _estimates_over(sys, frozenset({sys.plant.initial}))
-    states, trans = explore(initials, sys.plant.alphabet, lambda z, e: observer_step(sys, z, e), state_budget)
+    the estimates over the initial plant state.  `state_budget` caps the
+    observer states, and the unions and range sets of each estimate step."""
+    initials = _estimates_over(sys, frozenset({sys.plant.initial}), state_budget)
+    states, trans = explore(
+        initials, sys.plant.alphabet, lambda z, e: observer_step(sys, z, e, state_budget), state_budget
+    )
     return DynamicObserver(sys, states, initials, trans)
 
 

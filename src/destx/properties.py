@@ -1,15 +1,15 @@
-"""Information-state properties over receiver estimates.
+"""The information-state property over receiver estimates.
 
-A property maps a set of plant states (the underlying content of an
-estimate) to true or false.  The one shipped here is pairwise
-distinguishability: an estimate fails as soon as it contains both states of
-a forbidden pair, i.e. the receiver can no longer tell them apart.
+The property maps a set of plant states (the underlying content of an
+estimate) to true or false.  It is pairwise distinguishability: an estimate
+fails as soon as it contains both states of a forbidden pair, i.e. the
+receiver can no longer tell them apart.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .automata import Plant, read_input
 from .errors import ParseError, UnknownState
@@ -43,39 +43,24 @@ class DistinguishabilitySpec:
             pairs.append((parts[1], parts[2]))
         return DistinguishabilitySpec.of(pairs)
 
-
-@dataclass(frozen=True)
-class ISProperty:
-    """Predicate on sets of plant states, with a violation explainer."""
-
-    name: str
-    holds: Callable[[frozenset[str]], bool]
-    explain: Callable[[frozenset[str]], str] = field(default=lambda s: "violated")
+    def holds(self, content: frozenset[str]) -> bool:
+        """Whether the set of plant states `content` merges no pair."""
+        return not any(a in content and b in content for a, b in self.pairs)
 
     def describe(self, content: frozenset[str]) -> str:
-        if self.holds(content):
-            return "ok"
-        return self.explain(content)
+        """Which pairs a violating `content` merges."""
+        bad = sorted((a, b) for a, b in self.pairs if a in content and b in content)
+        culprits = " ".join(f"{a}~{b}" for a, b in bad)
+        return f"estimate {{{','.join(sorted(content))}}} merges {culprits}"
 
 
-def distinguishability(spec: DistinguishabilitySpec, plant: Plant) -> ISProperty:
-    """Build the estimate predicate for a pair specification."""
+def distinguishability(spec: DistinguishabilitySpec, plant: Plant) -> DistinguishabilitySpec:
+    """The spec itself, once every state it names is a state of `plant`."""
     for a, b in spec.pairs:
         for q in (a, b):
             if q not in plant.states:
                 raise UnknownState(f"pair mentions unknown state {q!r}")
-    pairs = spec.pairs
-
-    def holds(content: frozenset[str]) -> bool:
-        return not any(a in content and b in content for a, b in pairs)
-
-    def explain(content: frozenset[str]) -> str:
-        bad = sorted((a, b) for a, b in pairs if a in content and b in content)
-        inside = ",".join(sorted(content))
-        culprits = " ".join(f"{a}~{b}" for a, b in bad)
-        return f"estimate {{{inside}}} merges {culprits}"
-
-    return ISProperty("distinguishability", holds, explain)
+    return spec
 
 
 def load_pairs(path) -> DistinguishabilitySpec:

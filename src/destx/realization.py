@@ -15,7 +15,6 @@ from .errors import (
     MissingSuccessor,
     ParseError,
     PolicyIncomplete,
-    RankUndefined,
     WordNotInPlant,
 )
 from .labeled import N, Y, LabeledState, LabeledSystem, parse_labeled, unobservable_reach
@@ -72,44 +71,25 @@ class Policy:
             x = self.step(x, e)
         return tuple(out)
 
-    def _key(self):
-        return (self.plant, self.initial, tuple(sorted(self.trans.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))))
-
-    def __eq__(self, other):
-        return isinstance(other, Policy) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return f"Policy(initial={self.initial.render()}, states={len(self.states)})"
 
 
 def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, ...]:
-    """Order a set of labeled states into a suppressed-reachability chain.
+    """Order labeled states by how many of the set lie in each one's
+    unobservable reach, most first, then by `sort_key`.
 
-    Each element must lie in the unobservable reach of its predecessor.  Of
-    the qualifying orders the canonically smallest is returned.
-
+    This is the canonically smallest suppressed-reachability chain, each
+    element in the reach of its predecessor, whenever the set has one.
     Suppressed reach is transitive, so in a chain every element reaches all
     later ones: a chain exists exactly when every two elements are
     comparable, and an element then reaches at least as many of the set as
-    any later one, strictly more unless the two reach each other.  Sorting
-    by that count, largest first, then by `sort_key` is therefore the
-    smallest chain whenever there is one.
+    any later one, strictly more unless the two reach each other.  A set
+    without a chain is ordered all the same.
     """
     elems = set(d)
-    if not elems:
-        raise RankUndefined("cannot rank an empty set")
     reach = {v: unobservable_reach(sys, (v,)) for v in elems}
-    chain = sorted(elems, key=lambda v: (-len(reach[v] & elems), v.sort_key()))
-    if all(b in reach[a] for a, b in zip(chain, chain[1:])):
-        return tuple(chain)
-    raise RankUndefined(
-        "no chain order exists for {"
-        + ",".join(x.render() for x in sorted(elems, key=LabeledState.sort_key))
-        + "}"
-    )
+    return tuple(sorted(elems, key=lambda v: (-len(reach[v] & elems), v.sort_key())))
 
 
 def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
@@ -117,9 +97,9 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
 
     Depth-first from the initial state; the active schedule state advances
     only on transmitted events.  When several members of the target estimate
-    are versions of the same plant successor, the chain order decides, and
+    are versions of the same plant successor, the `rank` order decides, and
     an element already used as some target is skipped so repeated visits
-    spread along the chain.
+    spread along that order.
     """
     z0 = sched.initial
     roots = [v for v in z0 if v.base == sys.plant.initial]

@@ -30,7 +30,7 @@ from .automata import explore
 from .errors import Infeasible, UnknownInitial
 from .labeled import N, Y, LabeledSystem
 from .observer import DynamicObserver, ObserverState
-from .properties import ISProperty
+from .properties import DistinguishabilitySpec
 
 
 def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
@@ -43,7 +43,7 @@ def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
     return DynamicObserver(obs.sys, states, initials, trans)
 
 
-def prune_violating(obs: DynamicObserver, prop: ISProperty) -> DynamicObserver:
+def prune_violating(obs: DynamicObserver, prop: DistinguishabilitySpec) -> DynamicObserver:
     """Drop estimate states that violate the property, re-trim to reachable."""
     return _restrict_reachable(obs, {z for z in obs.states if prop.holds(z.underlying())})
 
@@ -86,7 +86,7 @@ def consistency_fixpoint(full: DynamicObserver, g0: DynamicObserver) -> DynamicO
         keep -= bad
 
 
-def synthesize_gstar(obs: DynamicObserver, prop: ISProperty) -> DynamicObserver:
+def synthesize_gstar(obs: DynamicObserver, prop: DistinguishabilitySpec) -> DynamicObserver:
     return consistency_fixpoint(obs, prune_violating(obs, prop))
 
 

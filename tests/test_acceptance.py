@@ -198,5 +198,5 @@ def test_criterion_7_determinism_and_round_trip(tmp_path, plant):
         assert second.returncode == first.returncode
     policy = parse_policy(out_a.read_text(), plant)
     assert format_policy(policy) == out_a.read_text()
-    assert parse_policy(format_policy(policy), plant) == policy
+    assert format_policy(parse_policy(format_policy(policy), plant)) == format_policy(policy)
     _ok(7, "CLI output is byte-stable and policy files round-trip", t0)

@@ -151,13 +151,14 @@ def test_oracle_maxs_has_no_depth():
     p = run("oracle-maxs", "--help")
     assert p.returncode == 0
     assert "--depth" not in p.stdout
+    assert "--budget" in p.stdout
 
 
 def _lossy(real):
     """`real` with the first estimate of seed q0NNY dropped."""
 
-    def lossy(sysd, seed):
-        fam = real(sysd, seed)
+    def lossy(sysd, seed, *budget):
+        fam = real(sysd, seed, *budget)
         return fam[1:] if seed.render() == "q0NNY" else fam
 
     return lossy
@@ -360,24 +361,41 @@ RING_3_2 = (
 
 
 def test_estimate_unions_bounded(tmp_path):
-    # one step of this plant unions run-tree ranges for minutes; the fixed
-    # cap on unions per step stops every command that builds every
+    # one step of this plant unions run-tree ranges for minutes; the budget
+    # caps the unions per step, so it stops every command that builds every
     # estimate, and synthesize with no pairs prunes none
     plant = tmp_path / "dense3.des"
     plant.write_text(DENSE3)
     spec = tmp_path / "dense3.pairs"
     spec.write_text("")
     out = tmp_path / "dense3.policy"
-    for args in (
-        ("build-observer", str(plant), "--budget", "300"),
-        ("synthesize", str(plant), str(spec), str(out)),
-        ("oracle-maxs", str(plant)),
+    for args, budget in (
+        (("build-observer", str(plant), "--budget", "300"), 300),
+        (("synthesize", str(plant), str(spec), str(out)), 100000),
+        (("oracle-maxs", str(plant)), 100000),
+        (("oracle-maxs", str(plant), "--budget", "300"), 300),
     ):
         p = run(*args, timeout=10)
         assert p.returncode == 3, args
         assert p.stdout == ""
-        assert p.stderr == "error: estimate unions exceeded 500000 set unions while combining ranges\n"
+        assert p.stderr == f"error: estimate unions exceeded {budget} set unions while combining ranges\n"
     assert not out.exists()
+
+
+def test_budget_caps_estimate_families():
+    # the running example's observer has 101 states, but closing its
+    # initial range families takes more than 150 sets
+    p = run("build-observer", PLANT, "--budget", "150")
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == "error: estimate family exceeded 150 sets while closing\n"
+    p = run("build-observer", PLANT, "--budget", "200")
+    assert p.returncode == 0
+    assert p.stdout == "states 101\ninitials 60\ntransitions 665\n"
+    p = run("oracle-maxs", PLANT, "--budget", "10")
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == "error: estimate family exceeded 10 sets while closing\n"
 
 
 @pytest.mark.parametrize("des", [DENSE3, RING_3_2], ids=["dense3", "ring(3,2)"])
@@ -409,16 +427,6 @@ def test_budget_flag():
     p = run("build-observer", PLANT, "--budget", "10")
     assert p.returncode == 3
     p = run("build-observer", PLANT, "--budget", "0")
-    assert p.returncode == 2
-
-
-def test_budget_env():
-    p = run("build-observer", PLANT, env={"DESTX_BUDGET": "10"})
-    assert p.returncode == 3
-    # the flag wins over the environment
-    p = run("build-observer", PLANT, "--budget", "100000", env={"DESTX_BUDGET": "10"})
-    assert p.returncode == 0
-    p = run("build-observer", PLANT, env={"DESTX_BUDGET": "lots"})
     assert p.returncode == 2
 
 

@@ -23,6 +23,7 @@ from destx import (
     reach_closed,
     unobservable_reach,
 )
+from destx.automata import DEFAULT_BUDGET
 from destx.labeled import N
 from destx.observer import ObserverState, _cover_families, _union_choices
 from randgen import random_plant
@@ -452,8 +453,9 @@ def _estimates_over_per_core(sys, bases):
     out = set()
     cores = itertools.product(*(sys.versions_of(b) for b in sorted(bases))) if bases else ()
     for core in cores:
-        fam = _cover_families(sys, core)
-        out.update(rng for rng in _union_choices((fam[v] for v in core), sys.admits) if reach_closed(sys, rng))
+        fam = _cover_families(sys, core, DEFAULT_BUDGET)
+        ranges = _union_choices((fam[v] for v in core), sys.admits, DEFAULT_BUDGET)
+        out.update(rng for rng in ranges if reach_closed(sys, rng))
     return tuple(sorted(map(ObserverState, out), key=ObserverState.sort_key))
 
 
