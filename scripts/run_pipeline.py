@@ -28,7 +28,6 @@ from destx import (
     load_plant,
     prune_violating,
     realize_policy,
-    transmitted_count,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -79,7 +78,7 @@ def main() -> int:
             return 1
 
     total = sum(
-        transmitted_count(policy, s) for s in plant.words_upto(args.depth)
+        len(policy.projection(s)) for s in plant.words_upto(args.depth)
     )
     full = sum(len(s) for s in plant.words_upto(args.depth))
     print(f"transmissions over words to depth {args.depth}: {total} of {full}")

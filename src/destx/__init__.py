@@ -58,7 +58,6 @@ from .realization import (
     parse_policy,
     rank,
     realize_policy,
-    transmitted_count,
 )
 from .synthesis import (
     DeterministicSchedule,

@@ -77,6 +77,11 @@ class Plant:
     def defined_events(self, q: str) -> frozenset[str]:
         return self._defined[q]
 
+    def reach(self, states: Iterable[str]) -> frozenset[str]:
+        """The states reachable from `states` by any events, those included."""
+        trans = self._trans
+        return frozenset(explore(states, self.alphabet, lambda q, e: (trans[(q, e)],) if (q, e) in trans else ())[0])
+
     def words_upto(self, depth: int) -> list[Word]:
         """All generated words of length at most `depth`, canonically ordered.
 

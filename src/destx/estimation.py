@@ -16,20 +16,21 @@ Two independent routes to the receiver's estimate:
   steps that keep the projection.
 
 The checks below run over all words up to a depth.  PROP1 holds the
-tracker inside the union of the dynamic observer's estimates, which it
-tracks as one set of labeled states per observed word without building the
-observer; THM1 compares the tracker with brute force, and PROBLEM1 the
-brute-force estimate with the property.  All three share one check loop,
-`_first_failure` over the levels of `shortlex_levels`: each level holds the distinct keys that decide a word's
-verdict and continuations, (tracker state, estimate union) for PROP1 over
-observed words and (plant state, policy state, projection) for THM1 and
-PROBLEM1 over plant words, and each key is checked once for all its words.
-They are bounded substitutes for the universal statements, not proofs.
-One budget caps the entries of each walk, summed over its levels, and the
-triples of the brute-force table.  An entry stands for at least one word,
-so no depth whose words fit the budget is refused.  The tracker needs no
-cap of its own: PROP1 steps it at most once per event of an entry, THM1
-once per new projection and a replay once per event.
+tracker inside the union of the dynamic observer's estimates, which is
+every version of a set of plant states that it tracks per observed word
+without building the observer; THM1 compares the tracker with brute force,
+and PROBLEM1 the brute-force estimate with the property.  All three share
+one check loop, `_first_failure` over the levels of `shortlex_levels`:
+each level holds the distinct keys that decide a word's verdict and
+continuations, (tracker state, plant states) for PROP1 over observed words
+and (plant state, policy state, projection) for THM1 and PROBLEM1 over
+plant words, and each key is checked once for all its words.  They are
+bounded substitutes for the universal statements, not proofs.  One budget
+caps the entries of each walk, summed over its levels, and the triples of
+the brute-force table.  An entry stands for at least one word, so no depth
+whose words fit the budget is refused.  The tracker needs no cap of its
+own: PROP1 steps it at most once per event of an entry, THM1 once per new
+projection and a replay once per event.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
 from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent
-from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system, unobservable_reach
+from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system
 from .observer import ObserverState
 from .properties import DistinguishabilitySpec
 from .realization import Policy
@@ -212,8 +213,12 @@ def check_tracker_containment(
     tracker state must be covered by the union A of the observer estimates
     reachable on that observed word.
 
-    A is tracked directly, without the observer.  With R the suppressed
-    reach (`unobservable_reach`) and T(A, e) the plant states
+    A is every version of a set S of plant states, tracked without the
+    observer: with reach(B) the plant states reachable from B by any events
+    (`Plant.reach`), S is reach({initial}) on the empty word and
+    reach({step(q, e) : q in S, e defined at q}) after e.  So the check is
+    that the tracker's plant states lie in S.  With R the suppressed reach
+    (`unobservable_reach`) and T(A, e) the plant states
     {step(v.base, e) : v in A, v transmits e}, A is R(initial versions) on
     the empty word and R(versions of T(A, e)) after e.  This is the union
     because an observer step from the estimates Z on e yields the admissible
@@ -235,41 +240,42 @@ def check_tracker_containment(
       core; the union of the reach-closed ranges is reach closed, so it is
       an admissible estimate over that core, and it holds w.
 
-    Every seed set holds all versions of its plant states and suppressed
-    moves land on all versions, so A is every version of the plant states
-    reachable, by any events, from T(A, e): PROP1 fails only when the
-    tracker holds a state outside that plant reach.
+    R(versions of B) is every version of reach(B): the version of a state
+    that suppresses every event follows all its moves, and suppressed moves
+    land on all versions.  Some version of each state of S transmits each
+    of its events, so T(A, e) is the step set above.  PROP1 can fail only
+    on a wrong tracker: `Policy` makes every move follow the plant, so the
+    plant state of each tracker member lies in S.
 
-    Both the check and the successors of an observed word depend only on
-    its pair (tracker state, A), so the walk has one entry per distinct
-    pair, and the entries of all its levels together are capped by
-    `budget`."""
+    The check and the successors of an observed word depend only on its
+    pair (tracker state, S), which determines (tracker state, A) and back,
+    so the walk has one entry per distinct pair, and the entries of all its
+    levels together are capped by `budget`."""
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
     events = sorted(plant.alphabet)
-    after: dict[tuple[frozenset[LabeledState], str], frozenset[LabeledState]] = {}
+    after: dict[tuple[frozenset[str], str], frozenset[str]] = {}
 
     def successors(key):
-        h, allowed = key
+        h, reach = key
         for e in events:
             h2 = est.step(h, e)
             if h2 is None:
                 continue
-            if (allowed, e) not in after:
-                # a member labels only its defined events, so a transmitted e steps
-                bases = {plant.step(v.base, e) for v in allowed if v._map.get(e) == Y}
-                after[(allowed, e)] = unobservable_reach(sys, (w for b in bases for w in sys.versions_of(b)))
-            yield e, (h2, after[(allowed, e)])
+            if (reach, e) not in after:
+                after[(reach, e)] = plant.reach({plant.step(q, e) for q in reach if e in plant.defined_events(q)})
+            yield e, (h2, after[(reach, e)])
 
     def fails(key):
-        h, allowed = key
-        if h <= allowed:
+        h, reach = key
+        if h.underlying() <= reach:
             return None
-        return "subset of " + _render_states(x.render() for x in allowed), _render_states(x.render() for x in h)
+        allowed = (v.render() for q in reach for v in sys.versions_of(q))
+        return "subset of " + _render_states(allowed), _render_states(x.render() for x in h)
 
     return _first_failure(
         "PROP1", "(tracker state, estimate union) entries over the observed words",
-        (est.initial, unobservable_reach(sys, sys.initials)), successors, depth, budget, fails,
+        (est.initial, plant.reach((plant.initial,))), successors, depth, budget, fails,
     )
 
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Plant, explore
+from .automata import Plant
 from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
 from .properties import DistinguishabilitySpec
 
@@ -89,10 +89,8 @@ class LabeledSystem:
     code then drops every range, union and estimate that violates it
     (`admits`).  That is what `synthesize` builds.
 
-    Immutable after construction apart from three memo tables:
+    Immutable after construction apart from two memo tables:
 
-    * `_reach_cache`, keyed on a labeled state: its suppressed reach, of
-      which `unobservable_reach` unions one per seed;
     * `_cover_cache`, keyed on a labeled state: its family of run-tree
       ranges that hold the property (`_cover_families`);
     * `_step_cache`, keyed on a frozenset of plant state names: the sorted
@@ -111,7 +109,6 @@ class LabeledSystem:
             self._versions.setdefault(ls.base, ())
             self._versions[ls.base] += (ls,)
         self.initials = self._versions[plant.initial]
-        self._reach_cache: dict = {}
         self._cover_cache: dict = {}
         self._step_cache: dict = {}
 
@@ -168,20 +165,11 @@ def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> fro
     """States reachable from any of `seeds` along suppressed steps only,
     landing on any decision version, the seeds included.
 
-    The union of the seeds' own reaches.  Each of those is the part of the
-    labeled system that `explore` reaches from the seed when a state steps
-    only on the events it suppresses; it is walked once and cached on the
-    system.
+    A suppressed step lands on every version of its target, one of which
+    suppresses every event.  So past the seeds the reach is every version
+    of the plant states that the seeds' suppressed targets reach by any
+    events: one walk over plant states.
     """
-
-    def suppressed(v: LabeledState, e: str) -> tuple[LabeledState, ...]:
-        return sys.successors(v, e) if v._map.get(e) == N else ()
-
-    out: frozenset[LabeledState] = frozenset()
-    for seed in seeds:
-        reach = sys._reach_cache.get(seed)
-        if reach is None:
-            states, _ = explore((seed,), sys.plant.alphabet, suppressed)
-            reach = sys._reach_cache[seed] = frozenset(states)
-        out |= reach
-    return out
+    seeds = frozenset(seeds)
+    targets = {sys.plant.step(v.base, e) for v in seeds for e, lab in v.bits if lab == N}
+    return seeds.union(*(sys.versions_of(q) for q in sys.plant.reach(targets)))

@@ -105,7 +105,7 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
     roots = [v for v in z0 if v.base == sys.plant.initial]
     if not roots:
         raise MissingSuccessor(f"schedule initial {z0.render()} has no plant-initial member")
-    x0 = roots[0] if len(roots) == 1 else rank(sys, roots)[0]
+    x0 = rank(sys, roots)[0]
 
     trans: dict[tuple[LabeledState, str], LabeledState] = {}
     visited = {x0}
@@ -129,11 +129,8 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
             raise MissingSuccessor(
                 f"no version of the plant successor of ({x.render()}, {e}) lies in {z2.render()}"
             )
-        if len(d) == 1:
-            tgt = d[0]
-        else:
-            chain = rank(sys, d)
-            tgt = next((c for c in chain if c not in visited), chain[0])
+        chain = rank(sys, d)
+        tgt = next((c for c in chain if c not in visited), chain[0])
         trans[(x, e)] = tgt
         if tgt not in visited:
             visited.add(tgt)
@@ -204,7 +201,3 @@ def parse_policy(text: str, plant: Plant) -> Policy:
 
 def load_policy(path: str, plant: Plant) -> Policy:
     return parse_policy(read_input(path), plant)
-
-
-def transmitted_count(policy: Policy, s: Iterable[str]) -> int:
-    return len(policy.projection(s))

@@ -21,7 +21,6 @@ from destx import (
     observer_step,
     parse_labeled,
     parse_policy,
-    transmitted_count,
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
@@ -165,9 +164,9 @@ def test_criterion_6_end_to_end_satisfaction(plant, prop, default_policy):
     baseline = uniform_policy(plant, Y)
     strict = 0
     for s in plant.words_upto(6):
-        sent = transmitted_count(default_policy, s)
+        sent = len(default_policy.projection(s))
         assert sent <= len(s)
-        assert transmitted_count(baseline, s) == len(s)
+        assert len(baseline.projection(s)) == len(s)
         if sent < len(s):
             strict += 1
     assert strict > 0

@@ -1,11 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from destx import cli
+from destx import cli, format_policy
 from destx_child import run
+from randgen import random_plant, random_policy, random_policy_with_memory, transitions
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PLANT = str(DATA / "running_example.des")
@@ -350,6 +354,34 @@ def test_verify_prop1_bounded_by_budget():
     )
 
 
+def test_many_events_per_state(tmp_path):
+    # two states that swap on each of 8 events, 256 versions each: PROP1
+    # and the suppressed reach walk the 2 plant states, not their versions
+    events = [f"e{i}" for i in range(8)]
+    moves = sorted((q, e, q2) for e in events for q, q2 in (("s", "t"), ("t", "s")))
+    plant = tmp_path / "swap.des"
+    plant.write_text(
+        f"alphabet {' '.join(events)}\nstates s t\ninitial s\n" + "".join(f"trans {q} {e} {q2}\n" for q, e, q2 in moves)
+    )
+    spec = tmp_path / "swap.pairs"
+    spec.write_text("pair s t\n")
+    ys = "Y" * 8
+    policy = tmp_path / "all.policy"
+    policy.write_text(
+        f"initial s{ys}\n"
+        + "".join(f"label {q}{ys} {e} Y\n" for q in "st" for e in events)
+        + "".join(f"trans {q}{ys} {e} {q2}{ys}\n" for q, e, q2 in moves)
+    )
+    p = run("verify", str(plant), str(policy), str(spec), "--depth", "2", timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "".join(f"{check} ok words=73 depth=2\n" for check in ("PROP1", "THM1", "PROBLEM1"))
+    out = tmp_path / "out.policy"
+    p = run("synthesize", str(plant), str(spec), str(out), timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == f"feasible\nroot (s{ys})\npolicy-states 2\npolicy {out}\n"
+    assert out.read_text() == policy.read_text()
+
+
 DENSE3 = (
     "alphabet a b\nstates q0 q1 q2\ninitial q0\n"
     "trans q0 a q1\ntrans q0 b q2\ntrans q1 a q0\ntrans q1 b q2\ntrans q2 a q2\ntrans q2 b q1\n"
@@ -466,3 +498,63 @@ def test_repeated_runs_identical(tmp_path):
         a, b = run(*args), run(*args)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode
+
+
+def _plant_text(plant) -> str:
+    return (
+        f"alphabet {' '.join(sorted(plant.alphabet))}\nstates {' '.join(sorted(plant.states))}\n"
+        f"initial {plant.initial}\n" + "".join(f"trans {q} {e} {q2}\n" for q, e, q2 in transitions(plant))
+    )
+
+
+def _fuzz_inputs(data) -> dict[str, bytes]:
+    """Plant, pairs and policy files: a random plant with random pairs and
+    a memoryless or memory policy, any of them possibly replaced by or
+    spliced with random bytes, UTF-8 or not."""
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    plant = random_plant(rng)
+    states = sorted(plant.states)
+    pairs = [rng.sample(states, 2) for _ in range(rng.randint(0, 2))]
+    policy = (random_policy if rng.random() < 0.5 else random_policy_with_memory)(rng, plant)
+    files = {
+        "plant": _plant_text(plant).encode(),
+        "pairs": "".join(f"pair {a} {b}\n" for a, b in pairs).encode(),
+        "policy": format_policy(policy).encode(),
+    }
+    for kind in files:
+        how = data.draw(st.sampled_from(["keep", "keep", "keep", "replace", "splice"]), label=kind)
+        noise = data.draw(st.binary(max_size=40), label=f"{kind} bytes")
+        if how == "replace":
+            files[kind] = noise
+        elif how == "splice":
+            at = data.draw(st.integers(0, len(files[kind])), label=f"{kind} offset")
+            files[kind] = files[kind][:at] + noise + files[kind][at:]
+    return files
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.data())
+def test_cli_fuzz(data):
+    # every input either succeeds or ends with a documented exit code, never
+    # with a traceback or a run without bound
+    command = data.draw(st.sampled_from(["build-observer", "synthesize", "verify", "simulate", "oracle-maxs"]))
+    files = _fuzz_inputs(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: str(Path(tmp) / kind) for kind in (*files, "out")}
+        for kind, content in files.items():
+            Path(paths[kind]).write_bytes(content)
+        args = {
+            "build-observer": [paths["plant"]],
+            "synthesize": [paths["plant"], paths["pairs"], paths["out"]],
+            "verify": [paths["plant"], paths["policy"], paths["pairs"], "--depth", str(data.draw(st.integers(0, 8)))],
+            "simulate": [paths["plant"], paths["policy"]],
+            "oracle-maxs": [paths["plant"]],
+        }[command]
+        if command == "simulate":
+            trace = data.draw(st.lists(st.sampled_from(["a", "b", "c", "z"]), max_size=6))
+            args += ["--trace", " ".join(trace)]
+        elif data.draw(st.booleans()):
+            args += ["--budget", str(data.draw(st.integers(1, 2000)))]
+        p = run(command, *args, timeout=10)
+    assert p.returncode in (0, 2, 3, 4, 5), (command, files, p.stderr)
+    assert "Traceback" not in p.stderr, (command, files, p.stderr)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from destx import (
     AlphabetTooLarge,
@@ -122,6 +122,7 @@ def _ureach_by_strings(lsys, seed):
 
 
 @given(plants)
+@example(Plant(["s"], "abcd", {("s", e): "s" for e in "abcd"}, "s"))
 @settings(max_examples=40, deadline=None)
 def test_unobservable_reach_matches_string_definition(plant):
     lsys = build_labeled_system(plant)

@@ -303,7 +303,7 @@ def test_bruteforce_is_independent():
     """The oracle runs its own universe walk, closure check and reach walk:
     no code object of it, nested functions included, names the production
     code it checks."""
-    production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore"}
+    production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore", "reach"}
     codes, names = [closure_family_bruteforce.__code__], set()
     while codes:
         code = codes.pop()

@@ -28,7 +28,6 @@ from destx import (
     rank,
     realize_policy,
     synthesize_gstar,
-    transmitted_count,
     unobservable_reach,
 )
 from destx.labeled import N, Y
@@ -241,9 +240,9 @@ def test_projection(pinned_policy, hand_policy):
 
 
 def test_transmitted_count(pinned_policy, plant):
-    assert transmitted_count(pinned_policy, ("σ3", "σ2")) == 2
-    assert transmitted_count(pinned_policy, ("σ2", "σ2", "σ1", "σ2")) == 3
-    assert transmitted_count(uniform_policy(plant, N), ("σ3", "σ2")) == 0
+    assert len(pinned_policy.projection(("σ3", "σ2"))) == 2
+    assert len(pinned_policy.projection(("σ2", "σ2", "σ1", "σ2"))) == 3
+    assert len(uniform_policy(plant, N).projection(("σ3", "σ2"))) == 0
 
 
 def test_format_parse_round_trip(pinned_policy, hand_policy, plant):
