@@ -65,7 +65,6 @@ from .synthesis import (
     count_nontransmitted,
     extract_min_transmit,
     prune_violating,
-    synthesize_gstar,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,7 +16,8 @@ Word = tuple[str, ...]
 EPSILON: Word = ()
 
 # The one limit on a run's size: observer states, unions and range sets
-# while building estimates, and the entries and table triples of each check.
+# while building estimates, and the entries, PROP1 unions and table triples
+# of each check.
 DEFAULT_BUDGET = 100_000
 
 

@@ -31,7 +31,7 @@ from .labeled import build_labeled_system, parse_labeled
 from .observer import build_observer, closure_family, closure_family_bruteforce
 from .properties import distinguishability, load_pairs
 from .realization import format_policy, load_policy, realize_policy
-from .synthesis import extract_min_transmit, synthesize_gstar
+from .synthesis import consistency_fixpoint, extract_min_transmit
 
 DEFAULT_DEPTH = 6
 
@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget", type=int, default=None,
             help="cap on observer states and on the set unions and range sets of each estimate step "
             "and closure family or, "
-            "in verify, on the entries of each check's walk and the brute-force estimate-table triples "
+            "in verify, on the entries of each check's walk, the set unions of PROP1's test of one entry "
+            "and the brute-force estimate-table triples "
             f"(default: {DEFAULT_BUDGET})",
         )
         if depth:
@@ -111,7 +112,7 @@ def cmd_synthesize(args) -> int:
     prop = distinguishability(spec, plant)
     sysd = build_labeled_system(plant, prop)
     obs = build_observer(sysd, state_budget=args.resolved_budget)
-    gstar = synthesize_gstar(obs, prop)
+    gstar = consistency_fixpoint(obs, obs)
     pin = None
     if args.pin_initial is not None:
         member = parse_labeled(args.pin_initial, plant)

@@ -15,19 +15,17 @@ Two independent routes to the receiver's estimate:
   the triples one transmitted event past the projection's prefix under the
   steps that keep the projection.
 
-The checks below run over all words up to a depth.  PROP1 holds the
-tracker inside the union of the dynamic observer's estimates, which is
-every version of a set of plant states that it tracks per observed word
-without building the observer; THM1 compares the tracker with brute force,
-and PROBLEM1 the brute-force estimate with the property.  All three share
-one check loop, `_first_failure` over the levels of `shortlex_levels`:
-each level holds the distinct keys that decide a word's verdict and
-continuations, (tracker state, plant states) for PROP1 over observed words
-and (plant state, policy state, projection) for THM1 and PROBLEM1 over
-plant words, and each key is checked once for all its words.  They are
-bounded substitutes for the universal statements, not proofs.  One budget
-caps the entries of each walk, summed over its levels, and the triples of
-the brute-force table.  An entry stands for at least one word, so no depth
+The checks below run over all words up to a depth.  PROP1 checks that each
+tracker state is one of the dynamic observer's estimates for its observed
+word, without building the observer; THM1 compares the tracker with brute
+force, and PROBLEM1 the brute-force estimate with the property.  All three
+walk the levels of `shortlex_levels` in `_first_failure`, over the distinct
+keys that decide a word's verdict and continuations: (tracker state,
+targets) for PROP1, (plant state, policy state, projection) for THM1 and
+PROBLEM1.  They are bounded substitutes for the universal statements, not
+proofs.  One budget caps the entries of each walk, summed over its levels,
+the set unions of PROP1's test of one entry, and the triples of the
+brute-force table.  An entry stands for at least one word, so no depth
 whose words fit the budget is refused.  The tracker needs no cap of its
 own: PROP1 steps it at most once per event of an entry, THM1 once per new
 projection and a replay once per event.
@@ -36,11 +34,12 @@ projection and a replay once per event.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
-from .errors import InstanceTooLarge, PolicyIncomplete, UndefinedEvent
+from .errors import InstanceTooLarge, PolicyIncomplete, StateBudgetExceeded, UndefinedEvent
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system
-from .observer import ObserverState
+from .observer import ObserverState, reach_closed, realizable, targets
 from .properties import DistinguishabilitySpec
 from .realization import Policy
 
@@ -208,74 +207,44 @@ def _render_states(states) -> str:
 def check_tracker_containment(
     plant: Plant, policy: Policy, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
-    """Every tracker estimate stays inside what the dynamic observer allows
-    for the same observation (Proposition 1): the labeled states of the
-    tracker state must be covered by the union A of the observer estimates
-    reachable on that observed word.
-
-    A is every version of a set S of plant states, tracked without the
-    observer: with reach(B) the plant states reachable from B by any events
-    (`Plant.reach`), S is reach({initial}) on the empty word and
-    reach({step(q, e) : q in S, e defined at q}) after e.  So the check is
-    that the tracker's plant states lie in S.  With R the suppressed reach
-    (`unobservable_reach`) and T(A, e) the plant states
-    {step(v.base, e) : v in A, v transmits e}, A is R(initial versions) on
-    the empty word and R(versions of T(A, e)) after e.  This is the union
-    because an observer step from the estimates Z on e yields the admissible
-    estimates over the plant states T(∪Z, e), the initial estimates are
-    those over {initial}, and R of a union is the union of the R's.  So it
-    is enough that the admissible estimates over a set B of plant states,
-    each seeded by a core of one version of every state of B, cover exactly
-    R(versions of B):
-
-    * each estimate is a union of run-tree ranges rooted at its core, and
-      every node of a run tree lies in the suppressed reach of its root;
-    * for w in R(v), v a version of some b in B, a suppressed path from v to
-      w is a chain run tree whose range holds w.  While some member u of the
-      range suppresses an event that no version of its successor in the
-      range answers, give a node labelled u a new child on that event, in
-      any version.  Each such child adds a labeled state, so this ends in
-      the finite universe with a reach-closed range.  Closing the one-node
-      tree of one version of every other state of B the same way gives a
-      core; the union of the reach-closed ranges is reach closed, so it is
-      an admissible estimate over that core, and it holds w.
-
-    R(versions of B) is every version of reach(B): the version of a state
-    that suppresses every event follows all its moves, and suppressed moves
-    land on all versions.  Some version of each state of S transmits each
-    of its events, so T(A, e) is the step set above.  PROP1 can fail only
-    on a wrong tracker: `Policy` makes every move follow the plant, so the
-    plant state of each tracker member lies in S.
-
-    The check and the successors of an observed word depend only on its
-    pair (tracker state, S), which determines (tracker state, A) and back,
-    so the walk has one entry per distinct pair, and the entries of all its
-    levels together are capped by `budget`."""
+    """Every tracker state is one of the dynamic observer's estimates for
+    the same observation (Proposition 1): the initial one is an admissible
+    estimate over {initial}, and after a step h -e-> h2, h2 is one over
+    T = `targets(plant, h, e)`, the states `observer_step(h, e)` builds its
+    estimates over.  No estimate family is built: h2 passes when it is reach
+    closed and `realizable` finds it to be the union of one run-tree range
+    per state of T, rooted at a version of that state inside h2 and
+    restricted to h2.  The walk has one entry per distinct (h2, T), checked
+    once; `budget` caps the entries of all its levels together and the set
+    unions of each entry's test."""
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
     events = sorted(plant.alphabet)
-    after: dict[tuple[frozenset[str], str], frozenset[str]] = {}
 
     def successors(key):
-        h, reach = key
+        h = key[0]
         for e in events:
             h2 = est.step(h, e)
-            if h2 is None:
-                continue
-            if (reach, e) not in after:
-                after[(reach, e)] = plant.reach({plant.step(q, e) for q in reach if e in plant.defined_events(q)})
-            yield e, (h2, after[(reach, e)])
+            if h2 is not None:
+                yield e, (h2, targets(plant, h, e))
 
+    @cache
     def fails(key):
-        h, reach = key
-        if h.underlying() <= reach:
+        h, bases = key
+        members = h.members
+        roots = [[v for v in members if v.base == q] for q in sorted(bases)]
+        full = (1 << len(members)) - 1
+        try:
+            ok = all(roots) and reach_closed(sys, h) and realizable(sys, members, full, roots, budget=budget)
+        except StateBudgetExceeded as exc:
+            raise InstanceTooLarge(f"PROP1: {exc} on one (tracker state, targets) entry") from exc
+        if ok:
             return None
-        allowed = (v.render() for q in reach for v in sys.versions_of(q))
-        return "subset of " + _render_states(allowed), _render_states(x.render() for x in h)
+        return "estimate over " + _render_states(bases), _render_states(x.render() for x in h)
 
     return _first_failure(
-        "PROP1", "(tracker state, estimate union) entries over the observed words",
-        (est.initial, plant.reach((plant.initial,))), successors, depth, budget, fails,
+        "PROP1", "(tracker state, targets) entries over the observed words",
+        (est.initial, frozenset((plant.initial,))), successors, depth, budget, fails,
     )
 
 

@@ -104,10 +104,9 @@ class LabeledSystem:
         self.plant = plant
         self.prop = prop
         self.states = tuple(sorted(states, key=LabeledState.sort_key))
-        self._versions: dict[str, tuple[LabeledState, ...]] = {}
-        for ls in self.states:
-            self._versions.setdefault(ls.base, ())
-            self._versions[ls.base] += (ls,)
+        self._versions: dict[str, tuple[LabeledState, ...]] = {
+            q: tuple(group) for q, group in itertools.groupby(self.states, key=lambda ls: ls.base)
+        }
         self.initials = self._versions[plant.initial]
         self._cover_cache: dict = {}
         self._step_cache: dict = {}
@@ -125,18 +124,11 @@ class LabeledSystem:
 
     def successors(self, ls: LabeledState, e: str) -> tuple[LabeledState, ...]:
         """All versions of the plant successor, or () when the move is undefined."""
-        tgt = self.plant.step(ls.base, e)
-        if tgt is None:
-            return ()
-        return self._versions[tgt]
+        return self._versions.get(self.plant.step(ls.base, e), ())
 
     def suppressed_moves(self, ls: LabeledState) -> tuple[tuple[str, tuple[LabeledState, ...]], ...]:
         """Pairs (event, target versions) for the events `ls` suppresses."""
-        out = []
-        for e, lab in ls.bits:
-            if lab == N:
-                out.append((e, self._versions[self.plant.step(ls.base, e)]))
-        return tuple(out)
+        return tuple((e, self._versions[self.plant.step(ls.base, e)]) for e, lab in ls.bits if lab == N)
 
     def __repr__(self):
         return f"LabeledSystem({len(self.states)} states over {self.plant!r})"
@@ -156,8 +148,7 @@ def build_labeled_system(plant: Plant, prop: DistinguishabilitySpec | None = Non
             raise AlphabetTooLarge(
                 f"state {q!r} defines {len(events)} events, bound is {_MAX_EVENTS_PER_STATE}"
             )
-        for labs in itertools.product((N, Y), repeat=len(events)):
-            states.append(LabeledState(q, tuple(zip(events, labs))))
+        states.extend(LabeledState(q, bits) for bits in itertools.product(*(((e, N), (e, Y)) for e in events)))
     return LabeledSystem(plant, states, prop)
 
 

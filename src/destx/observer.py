@@ -29,9 +29,11 @@ renders and sorts canonically.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from functools import cached_property
 
-from .automata import DEFAULT_BUDGET, explore
+from .automata import DEFAULT_BUDGET, Plant, explore
 from .errors import InstanceTooLarge, StateBudgetExceeded
 from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
 
@@ -175,13 +177,17 @@ def _estimates_over(sys: LabeledSystem, bases: frozenset[str], budget: int) -> t
     return hit
 
 
+def targets(plant: Plant, z, e: str) -> frozenset[str]:
+    """The plant states that the members of `z` transmitting `e` move to."""
+    return frozenset(plant.step(v.base, e) for v in z if v._map.get(e) == Y)
+
+
 def observer_step(
     sys: LabeledSystem, z: ObserverState, e: str, budget: int = DEFAULT_BUDGET
 ) -> tuple[ObserverState, ...]:
     """All admissible estimates after `z` transmits `e`: those over the plant
-    states its members that transmit `e` move to.  A member labels exactly
-    its defined events, so each of those moves is defined."""
-    return _estimates_over(sys, frozenset(sys.plant.step(v.base, e) for v in z if v._map.get(e) == Y), budget)
+    states its members transmit `e` into."""
+    return _estimates_over(sys, targets(sys.plant, z, e), budget)
 
 
 class DynamicObserver:
@@ -229,30 +235,101 @@ def build_observer(sys: LabeledSystem, state_budget: int = DEFAULT_BUDGET) -> Dy
     return DynamicObserver(sys, states, initials, trans)
 
 
+def _maximal(sets) -> set[int]:
+    """The bitmasks of `sets` that no other one of them contains."""
+    kept: list[int] = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        if all(s | k != k for k in kept):
+            kept.append(s)
+    return set(kept)
+
+
+def realizable(
+    sys: LabeledSystem, members: Sequence[LabeledState], cand: int,
+    roots: Sequence[Sequence[LabeledState]], depth: int | None = None, budget: int | None = None,
+) -> bool:
+    """Whether the bitmask `cand` over `members` is the union of one
+    run-tree range per group of `roots` (members inside `cand`), each rooted
+    in its group, over trees that never leave `cand`.  The system is read
+    only through `sys.suppressed_moves`.
+
+    The range families are built level by level inside `cand`: level 0 maps
+    each member v to {{v}}, and level d+1 unions {v} with, per suppressed
+    event, nothing or one level-d range of a successor version.  Each level
+    holds the one before, so the answer at `depth` (None: the fixpoint) is
+    known once `cand` is covered (accept) or no family changes (reject).
+    Every range lies inside `cand`, so swapping a range for a larger one of
+    its family changes no answer: at the fixpoint only maximal ranges are
+    kept, which follow every event they can, one per member wherever `cand`
+    leaves no version to choose.  The oracle's bounded families are small
+    and kept whole.  More than `budget` set unions (None: no cap) raise
+    StateBudgetExceeded.
+    """
+    inside = {v: i for i, v in enumerate(members) if cand >> i & 1}
+    # a suppressed move lands on every version of its target, so it may
+    # follow the candidate's versions of that plant state; a member with no
+    # such move keeps its one-node range and is left out of the loop
+    at: dict[str, list[int]] = {}
+    for v, i in inside.items():
+        at.setdefault(v.base, []).append(i)
+    moves = []
+    for v, i in inside.items():
+        events = [at[opts[0].base] for _e, opts in sys.suppressed_moves(v) if opts[0].base in at]
+        if events:
+            moves.append((i, events))
+    groups = [[inside[v] for v in group] for group in roots]
+    spent = 0
+
+    def charge(unions: int) -> None:
+        nonlocal spent
+        spent += unions
+        if budget is not None and spent > budget:
+            raise StateBudgetExceeded(f"the run-tree range search passed the budget of {budget} set unions")
+
+    def covered(level) -> bool:
+        *rest, last = groups
+        if not rest:  # one group: a lookup
+            return any(cand in level[i] for i in last)
+        unions = {0}
+        for group in rest:
+            charge(len(unions) * sum(len(level[i]) for i in group))
+            unions = _maximal({u | r for u in unions for i in group for r in level[i]})
+        charge(len(unions) * sum(len(level[i]) for i in last))
+        return any(u | r == cand for u in unions for i in last for r in level[i])
+
+    # per suppressed event: follow nothing, or one range of a version
+    nothing = set() if depth is None else {0}
+    level = [{1 << i} for i in range(len(members))]
+    for _ in itertools.count() if depth is None else range(depth):
+        if covered(level):
+            return True
+        nxt, changed = level[:], False
+        for i, events in moves:
+            acc = {1 << i}
+            for opts in events:
+                ways = nothing.union(*[level[w] for w in opts])
+                charge(len(acc) * len(ways))
+                acc = {a | r for a in acc for r in ways}
+            if depth is None:
+                acc = _maximal(acc)
+            changed = changed or acc != level[i]
+            nxt[i] = acc
+        if not changed:
+            return False
+        level = nxt
+    return covered(level)
+
+
 def closure_family_bruteforce(
     sys: LabeledSystem, seed: LabeledState, depth: int | None = None
 ) -> tuple[ObserverState, ...]:
-    """Oracle for closure_family by exhaustive subset search.
-
-    Enumerates every subset of the suppressed-reach universe containing the
-    seed, keeps those that are reach closed and realizable as the range of a
-    depth-bounded partial run tree that never leaves the subset.  The tree
-    check builds the depth-indexed range families bottom up, restricted to
-    the candidate, instead of running the production fixpoint: level 0 maps
-    each member v to {{v}}, and level d+1 unions {v} with, per suppressed
-    event, either nothing or one level-d range of a successor version.
-    The oracle reads the system only through `sys.suppressed_moves`, with
-    its own universe walk, closure check and reach walk.  A set is an int
-    bitmask over the universe in `LabeledState.sort_key` order, and each
-    member has one target mask per suppressed event.
-
-    The level loop stops early on two exact exits.  Accept: once the
-    candidate is a level-d range of the seed it is one at every deeper
-    level, because following no event keeps every earlier range, so each
-    family holds the one before.  Reject: once no family grows, every
-    deeper level equals this one, because each level is a fixed function
-    of the previous one.  So the loop's answer is the one at level `depth`,
-    which defaults to |U|^2 + 1.
+    """Oracle for closure_family by exhaustive subset search: every subset
+    of the seed's suppressed-reach universe that holds the seed, is reach
+    closed, and is the range of a partial run tree of at most `depth`
+    levels (default |U|^2 + 1) that never leaves it (`realizable` with the
+    one root group [[seed]]).  It reads the system only through
+    `sys.suppressed_moves`, with its own universe walk, closure check and
+    reach walk, on int bitmasks over the universe in sort order.
     """
     seen, work = {seed}, [seed]
     while work:
@@ -271,9 +348,6 @@ def closure_family_bruteforce(
     # target mask -> mask of the members that must answer it
     needed = {t: sum(1 << i for i, ts in enumerate(moves) if t in ts) for ts in moves for t in ts}
 
-    def bits(mask: int) -> list[int]:
-        return [i for i in range(n) if mask >> i & 1]
-
     def plain_reach(cand: int) -> int:
         reached = frontier = 1 << root
         while frontier:
@@ -285,29 +359,9 @@ def closure_family_bruteforce(
             reached |= frontier
         return reached
 
-    def realizable(cand: int) -> bool:
-        members = [(i, [bits(t & cand) for t in moves[i]]) for i in bits(cand)]
-        level = [{1 << i} for i in range(n)]
-        for _ in range(depth):
-            if cand in level[root]:
-                return True
-            nxt, grew = level[:], False
-            for i, events in members:
-                # per suppressed event: follow nothing, or one range of a version
-                acc = {1 << i}
-                for opts in events:
-                    ways = {0}.union(*[level[w] for w in opts])
-                    acc = {a | r for a in acc for r in ways}
-                grew = grew or len(acc) > len(level[i])
-                nxt[i] = acc
-            if not grew:
-                return False
-            level = nxt
-        return cand in level[root]
-
     found = []
     for cand in range(1 << n):
         if cand >> root & 1 and all(t & cand for t, need in needed.items() if need & cand):
-            if plain_reach(cand) == cand and realizable(cand):
-                found.append(frozenset(universe[i] for i in bits(cand)))
+            if plain_reach(cand) == cand and realizable(sys, universe, cand, [[seed]], depth):
+                found.append(frozenset(v for i, v in enumerate(universe) if cand >> i & 1))
     return _sorted_estimates(found)

@@ -28,8 +28,8 @@ from functools import cache
 
 from .automata import explore
 from .errors import Infeasible, UnknownInitial
-from .labeled import N, Y, LabeledSystem
-from .observer import DynamicObserver, ObserverState
+from .labeled import N, LabeledSystem
+from .observer import DynamicObserver, ObserverState, targets
 from .properties import DistinguishabilitySpec
 
 
@@ -71,23 +71,16 @@ def consistency_fixpoint(full: DynamicObserver, g0: DynamicObserver) -> DynamicO
     event `Y` suppress nothing, so each is the one-node range of itself and
     their union is reach closed: it is an estimate over T.
     """
-    events = g0.sys.plant.alphabet
+    plant = g0.sys.plant
     keep = set(g0.states)
     while True:
         bad = {
             z for z in keep
-            if any(
-                keep.isdisjoint(g0.successors(z, e))
-                for e in events if any(v._map.get(e) == Y for v in z)
-            )
+            if any(keep.isdisjoint(g0.successors(z, e)) for e in plant.alphabet if targets(plant, z, e))
         }
         if not bad:
             return _restrict_reachable(g0, keep)
         keep -= bad
-
-
-def synthesize_gstar(obs: DynamicObserver, prop: DistinguishabilitySpec) -> DynamicObserver:
-    return consistency_fixpoint(obs, prune_violating(obs, prop))
 
 
 def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "default") -> int:
@@ -97,15 +90,10 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
     what makes the count a proxy for "events the receiver will not see".
     The unlabeled mode ignores the label and is kept for comparison.
     """
-    n = 0
-    for v in z:
-        for e, lab in v.bits:
-            if mode == "default" and lab != N:
-                continue
-            if any(w in z for w in sys.successors(v, e)):
-                n += 1
-                break
-    return n
+    return sum(
+        any(any(w in z for w in sys.successors(v, e)) for e, lab in v.bits if lab == N or mode != "default")
+        for v in z
+    )
 
 
 @dataclass
@@ -147,18 +135,11 @@ def extract_min_transmit(
         states, _ = explore((root,), alphabet, gstar.successors)
         return sum(count(z) for z in states)
 
-    best = roots[0]
-    best_score = score(best)
-    for root in roots[1:]:
-        s = score(root)
-        if s > best_score:
-            best, best_score = root, s
+    best = max(roots, key=score)  # ties go to the earliest root
 
     def pick(z: ObserverState, e: str) -> tuple[ObserverState, ...]:
         cands = gstar.successors(z, e)
-        if not cands:
-            return ()
-        return (min(cands, key=lambda t: (-count(t), t.sort_key())),)
+        return (min(cands, key=lambda t: (-count(t), t.sort_key())),) if cands else ()
 
     states, trans = explore((best,), alphabet, pick)
     return DeterministicSchedule(

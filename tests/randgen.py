@@ -50,6 +50,28 @@ def uniform_policy(plant: Plant, decision: str) -> Policy:
     return Policy(plant, version[plant.initial], trans)
 
 
+def suppressing_tree(height: int, loop: bool) -> tuple[Plant, Policy]:
+    """A binary tree of the given height, the root t moving to t0 on a and
+    to t1 on b, node w to w0 and w1 likewise, and a policy that suppresses
+    every tree move.  With `loop` the root also loops on c, suppressed on
+    its first visit and transmitted after, so the receiver starts out
+    holding two versions of the root and one of every other node."""
+    nodes = [""]
+    for n in range(height):
+        nodes += [w + c for w in nodes if len(w) == n for c in "01"]
+    trans = {("t" + w, e): "t" + w + c for w in nodes if len(w) < height for e, c in (("a", "0"), ("b", "1"))}
+    if loop:
+        trans[("t", "c")] = "t"
+    plant = Plant(["t" + w for w in nodes], ["a", "b", "c"], trans, "t")
+    version = {q: make_labeled(q, {e: N for e in plant.defined_events(q)}) for q in plant.states}
+    moves = {(version[q], e): version[q2] for q, e, q2 in transitions(plant)}
+    if loop:
+        again = make_labeled("t", {"a": N, "b": N, "c": Y})
+        moves |= {(again, e): moves[(version["t"], e)] for e in "ab"}
+        moves[(version["t"], "c")] = moves[(again, "c")] = again
+    return plant, Policy(plant, version["t"], moves)
+
+
 def random_plant(
     rng: random.Random,
     max_states: int = 5,

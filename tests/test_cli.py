@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from destx import cli, format_policy
 from destx_child import run
-from randgen import random_plant, random_policy, random_policy_with_memory, transitions
+from randgen import random_plant, random_policy, random_policy_with_memory, suppressing_tree, transitions
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PLANT = str(DATA / "running_example.des")
@@ -349,15 +349,16 @@ def test_verify_prop1_bounded_by_budget():
     assert p.returncode == 3
     assert p.stdout == ""
     assert p.stderr == (
-        "error: PROP1: more than 5 (tracker state, estimate union) entries "
+        "error: PROP1: more than 5 (tracker state, targets) entries "
         "over the observed words up to length 3, over the budget\n"
     )
 
 
-def test_many_events_per_state(tmp_path):
-    # two states that swap on each of 8 events, 256 versions each: PROP1
-    # and the suppressed reach walk the 2 plant states, not their versions
-    events = [f"e{i}" for i in range(8)]
+def _swap(tmp_path, k):
+    """Two states that swap on each of k events, 2**k versions each, the
+    pair (s, t) and the policy that transmits everything: the paths of the
+    plant, pairs and policy files."""
+    events = [f"e{i}" for i in range(k)]
     moves = sorted((q, e, q2) for e in events for q, q2 in (("s", "t"), ("t", "s")))
     plant = tmp_path / "swap.des"
     plant.write_text(
@@ -365,13 +366,21 @@ def test_many_events_per_state(tmp_path):
     )
     spec = tmp_path / "swap.pairs"
     spec.write_text("pair s t\n")
-    ys = "Y" * 8
+    ys = "Y" * k
     policy = tmp_path / "all.policy"
     policy.write_text(
         f"initial s{ys}\n"
         + "".join(f"label {q}{ys} {e} Y\n" for q in "st" for e in events)
         + "".join(f"trans {q}{ys} {e} {q2}{ys}\n" for q, e, q2 in moves)
     )
+    return plant, spec, policy
+
+
+def test_many_events_per_state(tmp_path):
+    # 256 versions per state: PROP1 tests one candidate per tracker step and
+    # the suppressed reach walks the 2 plant states, not their versions
+    plant, spec, policy = _swap(tmp_path, 8)
+    ys = "Y" * 8
     p = run("verify", str(plant), str(policy), str(spec), "--depth", "2", timeout=10)
     assert p.returncode == 0, p.stderr
     assert p.stdout == "".join(f"{check} ok words=73 depth=2\n" for check in ("PROP1", "THM1", "PROBLEM1"))
@@ -380,6 +389,72 @@ def test_many_events_per_state(tmp_path):
     assert p.returncode == 0, p.stderr
     assert p.stdout == f"feasible\nroot (s{ys})\npolicy-states 2\npolicy {out}\n"
     assert out.read_text() == policy.read_text()
+
+
+def test_wide_states_build_linearly(tmp_path):
+    # 32,768 versions per state: the labeled system is built in one pass
+    # over the sorted versions, so both commands finish well inside the
+    # limit; grouping the versions by repeated tuple concatenation is
+    # quadratic in them and misses it twice over or more
+    plant, spec, policy = _swap(tmp_path, 15)
+    p = run("verify", str(plant), str(policy), str(spec), "--depth", "1", timeout=4)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "".join(f"{check} ok words=16 depth=1\n" for check in ("PROP1", "THM1", "PROBLEM1"))
+    p = run("simulate", str(plant), str(policy), "--trace", "e0 e1", timeout=4)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "initial estimate={s}\n1 e0 sent=Y proj=e0 estimate={t}\n2 e1 sent=Y proj=e0,e1 estimate={s}\n"
+
+
+def test_verify_suppressing_tree(tmp_path):
+    # a 63-node binary tree whose policy suppresses every move: the first
+    # tracker state holds every node, and PROP1's range search keeps only
+    # the maximal ranges of each, one per node where no version is left to
+    # choose.  Whole families of subtrees grow to 458,329 sets a node at
+    # height 4 and do not finish.  With the root looping on c the first
+    # state holds two versions of the root; a budget below the search's
+    # 330 set unions stops it
+    spec = tmp_path / "none.pairs"
+    spec.write_text("")
+    for loop, props, words in ((False, 1, 63), (True, 6, 120)):
+        plant, policy = suppressing_tree(5, loop)
+        des, pol = tmp_path / f"tree{loop}.des", tmp_path / f"tree{loop}.policy"
+        des.write_text(_plant_text(plant))
+        pol.write_text(format_policy(policy))
+        p = run("verify", str(des), str(pol), str(spec), "--depth", "5", timeout=10)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == (
+            f"PROP1 ok words={props} depth=5\nTHM1 ok words={words} depth=5\nPROBLEM1 ok words={words} depth=5\n"
+        )
+    p = run("verify", str(des), str(pol), str(spec), "--depth", "0", "--budget", "329", timeout=10)
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert p.stderr == (
+        "error: PROP1: the run-tree range search passed the budget of 329 set unions "
+        "on one (tracker state, targets) entry\n"
+    )
+
+
+def test_verify_memory_policy_outside_observer(tmp_path):
+    # the policy suppresses a on its first visit to q1 only, so after b b
+    # the receiver holds both versions of q1, which no observer estimate
+    # over {q1} does
+    plant = tmp_path / "switch.des"
+    plant.write_text("alphabet a b\nstates q0 q1\ninitial q0\ntrans q0 b q1\ntrans q1 a q0\ntrans q1 b q1\n")
+    policy = tmp_path / "switch.policy"
+    policy.write_text(
+        "initial q0Y\nlabel q0Y b Y\n"
+        "label q1NY a N\nlabel q1NY b Y\nlabel q1YY a Y\nlabel q1YY b Y\n"
+        "trans q0Y b q1NY\ntrans q1NY a q0Y\ntrans q1NY b q1YY\ntrans q1YY a q0Y\ntrans q1YY b q1YY\n"
+    )
+    spec = tmp_path / "switch.pairs"
+    spec.write_text("")
+    p = run("verify", str(plant), str(policy), str(spec), "--depth", "3")
+    assert p.returncode == 5
+    assert p.stdout == (
+        "FAIL PROP1 word=b b expected=estimate over {q1} got={q0Y,q1NY,q1YY}\n"
+        "THM1 ok words=7 depth=3\n"
+        "PROBLEM1 ok words=7 depth=3\n"
+    )
 
 
 DENSE3 = (

@@ -33,7 +33,14 @@ from destx import (
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
-from randgen import flip_to_suppress, random_plant, random_policy, random_policy_with_memory, uniform_policy
+from randgen import (
+    flip_to_suppress,
+    random_plant,
+    random_policy,
+    random_policy_with_memory,
+    suppressing_tree,
+    uniform_policy,
+)
 
 
 def _bruteforce_estimate(policy, s, bound=None):
@@ -122,23 +129,22 @@ def _render(states):
 
 def _prop1_word_by_word(plant, policy, depth):
     """Reference for check_tracker_containment: one breadth-first entry per
-    observed word, in shortlex order, against the set of estimates of the
-    full observer."""
+    observed word, in shortlex order, checking that the tracker state is
+    one of the observer's estimates on that word: one of its initials on
+    the empty word, and one of `observer_step(h, e)` after h -e->."""
     sys = build_labeled_system(plant)
-    obs = destx.observer.build_observer(sys)
     est = Estimator(sys, policy)
+    initials = destx.observer._estimates_over(sys, frozenset({plant.initial}), 100_000)
     checked = 0
-    queue = [((), est.initial, frozenset(obs.initials))]
+    queue = [((), est.initial, initials, frozenset({plant.initial}))]
     while queue:
-        w, h, zs = queue.pop(0)
+        w, h, allowed, targets = queue.pop(0)
         checked += 1
-        allowed = {x for z in zs for x in z}
-        mine = set(h)
-        if not mine <= allowed:
+        if h not in allowed:
             return CheckReport(
                 "PROP1", False, checked, depth, w,
-                expected="subset of " + _render(x.render() for x in allowed),
-                got=_render(x.render() for x in mine),
+                expected="estimate over " + _render(targets),
+                got=_render(x.render() for x in h),
             )
         if len(w) == depth:
             continue
@@ -146,8 +152,7 @@ def _prop1_word_by_word(plant, policy, depth):
             h2 = est.step(h, e)
             if h2 is None:
                 continue
-            zs2 = frozenset(z2 for z in zs for z2 in obs.successors(z, e))
-            queue.append((w + (e,), h2, zs2))
+            queue.append((w + (e,), h2, destx.observer.observer_step(sys, h, e), destx.observer.targets(plant, h, e)))
     return CheckReport("PROP1", True, checked, depth)
 
 
@@ -514,11 +519,38 @@ def test_prop1_matches_word_by_word_fib():
 
 
 def test_prop1_matches_word_by_word_random():
+    # a memoryless policy keeps the receiver inside the observer; a policy
+    # with memory may leave it, and the two routes must then fail alike
     for seed in range(50):
         rng = random.Random(seed)
         plant = random_plant(rng)
-        for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
-            assert _assert_prop1_matches(plant, policy, 5).ok, f"seed {seed}"
+        assert _assert_prop1_matches(plant, random_policy(rng, plant), 5).ok, f"seed {seed}"
+        _assert_prop1_matches(plant, random_policy_with_memory(rng, plant), 5)
+
+
+# q0 -b-> q1, q1 -a-> q0, q1 -b-> q1, and a policy that remembers whether
+# q1 was entered from q0: it suppresses a on the first visit only
+SWITCH = Plant(["q0", "q1"], ["a", "b"], {("q0", "b"): "q1", ("q1", "a"): "q0", ("q1", "b"): "q1"}, "q0")
+
+
+def _switch_policy():
+    q0y, q1ny, q1yy = (parse_labeled(r, SWITCH) for r in ("q0Y", "q1NY", "q1YY"))
+    return Policy(
+        SWITCH, q0y,
+        {(q0y, "b"): q1ny, (q1ny, "a"): q0y, (q1ny, "b"): q1yy, (q1yy, "a"): q0y, (q1yy, "b"): q1yy},
+    )
+
+
+def test_prop1_fails_on_memory_policy_outside_observer():
+    # after b b the tracker holds both versions of q1, and inside that set
+    # neither version's run trees reach the other, but every estimate over
+    # {q1} is one range rooted at one version of q1
+    report = _assert_prop1_matches(SWITCH, _switch_policy(), 3)
+    assert report.line() == "FAIL PROP1 word=b b expected=estimate over {q1} got={q0Y,q1NY,q1YY}"
+    assert report.words == 3
+    assert _assert_prop1_matches(SWITCH, _switch_policy(), 1).line() == "PROP1 ok words=2 depth=1"
+    # the receiver's estimate is still the brute-force one
+    assert check_estimate_agreement(SWITCH, _switch_policy(), 5).ok
 
 
 def test_prop1_matches_word_by_word_ring_2_2_and_hollow():
@@ -547,7 +579,7 @@ def test_prop1_failure_names_shortlex_first_word(monkeypatch):
 
     monkeypatch.setattr(Estimator, "step", with_q1y)
     report = _assert_prop1_matches(plant, policy, 3)
-    assert report.line() == "FAIL PROP1 word=a c expected=subset of {q2} got={q1Y,q2}"
+    assert report.line() == "FAIL PROP1 word=a c expected=estimate over {q2} got={q1Y,q2}"
     assert report.words == 4
 
 
@@ -585,8 +617,21 @@ def test_thm1_problem1_failures_name_shortlex_first_word(monkeypatch):
 def test_prop1_bounded_by_budget(plant, pinned_policy):
     # the pinned policy's walk to depth 6 holds 9 entries, one per word
     assert check_tracker_containment(plant, pinned_policy, 6, 9).line() == "PROP1 ok words=9 depth=6"
-    with pytest.raises(InstanceTooLarge, match=r"^PROP1: more than 8 \(tracker state, estimate union\) entries"):
+    with pytest.raises(InstanceTooLarge, match=r"^PROP1: more than 8 \(tracker state, targets\) entries"):
         check_tracker_containment(plant, pinned_policy, 6, 8)
+
+
+def test_prop1_range_search_bounded_by_budget():
+    # a binary tree of height 2 whose root loops on c: the first tracker
+    # state holds two versions of the root, and deciding it takes 20 set
+    # unions; the unions of one entry's search count against the budget
+    plant, policy = suppressing_tree(2, True)
+    assert check_tracker_containment(plant, policy, 0, 20).line() == "PROP1 ok words=1 depth=0"
+    with pytest.raises(
+        InstanceTooLarge,
+        match=r"^PROP1: the run-tree range search passed the budget of 19 set unions on one \(tracker state, targets\) entry$",
+    ):
+        check_tracker_containment(plant, policy, 0, 19)
 
 
 def _running_policies(plant, hand_policy, pinned_policy):

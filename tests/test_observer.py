@@ -14,6 +14,7 @@ from destx import (
     StateBudgetExceeded,
     build_labeled_system,
     build_observer,
+    check_tracker_containment,
     closure_family,
     closure_family_bruteforce,
     explore,
@@ -25,8 +26,8 @@ from destx import (
 )
 from destx.automata import DEFAULT_BUDGET
 from destx.labeled import N
-from destx.observer import ObserverState, _cover_families, _union_choices
-from randgen import random_plant
+from destx.observer import ObserverState, _cover_families, _union_choices, realizable
+from randgen import make_labeled, random_plant
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
 
@@ -299,18 +300,84 @@ def test_bruteforce_levels_match_top_down(lsys):
                 )
 
 
-def test_bruteforce_is_independent():
-    """The oracle runs its own universe walk, closure check and reach walk:
-    no code object of it, nested functions included, names the production
-    code it checks."""
-    production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore", "reach"}
-    codes, names = [closure_family_bruteforce.__code__], set()
-    while codes:
-        code = codes.pop()
+def _names_reached(func):
+    """Every name that the code of `func` reads, following its nested
+    functions and, transitively, the library functions and classes (their
+    methods and properties included) that the code names."""
+    todo, seen, names = [(func.__code__, func.__globals__)], set(), set()
+    while todo:
+        code, namespace = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
         names.update(code.co_names)
-        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    assert "suppressed_moves" in names
+        todo.extend((c, namespace) for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            obj = namespace.get(name)
+            if not getattr(obj, "__module__", "").startswith("destx."):
+                continue
+            for member in vars(obj).values() if isinstance(obj, type) else (obj,):
+                member = getattr(member, "fget", None) or getattr(member, "func", member)
+                if isinstance(member, types.FunctionType):
+                    todo.append((member.__code__, member.__globals__))
+    return names
+
+
+def test_bruteforce_is_independent():
+    """The oracle runs its own universe walk, closure check and reach walk,
+    and shares only `realizable` with PROP1: no code it reaches names the
+    production code it checks.  PROP1 tests the one candidate estimate with
+    that function and builds no estimate family and no observer."""
+    production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore", "reach"}
+    names = _names_reached(closure_family_bruteforce)
+    assert {"realizable", "suppressed_moves"} <= names
     assert not names & production
+    names = _names_reached(check_tracker_containment)
+    assert {"realizable", "reach_closed", "Estimator", "_first_failure"} <= names
+    assert not names & {"_cover_families", "_estimates_over", "observer_step", "build_observer"}
+
+
+def test_realizable_maximal_ranges_match_whole_families():
+    """At the fixpoint `realizable` keeps only each family's maximal ranges;
+    a depth far past the fixpoint keeps the whole families and must give
+    the same answer, on random candidates and root groups, several groups
+    included."""
+    rng = random.Random(7)
+    for seed in range(60):
+        sysd = build_labeled_system(random_plant(random.Random(seed), max_states=4))
+        members = list(sysd.states)
+        for _ in range(20):
+            inside = [v for v in members if rng.random() < 0.5] or members[:1]
+            cand = sum(1 << members.index(v) for v in inside)
+            roots = [rng.sample(inside, rng.randint(1, min(2, len(inside)))) for _ in range(rng.randint(1, 3))]
+            assert realizable(sysd, members, cand, roots) == realizable(sysd, members, cand, roots, 10**6), (
+                f"seed {seed}, {[v.render() for v in inside]}, {[[v.render() for v in g] for g in roots]}"
+            )
+
+
+def _fan(k):
+    """r suppresses k events into p0..p(k-1), each of which may suppress or
+    transmit its one move to a leaf: the system, its members with the
+    all-suppressing root first, and that root."""
+    trans = {("r", f"e{i}"): f"p{i}" for i in range(k)} | {(f"p{i}", "x"): f"l{i}" for i in range(k)}
+    plant = Plant(["r"] + [f"{s}{i}" for s in "pl" for i in range(k)], [f"e{i}" for i in range(k)] + ["x"], trans, "r")
+    sysd = build_labeled_system(plant)
+    root = make_labeled("r", {f"e{i}": N for i in range(k)})
+    return sysd, [root] + [v for v in sysd.states if v.base != "r"], root
+
+
+def test_realizable_budget():
+    """With both versions of every p_i in the candidate, one tree from the
+    root picks one version of each: never realizable, and the root's
+    maximal ranges are 2^k incomparable sets, so at k = 12 the budget on
+    set unions stops the search."""
+    sysd, members, root = _fan(3)
+    assert not realizable(sysd, members, (1 << len(members)) - 1, [[root]])
+    one_each = sum(1 << i for i, v in enumerate(members) if v == root or v.render().endswith("Y"))
+    assert realizable(sysd, members, one_each, [[root]])
+    sysd, members, root = _fan(12)
+    with pytest.raises(StateBudgetExceeded, match=r"^the run-tree range search passed the budget of 1000 set unions$"):
+        realizable(sysd, members, (1 << len(members)) - 1, [[root]], budget=1000)
 
 
 def test_bruteforce_default_depth(lsys):

@@ -20,6 +20,7 @@ from destx import (
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
+    consistency_fixpoint,
     distinguishability,
     extract_min_transmit,
     format_policy,
@@ -27,7 +28,6 @@ from destx import (
     parse_policy,
     rank,
     realize_policy,
-    synthesize_gstar,
     unobservable_reach,
 )
 from destx.labeled import N, Y
@@ -62,7 +62,8 @@ def test_realize_versions_without_chain():
     plant = Plant(["q0", "q1", "q2"], ["a", "b"], {("q0", "a"): "q0", ("q0", "b"): "q2", ("q2", "b"): "q1"}, "q0")
     prop = distinguishability(DistinguishabilitySpec.of([]), plant)
     lsys = build_labeled_system(plant, prop)
-    gstar = synthesize_gstar(build_observer(lsys), prop)
+    obs = build_observer(lsys)
+    gstar = consistency_fixpoint(obs, obs)
     pin = _os(plant, "q0NN", "q1", "q2N", "q2Y")
     assert pin in gstar.initials
     policy = realize_policy(lsys, extract_min_transmit(gstar, pin_initial=pin))
@@ -303,6 +304,7 @@ def test_ring_synthesized_policy_satisfies_problem1(n, b):
     plant = Plant(states, ["e"], {(states[i], "e"): states[(i + 1) % n] for i in range(n)}, "q0")
     prop = distinguishability(DistinguishabilitySpec.of([("q0", f"q{b}")]), plant)
     lsys = build_labeled_system(plant, prop)
-    policy = realize_policy(lsys, extract_min_transmit(synthesize_gstar(build_observer(lsys), prop)))
+    obs = build_observer(lsys)
+    policy = realize_policy(lsys, extract_min_transmit(consistency_fixpoint(obs, obs)))
     report = check_property_satisfaction(plant, policy, prop, min(12, 2 * n))
     assert report.ok, report.line()
