@@ -33,7 +33,6 @@ projection and a replay once per event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
@@ -156,19 +155,22 @@ class _EstimateTable:
         return self.estimates[proj]
 
 
-@dataclass
 class CheckReport:
     """A check's verdict.  `words` counts the words checked: all of them up
     to the depth when the check holds, and on a failure the words of the
     keys checked before the failing one plus the failing word itself."""
 
-    name: str
-    ok: bool
-    words: int
-    depth: int
-    word: Word | None = None
-    expected: str = ""
-    got: str = ""
+    def __init__(
+        self, name: str, ok: bool, words: int, depth: int,
+        word: Word | None = None, expected: str = "", got: str = "",
+    ):
+        self.name = name
+        self.ok = ok
+        self.words = words
+        self.depth = depth
+        self.word = word
+        self.expected = expected
+        self.got = got
 
     def line(self) -> str:
         if self.ok:

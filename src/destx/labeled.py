@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import Plant
@@ -24,12 +23,25 @@ N = "N"
 _MAX_EVENTS_PER_STATE = 16
 
 
-@dataclass(frozen=True)
 class LabeledState:
-    """A plant state together with one decision per defined event."""
+    """A plant state together with one decision per defined event; immutable,
+    and equal only to a labeled state with the same base and bits."""
 
-    base: str
-    bits: tuple[tuple[str, str], ...]  # ((event, decision), ...) sorted by event
+    def __init__(self, base: str, bits: tuple[tuple[str, str], ...]):
+        fields = self.__dict__
+        fields["base"] = base
+        fields["bits"] = bits  # ((event, decision), ...) sorted by event
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a labeled state is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a labeled state is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not LabeledState:
+            return NotImplemented
+        return self.base == other.base and self.bits == other.bits
 
     @cached_property
     def _hash(self) -> int:

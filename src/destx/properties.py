@@ -9,22 +9,36 @@ receiver can no longer tell them apart.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .automata import Plant, read_input
 from .errors import ParseError, UnknownState
 
 
-@dataclass(frozen=True)
 class DistinguishabilitySpec:
     """Pairs of plant states that must never be confused.
 
     Pairs are kept exactly as written; a set of states violates the
     specification when both components of any pair appear in it, so the
-    verdict itself is insensitive to pair order.
+    verdict itself is insensitive to pair order.  Immutable, and equal to
+    a spec with the same pairs.
     """
 
-    pairs: frozenset[tuple[str, str]]
+    def __init__(self, pairs: frozenset[tuple[str, str]]):
+        self.__dict__["pairs"] = pairs
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a spec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a spec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not DistinguishabilitySpec:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, str]]) -> "DistinguishabilitySpec":

@@ -23,7 +23,6 @@ the schedule is the walk whose step commits to one successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .automata import explore
@@ -96,13 +95,24 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
     )
 
 
-@dataclass
 class DeterministicSchedule:
-    """One committed successor per (estimate, event), rooted at one initial."""
+    """One committed successor per (estimate, event), rooted at one initial.
+    Equal to a schedule with the same initial, states and transitions."""
 
-    initial: ObserverState
-    states: tuple[ObserverState, ...]
-    trans: dict[tuple[ObserverState, str], ObserverState]
+    def __init__(
+        self,
+        initial: ObserverState,
+        states: tuple[ObserverState, ...],
+        trans: dict[tuple[ObserverState, str], ObserverState],
+    ):
+        self.initial = initial
+        self.states = states
+        self.trans = trans
+
+    def __eq__(self, other):
+        if other.__class__ is not DeterministicSchedule:
+            return NotImplemented
+        return (self.initial, self.states, self.trans) == (other.initial, other.states, other.trans)
 
 
 def extract_min_transmit(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from destx import cli, format_policy
-from destx_child import run
+from destx_child import python_child, run
 from randgen import random_plant, random_policy, random_policy_with_memory, suppressing_tree, transitions
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -196,6 +196,22 @@ def test_oracle_maxs_ladder(tmp_path):
     p = run("oracle-maxs", str(ladder))
     assert p.returncode == 0
     assert p.stdout == "seeds 8 mismatches 0\n"
+
+
+def test_cold_import_skips_code_generation_modules():
+    # every CLI call is a fresh interpreter, so what `import destx.cli`
+    # pulls in is paid on every call; only modules it newly loads count,
+    # since `site` may have loaded some of these already
+    p = python_child(
+        "-c",
+        "import sys; before = set(sys.modules); import destx.cli; "
+        "print(*sorted(set(sys.modules) - before))",
+    )
+    assert p.returncode == 0, p.stderr
+    loaded = set(p.stdout.split())
+    assert "destx.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert sorted(loaded & heavy) == []
 
 
 def test_missing_file():

@@ -415,6 +415,14 @@ def test_bruteforce_incomplete_policy(plant, prop):
                 check()
 
 
+def test_check_report_keywords_match_positions():
+    by_keyword = CheckReport("PROBLEM1", False, 3, 6, ("σ2", "σ2"), expected="{q1,q2}", got="x")
+    by_position = CheckReport("PROBLEM1", False, 3, 6, ("σ2", "σ2"), "{q1,q2}", "x")
+    assert by_keyword.line() == by_position.line() == "FAIL PROBLEM1 word=σ2 σ2 expected={q1,q2} got=x"
+    assert CheckReport(name="THM1", ok=True, words=14, depth=6).line() == "THM1 ok words=14 depth=6"
+    assert CheckReport("PROP1", False, 1, 0, ()).line() == "FAIL PROP1 word=ε expected= got="
+
+
 def test_check_lines_pinned(plant, prop, pinned_policy):
     assert check_tracker_containment(plant, pinned_policy, 5).line() == "PROP1 ok words=8 depth=5"
     assert check_estimate_agreement(plant, pinned_policy, 5).line() == "THM1 ok words=12 depth=5"

@@ -61,6 +61,21 @@ def test_parse_render_round_trip(lsys, plant):
         assert parse_labeled(v.render(), plant) == v
 
 
+def test_labeled_state_is_an_immutable_value(lsys):
+    v = make_labeled("q0", {"σ1": N, "σ2": N, "σ3": Y})
+    w = make_labeled("q0", {"σ1": N, "σ2": N, "σ3": Y})
+    assert v is not w and v == w and hash(v) == hash(w)
+    assert v in set(lsys.states) and {v: 1}[w] == 1
+    assert v != make_labeled("q0", {"σ1": N, "σ2": N, "σ3": N})
+    assert v != ("q0", v.bits) and ("q0", v.bits) != v
+    for name in ("base", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, getattr(w, name))
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v == w and repr(v) == "<q0NNY>"
+
+
 def test_sort_key_orders_by_base_then_bits(lsys):
     rendered = [v.render() for v in lsys.states]
     assert rendered == sorted(rendered)

@@ -27,6 +27,19 @@ def test_spec_parse_comments():
     assert spec.pairs == frozenset({("a", "b")})
 
 
+def test_spec_is_an_immutable_value():
+    spec = DistinguishabilitySpec.of([("a", "b"), ("c", "d")])
+    same = DistinguishabilitySpec.parse("pair c d\npair a b\n")
+    assert spec is not same and spec == same and hash(spec) == hash(same)
+    assert spec != DistinguishabilitySpec.of([("b", "a"), ("c", "d")])
+    assert spec != spec.pairs
+    with pytest.raises(AttributeError):
+        spec.pairs = frozenset()
+    with pytest.raises(AttributeError):
+        del spec.pairs
+    assert spec == same
+
+
 def test_pairs_are_ordered_tuples():
     spec = DistinguishabilitySpec.of([("q2", "q1")])
     assert spec.pairs == frozenset({("q2", "q1")})

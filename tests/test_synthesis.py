@@ -294,8 +294,9 @@ def test_extract_refines_gstar(gstar, prop):
         assert w in gstar.successors(z, e)
 
 
-def test_extract_deterministic(gstar):
+def test_extract_deterministic(gstar, pinned_sched):
     assert extract_min_transmit(gstar) == extract_min_transmit(gstar)
+    assert extract_min_transmit(gstar) != pinned_sched
 
 
 def test_extract_unknown_pin(gstar, plant):
