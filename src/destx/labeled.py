@@ -1,16 +1,16 @@
 """Decision-labeled view of a plant.
 
-Every plant state is expanded into one version per assignment of a
-transmit/suppress decision (Y or N) to each of its defined events.  A step
+Every plant state has one version per assignment of a transmit/suppress
+decision (Y or N) to each of its defined events, built on first use.  A step
 keeps the plant transition structure and is free to land on any decision
-version of the target; the decision taken at the source of a step determines
-whether that step is visible to the receiver.
+version of the target, so it lands in a set when its plant successor does;
+the decision taken at its source determines whether the receiver sees it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property
 
 from .automata import Plant
@@ -95,14 +95,17 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
 
 
 class LabeledSystem:
-    """All decision versions of a plant's states, with step helpers.
+    """The decision versions of a plant's states, each state's built on
+    first use, with step helpers.
 
     A system may carry a property, fixed when it is built; the observer
     code then drops every range, union and estimate that violates it
     (`admits`).  That is what `synthesize` builds.
 
-    Immutable after construction apart from two memo tables:
+    Immutable after construction apart from three memo tables:
 
+    * `_versions`, keyed on a plant state name: its versions in canonical
+      order, built by `versions_of` on first use;
     * `_cover_cache`, keyed on a labeled state: its family of run-tree
       ranges that hold the property (`_cover_families`);
     * `_step_cache`, keyed on a frozenset of plant state names: the sorted
@@ -112,16 +115,21 @@ class LabeledSystem:
       observer step has followed.
     """
 
-    def __init__(self, plant: Plant, states: Sequence[LabeledState], prop: DistinguishabilitySpec | None = None):
+    def __init__(self, plant: Plant, prop: DistinguishabilitySpec | None = None):
         self.plant = plant
         self.prop = prop
-        self.states = tuple(sorted(states, key=LabeledState.sort_key))
-        self._versions: dict[str, tuple[LabeledState, ...]] = {
-            q: tuple(group) for q, group in itertools.groupby(self.states, key=lambda ls: ls.base)
-        }
-        self.initials = self._versions[plant.initial]
+        self._versions: dict[str, tuple[LabeledState, ...]] = {}
         self._cover_cache: dict = {}
         self._step_cache: dict = {}
+
+    @cached_property
+    def states(self) -> tuple[LabeledState, ...]:
+        """Every version of every plant state in canonical order, cached on first read."""
+        return tuple(v for q in sorted(self.plant.states) for v in self.versions_of(q))
+
+    @property
+    def initials(self) -> tuple[LabeledState, ...]:
+        return self.versions_of(self.plant.initial)
 
     def admits(self, members: Iterable[LabeledState]) -> bool:
         """Whether the plant states of `members` hold the system's property;
@@ -129,39 +137,33 @@ class LabeledSystem:
         return self.prop is None or self.prop.holds(frozenset(v.base for v in members))
 
     def versions_of(self, q: str) -> tuple[LabeledState, ...]:
-        try:
-            return self._versions[q]
-        except KeyError:
-            raise UnknownState(f"unknown plant state {q!r}") from None
-
-    def successors(self, ls: LabeledState, e: str) -> tuple[LabeledState, ...]:
-        """All versions of the plant successor, or () when the move is undefined."""
-        return self._versions.get(self.plant.step(ls.base, e), ())
+        """The 2**k versions of a plant state defining k events, in canonical
+        order; k is capped at `_MAX_EVENTS_PER_STATE`."""
+        hit = self._versions.get(q)
+        if hit is None:
+            if q not in self.plant.states:
+                raise UnknownState(f"unknown plant state {q!r}")
+            events = sorted(self.plant.defined_events(q))
+            if len(events) > _MAX_EVENTS_PER_STATE:
+                raise AlphabetTooLarge(f"state {q!r} defines {len(events)} events, bound is {_MAX_EVENTS_PER_STATE}")
+            hit = self._versions[q] = tuple(
+                LabeledState(q, bits) for bits in itertools.product(*(((e, N), (e, Y)) for e in events))
+            )
+        return hit
 
     def suppressed_moves(self, ls: LabeledState) -> tuple[tuple[str, tuple[LabeledState, ...]], ...]:
         """Pairs (event, target versions) for the events `ls` suppresses."""
-        return tuple((e, self._versions[self.plant.step(ls.base, e)]) for e, lab in ls.bits if lab == N)
+        return tuple((e, self.versions_of(self.plant.step(ls.base, e))) for e, lab in ls.bits if lab == N)
 
     def __repr__(self):
-        return f"LabeledSystem({len(self.states)} states over {self.plant!r})"
+        return f"LabeledSystem(over {self.plant!r})"
 
 
 def build_labeled_system(plant: Plant, prop: DistinguishabilitySpec | None = None) -> LabeledSystem:
-    """Expand a plant into its decision-labeled system, whose estimates all
-    hold `prop` when one is given.
-
-    A state defining k events contributes 2**k versions, so k is capped at
-    `_MAX_EVENTS_PER_STATE`.
-    """
-    states: list[LabeledState] = []
-    for q in sorted(plant.states):
-        events = sorted(plant.defined_events(q))
-        if len(events) > _MAX_EVENTS_PER_STATE:
-            raise AlphabetTooLarge(
-                f"state {q!r} defines {len(events)} events, bound is {_MAX_EVENTS_PER_STATE}"
-            )
-        states.extend(LabeledState(q, bits) for bits in itertools.product(*(((e, N), (e, Y)) for e in events)))
-    return LabeledSystem(plant, states, prop)
+    """The decision-labeled system of a plant, whose estimates all hold
+    `prop` when one is given.  It builds no version: each plant state's are
+    built where they are first read."""
+    return LabeledSystem(plant, prop)
 
 
 def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> frozenset[LabeledState]:

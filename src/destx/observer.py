@@ -61,14 +61,10 @@ class ObserverState(frozenset):
 
 
 def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
-    """Every suppressed event of every member must land inside the set."""
-    for v in members:
-        for e, lab in v.bits:
-            if lab != N:
-                continue
-            if not any(w in members for w in sys.successors(v, e)):
-                return False
-    return True
+    """Every suppressed event of every member must land inside the set: on
+    a member of its plant successor, since the step may land on any version."""
+    bases = {v.base for v in members}
+    return all(sys.plant.step(v.base, e) in bases for v in members for e, lab in v.bits if lab == N)
 
 
 def _union_choices(parts, keep, budget: int, start: frozenset = frozenset()) -> set[frozenset]:
@@ -251,7 +247,7 @@ def realizable(
     """Whether the bitmask `cand` over `members` is the union of one
     run-tree range per group of `roots` (members inside `cand`), each rooted
     in its group, over trees that never leave `cand`.  The system is read
-    only through `sys.suppressed_moves`.
+    only through its plant's steps.
 
     The range families are built level by level inside `cand`: level 0 maps
     each member v to {{v}}, and level d+1 unions {v} with, per suppressed
@@ -274,7 +270,7 @@ def realizable(
         at.setdefault(v.base, []).append(i)
     moves = []
     for v, i in inside.items():
-        events = [at[opts[0].base] for _e, opts in sys.suppressed_moves(v) if opts[0].base in at]
+        events = [at[q] for q in (sys.plant.step(v.base, e) for e, lab in v.bits if lab == N) if q in at]
         if events:
             moves.append((i, events))
     groups = [[inside[v] for v in group] for group in roots]
@@ -328,8 +324,9 @@ def closure_family_bruteforce(
     closed, and is the range of a partial run tree of at most `depth`
     levels (default |U|^2 + 1) that never leaves it (`realizable` with the
     one root group [[seed]]).  It reads the system only through
-    `sys.suppressed_moves`, with its own universe walk, closure check and
-    reach walk, on int bitmasks over the universe in sort order.
+    `sys.suppressed_moves`, and `realizable` through its plant's steps,
+    with its own universe walk, closure check and reach walk, on int
+    bitmasks over the universe in sort order.
     """
     seen, work = {seed}, [seed]
     while work:

@@ -124,7 +124,7 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
                 raise MissingSuccessor(
                     f"schedule lacks a successor for ({z.render()}, {e}) needed by {x.render()}"
                 )
-        d = [w for w in sys.successors(x, e) if w in z2]
+        d = [w for w in z2 if w.base == sys.plant.step(x.base, e)]
         if not d:
             raise MissingSuccessor(
                 f"no version of the plant successor of ({x.render()}, {e}) lies in {z2.render()}"

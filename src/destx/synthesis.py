@@ -89,8 +89,9 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
     what makes the count a proxy for "events the receiver will not see".
     The unlabeled mode ignores the label and is kept for comparison.
     """
+    bases = {v.base for v in z}
     return sum(
-        any(any(w in z for w in sys.successors(v, e)) for e, lab in v.bits if lab == N or mode != "default")
+        any(sys.plant.step(v.base, e) in bases for e, lab in v.bits if lab == N or mode != "default")
         for v in z
     )
 

@@ -407,18 +407,46 @@ def test_many_events_per_state(tmp_path):
     assert out.read_text() == policy.read_text()
 
 
-def test_wide_states_build_linearly(tmp_path):
-    # 32,768 versions per state: the labeled system is built in one pass
-    # over the sorted versions, so both commands finish well inside the
-    # limit; grouping the versions by repeated tuple concatenation is
-    # quadratic in them and misses it twice over or more
-    plant, spec, policy = _swap(tmp_path, 15)
+def test_wide_states_expand_only_where_read(tmp_path):
+    # 2**20 versions per state, past the cap of 16 events: `verify` and
+    # `simulate` read the policy and plant steps and build no version, so
+    # they decide; the commands that build the observer or seed every
+    # version refuse the state
+    plant, spec, policy = _swap(tmp_path, 20)
     p = run("verify", str(plant), str(policy), str(spec), "--depth", "1", timeout=4)
     assert p.returncode == 0, p.stderr
-    assert p.stdout == "".join(f"{check} ok words=16 depth=1\n" for check in ("PROP1", "THM1", "PROBLEM1"))
+    assert p.stdout == "".join(f"{check} ok words=21 depth=1\n" for check in ("PROP1", "THM1", "PROBLEM1"))
     p = run("simulate", str(plant), str(policy), "--trace", "e0 e1", timeout=4)
     assert p.returncode == 0, p.stderr
     assert p.stdout == "initial estimate={s}\n1 e0 sent=Y proj=e0 estimate={t}\n2 e1 sent=Y proj=e0,e1 estimate={s}\n"
+    out = tmp_path / "out.policy"
+    for args in (("build-observer", plant), ("synthesize", plant, spec, out), ("oracle-maxs", plant)):
+        p = run(*map(str, args), timeout=4)
+        assert p.returncode == 3, args[0]
+        assert (p.stdout, p.stderr) == ("", "error: state 's' defines 20 events, bound is 16\n")
+
+
+def test_unreachable_wide_state_is_never_expanded(tmp_path):
+    # z defines 17 events but no initial run reaches it: only `oracle-maxs`,
+    # which seeds every version, reads its versions
+    wide = [f"w{i}" for i in range(17)]
+    plant = tmp_path / "far.des"
+    plant.write_text(
+        f"alphabet a b {' '.join(wide)}\nstates q0 q1 q2 z\ninitial q0\n"
+        "trans q0 a q1\ntrans q0 b q2\ntrans q1 b q0\n" + "".join(f"trans z {e} z\n" for e in wide)
+    )
+    spec = tmp_path / "far.pairs"
+    spec.write_text("pair q1 q2\n")
+    out = tmp_path / "far.policy"
+    p = run("build-observer", str(plant), timeout=4)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "states 25\ninitials 16\ntransitions 320\n"
+    p = run("synthesize", str(plant), str(spec), str(out), timeout=4)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == f"feasible\nroot (q0YY)\npolicy-states 4\npolicy {out}\n"
+    p = run("oracle-maxs", str(plant), timeout=4)
+    assert p.returncode == 3
+    assert (p.stdout, p.stderr) == ("", "error: state 'z' defines 17 events, bound is 16\n")
 
 
 def test_verify_suppressing_tree(tmp_path):

@@ -277,7 +277,7 @@ def _product_tracker(sys, policy):
         sensor, aug = v
         for e in aug.events():
             x2 = policy.trans.get((sensor, e))
-            cands = [w for w in sys.successors(aug, e) if w == x2]
+            cands = [w for w in sys.versions_of(sys.plant.step(aug.base, e)) if w == x2]
             if x2 is None or not cands:
                 continue
             ptrans[(v, e)] = v2 = (x2, cands[0])

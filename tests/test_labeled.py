@@ -15,7 +15,7 @@ from destx import (
     parse_labeled,
     unobservable_reach,
 )
-from destx.labeled import N, Y
+from destx.labeled import N, Y, LabeledState
 from randgen import make_labeled, random_plant
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
@@ -83,19 +83,16 @@ def test_sort_key_orders_by_base_then_bits(lsys):
     assert rendered[-1] == "q5"
 
 
-def test_successors(lsys, plant):
-    v = parse_labeled("q0NNY", plant)
-    assert {w.render() for w in lsys.successors(v, "σ2")} == {"q1N", "q1Y"}
-    assert lsys.successors(v, "σ1") == (parse_labeled("q5", plant),)
-    assert lsys.successors(parse_labeled("q5", plant), "σ1") == ()
-
-
 def test_suppressed_moves(lsys, plant):
     v = parse_labeled("q0NNY", plant)
     moves = dict(lsys.suppressed_moves(v))
     assert set(moves) == {"σ1", "σ2"}  # σ3 is transmitted
     assert {w.render() for w in moves["σ2"]} == {"q1N", "q1Y"}
+    assert moves["σ1"] == (parse_labeled("q5", plant),)
     assert lsys.suppressed_moves(parse_labeled("q2Y", plant)) == ()
+    assert lsys.suppressed_moves(parse_labeled("q5", plant)) == ()
+    # a transmitted move lands on the same versions of its plant successor
+    assert {w.render() for w in lsys.versions_of(plant.step(v.base, "σ3"))} == {"q3N", "q3Y"}
 
 
 def test_unobservable_reach_values(lsys, plant):
@@ -112,8 +109,12 @@ def test_unobservable_reach_values(lsys, plant):
 def test_alphabet_too_large():
     events = [f"e{i}" for i in range(17)]
     plant = Plant(["s"], events, {("s", e): "s" for e in events}, "s")
-    with pytest.raises(AlphabetTooLarge):
-        build_labeled_system(plant)
+    # building the system expands nothing; the cap applies where versions are read
+    lsys = build_labeled_system(plant)
+    with pytest.raises(AlphabetTooLarge, match="state 's' defines 17 events, bound is 16"):
+        lsys.states
+    with pytest.raises(AlphabetTooLarge, match="state 's' defines 17 events, bound is 16"):
+        lsys.versions_of("s")
 
 
 def _ureach_by_strings(lsys, seed):
@@ -157,10 +158,12 @@ def test_state_count_formula_random(plant):
     lsys = build_labeled_system(plant)
     expected = sum(2 ** len(plant.defined_events(q)) for q in plant.states)
     assert len(lsys.states) == expected
+    assert lsys.states == tuple(sorted(lsys.states, key=LabeledState.sort_key))
+    assert lsys.initials == lsys.versions_of(plant.initial)
     # forgetting labels lands every move on a plant transition
     for v in lsys.states:
         for e in v.events():
-            for w in lsys.successors(v, e):
+            for w in lsys.versions_of(plant.step(v.base, e)):
                 assert plant.step(v.base, e) == w.base
 
 
