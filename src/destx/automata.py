@@ -84,22 +84,14 @@ class Plant:
         return frozenset(explore(states, self.alphabet, lambda q, e: (trans[(q, e)],) if (q, e) in trans else ())[0])
 
     def words_upto(self, depth: int) -> list[Word]:
-        """All generated words of length at most `depth`, canonically ordered.
+        """All generated words of length at most `depth` in shortlex order,
+        the empty word first: one `shortlex_levels` key per word."""
 
-        Always contains the empty word.
-        """
-        out: list[Word] = [EPSILON]
-        layer: list[tuple[Word, str]] = [(EPSILON, self.initial)]
-        for _ in range(depth):
-            nxt: list[tuple[Word, str]] = []
-            for w, q in layer:
-                for e in sorted(self._defined[q]):
-                    nxt.append((w + (e,), self._trans[(q, e)]))
-            out.extend(w for w, _ in nxt)
-            layer = nxt
-            if not layer:
-                break
-        return out
+        def successors(key):
+            w, q = key
+            return ((e, (w + (e,), self._trans[(q, e)])) for e in sorted(self._defined[q]))
+
+        return [w for _n, level in shortlex_levels((EPSILON, self.initial), depth, successors) for w, _q in level]
 
     def __repr__(self):
         return f"Plant(states={len(self.states)}, events={len(self.alphabet)}, initial={self.initial!r})"

@@ -40,10 +40,6 @@ def _resolve_budget(flag_value: int | None) -> int:
     return DEFAULT_BUDGET if flag_value is None else flag_value
 
 
-def _compact(w) -> str:
-    return ",".join(w) if w else "ε"
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="destx", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -154,9 +150,8 @@ def cmd_simulate(args) -> int:
     print(f"initial estimate={_render_states(session.estimate)}")
     for i, e in enumerate(word(args.trace), start=1):
         sent, estimate = session.step(e)
-        sent_mark = "Y" if sent else "N"
         print(
-            f"{i} {e} sent={sent_mark} proj={_compact(session.observed)} "
+            f"{i} {e} sent={'Y' if sent else 'N'} proj={','.join(session.observed) or 'ε'} "
             f"estimate={_render_states(estimate)}"
         )
     return 0

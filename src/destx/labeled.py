@@ -102,7 +102,7 @@ class LabeledSystem:
     code then drops every range, union and estimate that violates it
     (`admits`).  That is what `synthesize` builds.
 
-    Immutable after construction apart from three memo tables:
+    Immutable after construction apart from four memo tables:
 
     * `_versions`, keyed on a plant state name: its versions in canonical
       order, built by `versions_of` on first use;
@@ -112,7 +112,9 @@ class LabeledSystem:
       admissible estimates over them that hold the property
       (`_estimates_over`).  The keys are {initial}, for the observer's
       initial estimates, and the targets of every transmitted event an
-      observer step has followed.
+      observer step has followed;
+    * `_oracle_cache`, keyed on (universe, depth): the oracle families of
+      the states whose own universe it is (`closure_family_bruteforce`).
     """
 
     def __init__(self, plant: Plant, prop: DistinguishabilitySpec | None = None):
@@ -121,6 +123,7 @@ class LabeledSystem:
         self._versions: dict[str, tuple[LabeledState, ...]] = {}
         self._cover_cache: dict = {}
         self._step_cache: dict = {}
+        self._oracle_cache: dict = {}
 
     @cached_property
     def states(self) -> tuple[LabeledState, ...]:

@@ -137,9 +137,8 @@ def _cover_families(sys: LabeledSystem, seeds, budget: int) -> dict[LabeledState
             total += len(fam[v])
             if total > budget:
                 raise StateBudgetExceeded(f"estimate family exceeded {budget} sets while closing")
-    for v in universe:
-        if v not in sys._cover_cache:
-            sys._cover_cache[v] = frozenset(fam[v])
+    for v in pending:
+        sys._cover_cache[v] = frozenset(fam[v])
     return {v: sys._cover_cache[v] for v in universe}
 
 
@@ -240,27 +239,16 @@ def _maximal(sets) -> set[int]:
     return set(kept)
 
 
-def realizable(
-    sys: LabeledSystem, members: Sequence[LabeledState], cand: int,
-    roots: Sequence[Sequence[LabeledState]], depth: int | None = None, budget: int | None = None,
-) -> bool:
-    """Whether the bitmask `cand` over `members` is the union of one
-    run-tree range per group of `roots` (members inside `cand`), each rooted
-    in its group, over trees that never leave `cand`.  The system is read
-    only through its plant's steps.
-
-    The range families are built level by level inside `cand`: level 0 maps
-    each member v to {{v}}, and level d+1 unions {v} with, per suppressed
-    event, nothing or one level-d range of a successor version.  Each level
-    holds the one before, so the answer at `depth` (None: the fixpoint) is
-    known once `cand` is covered (accept) or no family changes (reject).
-    Every range lies inside `cand`, so swapping a range for a larger one of
-    its family changes no answer: at the fixpoint only maximal ranges are
-    kept, which follow every event they can, one per member wherever `cand`
-    leaves no version to choose.  The oracle's bounded families are small
-    and kept whole.  More than `budget` set unions (None: no cap) raise
-    StateBudgetExceeded.
-    """
+def _range_levels(sys: LabeledSystem, members: Sequence[LabeledState], cand: int, depth: int | None, charge):
+    """The run-tree range families inside the bitmask `cand` over `members`,
+    one list of bitmask sets per level, reading the system only through its
+    plant's steps.  Level 0 maps each member v to {{v}}, and level d+1
+    unions {v} with, per suppressed event, nothing or one level-d range of
+    a successor version.  Each level holds the one before; the last is at
+    `depth` (None: the fixpoint) or the one the next would leave unchanged.
+    A range lies inside `cand`, so swapping it for a larger one of its
+    family changes no union that must be `cand`: the fixpoint keeps only
+    maximal ranges.  `charge(unions)` runs before each batch of unions."""
     inside = {v: i for i, v in enumerate(members) if cand >> i & 1}
     # a suppressed move lands on every version of its target, so it may
     # follow the candidate's versions of that plant state; a member with no
@@ -273,7 +261,38 @@ def realizable(
         events = [at[q] for q in (sys.plant.step(v.base, e) for e, lab in v.bits if lab == N) if q in at]
         if events:
             moves.append((i, events))
-    groups = [[inside[v] for v in group] for group in roots]
+    # per suppressed event: follow nothing, or one range of a version
+    nothing = set() if depth is None else {0}
+    level = [{1 << i} for i in range(len(members))]
+    for _ in itertools.count() if depth is None else range(depth):
+        yield level
+        nxt, changed = level[:], False
+        for i, events in moves:
+            acc = {1 << i}
+            for opts in events:
+                ways = nothing.union(*[level[w] for w in opts])
+                charge(len(acc) * len(ways))
+                acc = {a | r for a in acc for r in ways}
+            if depth is None:
+                acc = _maximal(acc)
+            changed = changed or acc != level[i]
+            nxt[i] = acc
+        if not changed:
+            return
+        level = nxt
+    yield level
+
+
+def realizable(
+    sys: LabeledSystem, members: Sequence[LabeledState], cand: int,
+    roots: Sequence[Sequence[LabeledState]], depth: int | None = None, budget: int | None = None,
+) -> bool:
+    """Whether some level of `_range_levels` up to `depth` holds one range
+    per group of `roots` (members inside `cand`), each rooted in its group,
+    whose union is `cand`.  More than `budget` set unions (None: no cap)
+    raise StateBudgetExceeded."""
+    index = {v: i for i, v in enumerate(members)}
+    groups = [[index[v] for v in group] for group in roots]
     spent = 0
 
     def charge(unions: int) -> None:
@@ -293,27 +312,7 @@ def realizable(
         charge(len(unions) * sum(len(level[i]) for i in last))
         return any(u | r == cand for u in unions for i in last for r in level[i])
 
-    # per suppressed event: follow nothing, or one range of a version
-    nothing = set() if depth is None else {0}
-    level = [{1 << i} for i in range(len(members))]
-    for _ in itertools.count() if depth is None else range(depth):
-        if covered(level):
-            return True
-        nxt, changed = level[:], False
-        for i, events in moves:
-            acc = {1 << i}
-            for opts in events:
-                ways = nothing.union(*[level[w] for w in opts])
-                charge(len(acc) * len(ways))
-                acc = {a | r for a in acc for r in ways}
-            if depth is None:
-                acc = _maximal(acc)
-            changed = changed or acc != level[i]
-            nxt[i] = acc
-        if not changed:
-            return False
-        level = nxt
-    return covered(level)
+    return any(map(covered, _range_levels(sys, members, cand, depth, charge)))
 
 
 def closure_family_bruteforce(
@@ -322,43 +321,54 @@ def closure_family_bruteforce(
     """Oracle for closure_family by exhaustive subset search: every subset
     of the seed's suppressed-reach universe that holds the seed, is reach
     closed, and is the range of a partial run tree of at most `depth`
-    levels (default |U|^2 + 1) that never leaves it (`realizable` with the
-    one root group [[seed]]).  It reads the system only through
-    `sys.suppressed_moves`, and `realizable` through its plant's steps,
-    with its own universe walk, closure check and reach walk, on int
-    bitmasks over the universe in sort order.
-    """
+    levels (default |U|^2 + 1) that never leaves it.  It reads the system
+    only through `sys.suppressed_moves`, and `_range_levels` through its
+    plant's steps, with its own universe walk, closure check and reach walk,
+    on int bitmasks over the universe in sort order.
+
+    The closure check and a subset's range families do not depend on the
+    root, so one scan per (universe, depth), memoized on the system, serves
+    every member whose own universe it is: one level loop per subset serves
+    those whose reach fills it, and stops early once all are covered."""
     seen, work = {seed}, [seed]
     while work:
         for _e, opts in sys.suppressed_moves(work.pop()):
             work.extend(w for w in opts if w not in seen)
             seen.update(opts)
-    universe = sorted(seen, key=LabeledState.sort_key)
-    n = len(universe)
+    n = len(seen)
     if n > 20:
         raise InstanceTooLarge(f"oracle universe has {n} states, cap is 20")
     if depth is None:
         depth = n * n + 1
-    index = {v: i for i, v in enumerate(universe)}
-    moves = [[sum(1 << index[w] for w in opts) for _e, opts in sys.suppressed_moves(v)] for v in universe]
-    root = index[seed]
-    # target mask -> mask of the members that must answer it
-    needed = {t: sum(1 << i for i, ts in enumerate(moves) if t in ts) for ts in moves for t in ts}
+    key = (frozenset(seen), depth)
+    if key not in sys._oracle_cache:
+        universe = sorted(seen, key=LabeledState.sort_key)
+        index = {v: i for i, v in enumerate(universe)}
+        moves = [[sum(1 << index[w] for w in opts) for _e, opts in sys.suppressed_moves(v)] for v in universe]
+        # target mask -> mask of the members that must answer it
+        needed = {t: sum(1 << i for i, ts in enumerate(moves) if t in ts) for ts in moves for t in ts}
 
-    def plain_reach(cand: int) -> int:
-        reached = frontier = 1 << root
-        while frontier:
-            step = 0
-            for t, need in needed.items():
-                if need & frontier:
-                    step |= t
-            frontier = step & cand & ~reached
-            reached |= frontier
-        return reached
+        def plain_reach(root: int, cand: int) -> int:
+            reached = frontier = 1 << root
+            while frontier:
+                step = 0
+                for t, need in needed.items():
+                    if need & frontier:
+                        step |= t
+                frontier = step & cand & ~reached
+                reached |= frontier
+            return reached
 
-    found = []
-    for cand in range(1 << n):
-        if cand >> root & 1 and all(t & cand for t, need in needed.items() if need & cand):
-            if plain_reach(cand) == cand and realizable(sys, universe, cand, [[seed]], depth):
-                found.append(frozenset(v for i, v in enumerate(universe) if cand >> i & 1))
-    return _sorted_estimates(found)
+        # the members whose own universe this is, and the subsets found for each
+        found = {i: [] for i in range(n) if plain_reach(i, (1 << n) - 1) == (1 << n) - 1}
+        for cand in range(1 << n):
+            if all(t & cand for t, need in needed.items() if need & cand):
+                pending = {i for i in found if cand >> i & 1 and plain_reach(i, cand) == cand}
+                for level in _range_levels(sys, universe, cand, depth, lambda unions: None) if pending else ():
+                    for i in [i for i in pending if cand in level[i]]:
+                        pending.remove(i)
+                        found[i].append(frozenset(v for j, v in enumerate(universe) if cand >> j & 1))
+                    if not pending:
+                        break
+        sys._oracle_cache[key] = {universe[i]: _sorted_estimates(fam) for i, fam in found.items()}
+    return sys._oracle_cache[key][seed]

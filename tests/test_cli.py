@@ -304,6 +304,33 @@ def test_oracle_maxs_shapes(tmp_path, des, seeds):
     assert p.stdout == f"seeds {seeds} mismatches 0\n"
 
 
+CHAIN_12 = "alphabet a\nstates " + " ".join(f"q{i}" for i in range(12)) + "\ninitial q0\n" + "".join(
+    f"trans q{i} a q{i + 1}\n" for i in range(11)
+)
+RING_3_XYZ = "alphabet x y z\nstates A B C\ninitial A\n" + "".join(
+    f"trans {a} {e} {b}\n" for a, b in (("A", "B"), ("B", "C"), ("C", "A")) for e in "xyz"
+)
+
+
+@pytest.mark.parametrize(
+    "des, stderr",
+    [
+        (CHAIN_12, "error: oracle universe has 22 states, cap is 20\n"),
+        (RING_3_XYZ, "error: estimate unions exceeded 100000 set unions while combining ranges\n"),
+    ],
+    ids=["chain: brute side", "ring: fast side"],
+)
+def test_oracle_maxs_refusal_order(tmp_path, des, stderr):
+    # each seed runs the fast side, then the brute side: the chain's first
+    # seed q0N passes the fast side and has a 22-state universe, and the
+    # ring's first seed ANNN has a 24-state universe but the fast side's
+    # union budget refuses it first
+    plant = tmp_path / "plant.des"
+    plant.write_text(des)
+    p = run("oracle-maxs", str(plant), timeout=10)
+    assert (p.returncode, p.stdout, p.stderr) == (3, "", stderr)
+
+
 @pytest.fixture
 def shift_register(tmp_path):
     """Plant, policy and empty pairs file whose tracker has 2^17 states.

@@ -24,6 +24,7 @@ from destx import (
     reach_closed,
     unobservable_reach,
 )
+from destx import observer
 from destx.automata import DEFAULT_BUDGET
 from destx.labeled import N
 from destx.observer import ObserverState, _cover_families, _union_choices, realizable
@@ -325,15 +326,16 @@ def _names_reached(func):
 
 def test_bruteforce_is_independent():
     """The oracle runs its own universe walk, closure check and reach walk,
-    and shares only `realizable` with PROP1: no code it reaches names the
-    production code it checks.  PROP1 tests the one candidate estimate with
-    that function and builds no estimate family and no observer."""
+    and shares only the level loop `_range_levels` with PROP1: no code it
+    reaches names the production code it checks.  PROP1 tests the one
+    candidate estimate with `realizable`, which runs that loop, and builds
+    no estimate family and no observer."""
     production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore", "reach"}
     names = _names_reached(closure_family_bruteforce)
-    assert {"realizable", "suppressed_moves"} <= names
+    assert {"_range_levels", "suppressed_moves"} <= names
     assert not names & production
     names = _names_reached(check_tracker_containment)
-    assert {"realizable", "reach_closed", "Estimator", "_first_failure"} <= names
+    assert {"realizable", "_range_levels", "reach_closed", "Estimator", "_first_failure"} <= names
     assert not names & {"_cover_families", "_estimates_over", "observer_step", "build_observer"}
 
 
@@ -399,6 +401,44 @@ def test_bruteforce_default_depth(lsys):
         setprofile(None)
     sizes = [len(unobservable_reach(lsys, (seed,))) for seed in lsys.states]
     assert depths == [n * n + 1 for n in sizes] + [3]
+
+
+def test_bruteforce_scans_each_universe_once(monkeypatch):
+    """The six qiN seeds of ring(6,1) share one 12-state universe, so its
+    candidates are scanned once: one level loop per (universe, candidate)
+    that some seed's reach fills, 256 in all with the six one-state
+    universes of the qiY seeds, where a loop per seed and candidate made
+    576."""
+    cands, levels = [], observer._range_levels
+
+    def counted(sysd, members, cand, depth, charge):
+        cands.append((tuple(members), cand))
+        return levels(sysd, members, cand, depth, charge)
+
+    monkeypatch.setattr(observer, "_range_levels", counted)
+    sysd = build_labeled_system(_ring(6, 1))
+    for seed in sysd.states:
+        closure_family_bruteforce(sysd, seed)
+    assert len(cands) == len(set(cands)) == 256
+
+
+def test_bruteforce_memo_ignores_call_order():
+    """The oracle memoizes per universe and depth, so every seed gets the
+    same family whether the seeds come in canonical order, in reverse
+    order, or each on a fresh system.  ring(4,1)'s qiY seeds have universes
+    strictly inside that of its qiN seeds."""
+    plants = {"ring(4,1)": _ring(4, 1)}
+    for i in range(300):  # the criterion-5 plants
+        plants[f"random plant {1000 + i}"] = random_plant(random.Random(1000 + i), max_states=4)
+    for name, plant in plants.items():
+        seeds = build_labeled_system(plant).states
+        for depth in (None, 0, 1, 2, 3):
+            fresh = [closure_family_bruteforce(build_labeled_system(plant), seed, depth) for seed in seeds]
+            sysd = build_labeled_system(plant)
+            forward = [closure_family_bruteforce(sysd, seed, depth) for seed in seeds]
+            sysd = build_labeled_system(plant)
+            backward = [closure_family_bruteforce(sysd, seed, depth) for seed in reversed(seeds)]
+            assert forward == backward[::-1] == fresh, f"{name}, depth {depth}"
 
 
 def test_bruteforce_cap():
