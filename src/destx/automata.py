@@ -40,6 +40,16 @@ def read_input(path) -> str:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
+def records(text: str):
+    """The lines of an input file that hold a token, each as (line number,
+    raw line, keyword, arguments): `#` starts a comment, blank lines are
+    skipped, and the first token is the keyword."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens[0], tokens[1:]
+
+
 class Plant:
     """Deterministic plant with a partial transition map.
 
@@ -62,14 +72,14 @@ class Plant:
             raise ParseError("a plant needs at least one state")
         if initial not in self.states:
             raise ParseError(f"initial state {initial!r} is not a declared state")
+        defined: dict[str, list[str]] = {q: [] for q in self.states}
         for (q, e), p in self._trans.items():
             if q not in self.states or p not in self.states:
                 raise ParseError(f"transition ({q},{e},{p}) uses an undeclared state")
             if e not in self.alphabet:
                 raise ParseError(f"transition ({q},{e},{p}) uses an undeclared event")
-        self._defined = {
-            q: frozenset(e for (p, e) in self._trans if p == q) for q in self.states
-        }
+            defined[q].append(e)
+        self._defined = {q: frozenset(es) for q, es in defined.items()}
 
     def step(self, q: str, e: str) -> str | None:
         """Successor of `q` under `e`, or None when the move is undefined."""
@@ -159,7 +169,7 @@ def shortlex_levels(root, depth: int, successors):
 #   initial  <q>
 #   trans    <src> <event> <dst>
 #
-# '#' starts a comment, blank lines are skipped, any other keyword is an error.
+# Read by `records`; any other keyword is an error.
 # ---------------------------------------------------------------------------
 
 def parse_des(text: str) -> Plant:
@@ -167,12 +177,7 @@ def parse_des(text: str) -> Plant:
     states: list[str] = []
     initial: str | None = None
     trans: dict[tuple[str, str], str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kw, rest = tokens[0], tokens[1:]
+    for lineno, _raw, kw, rest in records(text):
         if kw == "alphabet":
             alphabet.extend(rest)
         elif kw == "states":

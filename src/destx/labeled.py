@@ -66,8 +66,8 @@ class LabeledState:
     def render(self) -> str:
         return self.base + "".join(lab for _, lab in self.bits)
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.base, "".join(lab for _, lab in self.bits))
+    def sort_key(self) -> tuple[str, tuple[tuple[str, str], ...]]:
+        return (self.base, self.bits)
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -77,20 +77,22 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
     """Parse a rendering such as q0NNY back into a labeled state.
 
     The state name must be a declared plant state and the trailing letters
-    must be one Y/N decision per defined event, in event order.
+    must be one Y/N decision per defined event, in event order.  The labels
+    are a suffix of the trailing Y/N run no longer than the alphabet, so
+    only those splits are looked up in `plant.states`: at most
+    min(run, |alphabet|) + 1 lookups, whatever the plant's size.
     """
     matches = []
-    for q in plant.states:
-        if not text.startswith(q):
-            continue
-        rest = text[len(q):]
-        events = sorted(plant.defined_events(q))
-        if len(rest) == len(events) and all(c in (Y, N) for c in rest):
-            matches.append(LabeledState(q, tuple(zip(events, rest))))
+    for k in range(min(len(text), len(plant.alphabet)) + 1):
+        if k and text[-k] not in (Y, N):
+            break
+        q = text[: len(text) - k]
+        if q in plant.states and len(plant.defined_events(q)) == k:
+            matches.append(LabeledState(q, tuple(zip(sorted(plant.defined_events(q)), text[len(q):]))))
     if not matches:
         raise ParseError(f"{text!r} is not a labeled state of this plant")
     if len(matches) > 1:
-        raise ParseError(f"{text!r} is ambiguous: {[m.render() for m in matches]}")
+        raise ParseError(f"{text!r} is ambiguous between the plant states {sorted(m.base for m in matches)}")
     return matches[0]
 
 

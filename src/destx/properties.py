@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .automata import Plant, read_input
+from .automata import Plant, read_input, records
 from .errors import ParseError, UnknownState
 
 
@@ -47,14 +47,10 @@ class DistinguishabilitySpec:
     @staticmethod
     def parse(text: str) -> "DistinguishabilitySpec":
         pairs = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] != "pair" or len(parts) != 3:
+        for ln, raw, kw, rest in records(text):
+            if kw != "pair" or len(rest) != 2:
                 raise ParseError(f"line {ln}: expected 'pair <state> <state>', got {raw!r}")
-            pairs.append((parts[1], parts[2]))
+            pairs.append((rest[0], rest[1]))
         return DistinguishabilitySpec.of(pairs)
 
     def holds(self, content: frozenset[str]) -> bool:

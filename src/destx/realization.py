@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .automata import Plant, Word, read_input
+from .automata import Plant, Word, read_input, records
 from .errors import (
     MissingSuccessor,
     ParseError,
@@ -163,12 +163,7 @@ def parse_policy(text: str, plant: Plant) -> Policy:
     initial: LabeledState | None = None
     trans: dict[tuple[LabeledState, str], LabeledState] = {}
     labels: list[tuple[LabeledState, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kw, rest = tokens[0], tokens[1:]
+    for lineno, _raw, kw, rest in records(text):
         if kw == "initial":
             if len(rest) != 1 or initial is not None:
                 raise ParseError(f"line {lineno}: bad or duplicate initial line")

@@ -476,6 +476,49 @@ def test_unreachable_wide_state_is_never_expanded(tmp_path):
     assert (p.stdout, p.stderr) == ("", "error: state 'z' defines 17 events, bound is 16\n")
 
 
+@pytest.fixture
+def ring3000(tmp_path):
+    """A 3,000-state ring on two events, s{i} moving to s{i+1} on a and to
+    s{i+7} on b (mod 3,000), the policy that transmits everything and the
+    pair (s0, s1): the paths of the plant, policy and pairs files."""
+    n = 3000
+    moves = [(i, e, (i + d) % n) for i in range(n) for e, d in (("a", 1), ("b", 7))]
+    plant = tmp_path / "ring.des"
+    plant.write_text(
+        "alphabet a b\nstates " + " ".join(f"s{i}" for i in range(n)) + "\ninitial s0\n"
+        + "".join(f"trans s{i} {e} s{j}\n" for i, e, j in moves)
+    )
+    policy = tmp_path / "all.policy"
+    policy.write_text("initial s0YY\n" + "".join(f"trans s{i}YY {e} s{j}YY\n" for i, e, j in moves))
+    spec = tmp_path / "ring.pairs"
+    spec.write_text("pair s0 s1\n")
+    return str(plant), str(policy), str(spec)
+
+
+def test_large_plant_read_in_linear_time(ring3000):
+    # each policy name is looked up, not matched against every plant state,
+    # so reading the 3,000-state plant and its policy costs well under 3 s
+    plant, policy, spec = ring3000
+    p = run("verify", plant, policy, spec, "--depth", "3", timeout=3)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "".join(f"{check} ok words=15 depth=3\n" for check in ("PROP1", "THM1", "PROBLEM1"))
+    p = run("simulate", plant, policy, "--trace", "a", timeout=3)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "initial estimate={s0}\n1 a sent=Y proj=a estimate={s1}\n"
+
+
+def test_long_policy_name_bounded(ring3000, tmp_path):
+    # a name of 100,000 Y letters: only the splits no longer than the
+    # alphabet are looked up
+    plant, _policy, spec = ring3000
+    policy = tmp_path / "long.policy"
+    policy.write_text("initial " + "Y" * 100_000 + "\n")
+    p = run("verify", plant, str(policy), spec, timeout=2)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr.endswith("Y' is not a labeled state of this plant\n")
+
+
 def test_verify_suppressing_tree(tmp_path):
     # a 63-node binary tree whose policy suppresses every move: the first
     # tracker state holds every node, and PROP1's range search keeps only

@@ -56,6 +56,56 @@ def test_parse_labeled(plant):
             parse_labeled(bad, plant)
 
 
+def test_parse_labeled_ambiguity_names_candidates():
+    # q with two events, qY with one and qYN with none: every version
+    # renders as qYN, so the message names the three plant states
+    plant = Plant(["q", "qY", "qYN"], "ab", {("q", "a"): "qY", ("q", "b"): "qYN", ("qY", "a"): "q"}, "q")
+    with pytest.raises(ParseError) as exc:
+        parse_labeled("qYN", plant)
+    assert str(exc.value) == "'qYN' is ambiguous between the plant states ['q', 'qY', 'qYN']"
+    assert parse_labeled("qNN", plant) == make_labeled("q", {"a": N, "b": N})
+
+
+def _matches_by_scan(text, plant):
+    """Independent reading: every plant state that `text` starts with and
+    whose defined events the rest of `text` labels Y or N."""
+    matches = []
+    for q in plant.states:
+        if not text.startswith(q):
+            continue
+        rest = text[len(q):]
+        events = sorted(plant.defined_events(q))
+        if len(rest) == len(events) and all(c in (Y, N) for c in rest):
+            matches.append(LabeledState(q, tuple(zip(events, rest))))
+    return matches
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_parse_labeled_matches_scan(seed):
+    # state names that collide with each other's renderings; every query
+    # finds exactly the matches of a scan over all plant states
+    rng = random.Random(seed)
+    events = "abc"[: rng.randint(1, 3)]
+    names = rng.sample(["q", "qN", "qY", "qYN", "qYNN", "qNY", "qYY", "Y", "N", "YN", "r"], rng.randint(1, 8))
+    trans = {(q, e): rng.choice(names) for q in names for e in events if rng.random() < 0.5}
+    plant = Plant(names, events, trans, names[0])
+    queries = {q + "".join(rng.choice("YN") for _ in range(rng.randint(0, 4))) for q in names for _ in range(4)}
+    queries |= {"", "Y", "NN", "qYNNY", "qYX", "q" + "Y" * 50}
+    for text in sorted(queries):
+        found = _matches_by_scan(text, plant)
+        if len(found) == 1:
+            assert parse_labeled(text, plant) == found[0]
+            continue
+        with pytest.raises(ParseError) as exc:
+            parse_labeled(text, plant)
+        if found:
+            bases = sorted(v.base for v in found)
+            assert str(exc.value) == f"{text!r} is ambiguous between the plant states {bases}"
+        else:
+            assert str(exc.value) == f"{text!r} is not a labeled state of this plant"
+
+
 def test_parse_render_round_trip(lsys, plant):
     for v in lsys.states:
         assert parse_labeled(v.render(), plant) == v
