@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end demo on the bundled running example.
 
-Builds the labeled system and dynamic observer, prunes against the
-distinguishability property, extracts a minimum-transmission schedule,
-realizes it as a policy, and verifies the result with the brute-force
-checkers. Prints a short trace of each stage.
+Takes the route of `destx synthesize`: builds the labeled system carrying
+the distinguishability property and its dynamic observer, which holds only
+estimates that keep the property, closes it under consistency, extracts a
+minimum-transmission schedule, realizes it as a policy, and verifies the
+result with the brute-force checkers. Prints a short trace of each stage.
 """
 
 import argparse
@@ -26,7 +27,6 @@ from destx import (
     format_policy,
     load_pairs,
     load_plant,
-    prune_violating,
     realize_policy,
 )
 
@@ -47,15 +47,14 @@ def main() -> int:
     prop = distinguishability(pairs, plant)
     print(f"plant: {len(plant.states)} states, {len(plant.alphabet)} events")
 
-    sys_ = build_labeled_system(plant)
+    sys_ = build_labeled_system(plant, prop)
     print(f"labeled system: {len(sys_.states)} states")
 
     obs = build_observer(sys_)
     print(f"observer: {len(obs.states)} states, {obs.transition_count} transitions")
 
-    g0 = prune_violating(obs, prop)
-    gstar = consistency_fixpoint(obs, g0)
-    print(f"pruned: {len(g0.states)} -> {len(gstar.states)} states after consistency")
+    gstar = consistency_fixpoint(obs, obs)
+    print(f"pruned: {len(obs.states)} -> {len(gstar.states)} states after consistency")
 
     print(f"deterministic sub-automata: {len(gstar.initials)}")
 

@@ -10,6 +10,7 @@ the decision taken at its source determines whether the receiver sees it.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable
 from functools import cached_property
 
@@ -23,32 +24,13 @@ N = "N"
 _MAX_EVENTS_PER_STATE = 16
 
 
-class LabeledState:
-    """A plant state together with one decision per defined event; immutable,
-    and equal only to a labeled state with the same base and bits."""
+class LabeledState(tuple):
+    """A plant state together with one decision per defined event: the pair
+    (base, bits), bits being ((event, decision), ...) sorted by event, so it
+    compares, hashes and sorts as that tuple."""
 
-    def __init__(self, base: str, bits: tuple[tuple[str, str], ...]):
-        fields = self.__dict__
-        fields["base"] = base
-        fields["bits"] = bits  # ((event, decision), ...) sorted by event
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a labeled state is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a labeled state is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not LabeledState:
-            return NotImplemented
-        return self.base == other.base and self.bits == other.bits
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.base, self.bits))
-
-    def __hash__(self):
-        return self._hash
+    base = property(operator.itemgetter(0))
+    bits = property(operator.itemgetter(1))
 
     @cached_property
     def _map(self) -> dict[str, str]:
@@ -65,9 +47,6 @@ class LabeledState:
 
     def render(self) -> str:
         return self.base + "".join(lab for _, lab in self.bits)
-
-    def sort_key(self) -> tuple[str, tuple[tuple[str, str], ...]]:
-        return (self.base, self.bits)
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -88,7 +67,7 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
             break
         q = text[: len(text) - k]
         if q in plant.states and len(plant.defined_events(q)) == k:
-            matches.append(LabeledState(q, tuple(zip(sorted(plant.defined_events(q)), text[len(q):]))))
+            matches.append(LabeledState((q, tuple(zip(sorted(plant.defined_events(q)), text[len(q):])))))
     if not matches:
         raise ParseError(f"{text!r} is not a labeled state of this plant")
     if len(matches) > 1:
@@ -152,7 +131,7 @@ class LabeledSystem:
             if len(events) > _MAX_EVENTS_PER_STATE:
                 raise AlphabetTooLarge(f"state {q!r} defines {len(events)} events, bound is {_MAX_EVENTS_PER_STATE}")
             hit = self._versions[q] = tuple(
-                LabeledState(q, bits) for bits in itertools.product(*(((e, N), (e, Y)) for e in events))
+                LabeledState((q, bits)) for bits in itertools.product(*(((e, N), (e, Y)) for e in events))
             )
         return hit
 

@@ -45,7 +45,7 @@ class ObserverState(frozenset):
     @cached_property
     def members(self) -> tuple[LabeledState, ...]:
         """The members in canonical order, for `render` and `sort_key`."""
-        return tuple(sorted(self, key=LabeledState.sort_key))
+        return tuple(sorted(self))
 
     def underlying(self) -> frozenset[str]:
         return frozenset(ls.base for ls in self)
@@ -54,7 +54,7 @@ class ObserverState(frozenset):
         return "(" + ",".join(ls.render() for ls in self.members) + ")"
 
     def sort_key(self):
-        return (len(self), tuple(ls.sort_key() for ls in self.members))
+        return (len(self), self.members)
 
     def __repr__(self):
         return self.render()
@@ -113,7 +113,7 @@ def _cover_families(sys: LabeledSystem, seeds, budget: int) -> dict[LabeledState
         v: set(sys._cover_cache.get(v, ())) for v in universe
     }
     # a fixed order makes the budget stop on the same cap in every process
-    order = sorted(universe, key=LabeledState.sort_key)
+    order = sorted(universe)
     changed = True
     while changed:
         changed = False
@@ -342,7 +342,7 @@ def closure_family_bruteforce(
         depth = n * n + 1
     key = (frozenset(seen), depth)
     if key not in sys._oracle_cache:
-        universe = sorted(seen, key=LabeledState.sort_key)
+        universe = sorted(seen)
         index = {v: i for i, v in enumerate(universe)}
         moves = [[sum(1 << index[w] for w in opts) for _e, opts in sys.suppressed_moves(v)] for v in universe]
         # target mask -> mask of the members that must answer it

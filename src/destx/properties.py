@@ -14,35 +14,20 @@ from .automata import Plant, read_input, records
 from .errors import ParseError, UnknownState
 
 
-class DistinguishabilitySpec:
-    """Pairs of plant states that must never be confused.
+class DistinguishabilitySpec(frozenset):
+    """Pairs of plant states that must never be confused: a frozenset of
+    (state, state) tuples.
 
     Pairs are kept exactly as written; a set of states violates the
     specification when both components of any pair appear in it, so the
-    verdict itself is insensitive to pair order.  Immutable, and equal to
-    a spec with the same pairs.
+    verdict itself is insensitive to pair order.
     """
 
-    def __init__(self, pairs: frozenset[tuple[str, str]]):
-        self.__dict__["pairs"] = pairs
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a spec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a spec is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not DistinguishabilitySpec:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
+    __slots__ = ()
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, str]]) -> "DistinguishabilitySpec":
-        return DistinguishabilitySpec(frozenset((a, b) for a, b in pairs))
+        return DistinguishabilitySpec((a, b) for a, b in pairs)
 
     @staticmethod
     def parse(text: str) -> "DistinguishabilitySpec":
@@ -55,18 +40,18 @@ class DistinguishabilitySpec:
 
     def holds(self, content: frozenset[str]) -> bool:
         """Whether the set of plant states `content` merges no pair."""
-        return not any(a in content and b in content for a, b in self.pairs)
+        return not any(a in content and b in content for a, b in self)
 
     def describe(self, content: frozenset[str]) -> str:
         """Which pairs a violating `content` merges."""
-        bad = sorted((a, b) for a, b in self.pairs if a in content and b in content)
+        bad = sorted((a, b) for a, b in self if a in content and b in content)
         culprits = " ".join(f"{a}~{b}" for a, b in bad)
         return f"estimate {{{','.join(sorted(content))}}} merges {culprits}"
 
 
 def distinguishability(spec: DistinguishabilitySpec, plant: Plant) -> DistinguishabilitySpec:
     """The spec itself, once every state it names is a state of `plant`."""
-    for a, b in spec.pairs:
+    for a, b in spec:
         for q in (a, b):
             if q not in plant.states:
                 raise UnknownState(f"pair mentions unknown state {q!r}")

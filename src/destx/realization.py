@@ -49,7 +49,7 @@ class Policy:
         for x in seen:
             if tuple(sorted(plant.defined_events(x.base))) != x.events():
                 raise ParseError(f"{x.render()} does not label exactly the defined events")
-        self.states = tuple(sorted(seen, key=LabeledState.sort_key))
+        self.states = tuple(sorted(seen))
 
     def step(self, x: LabeledState, e: str) -> LabeledState:
         nxt = self.trans.get((x, e))
@@ -77,7 +77,7 @@ class Policy:
 
 def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, ...]:
     """Order labeled states by how many of the set lie in each one's
-    unobservable reach, most first, then by `sort_key`.
+    unobservable reach, most first, then by (base, bits).
 
     This is the canonically smallest suppressed-reachability chain, each
     element in the reach of its predecessor, whenever the set has one.
@@ -89,7 +89,7 @@ def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, .
     """
     elems = set(d)
     reach = {v: unobservable_reach(sys, (v,)) for v in elems}
-    return tuple(sorted(elems, key=lambda v: (-len(reach[v] & elems), v.sort_key())))
+    return tuple(sorted(elems, key=lambda v: (-len(reach[v] & elems), v)))
 
 
 def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
@@ -154,7 +154,7 @@ def format_policy(policy: Policy) -> str:
     for x in policy.states:
         for e, lab in x.bits:
             lines.append(f"label {x.render()} {e} {lab}")
-    for (x, e), y in sorted(policy.trans.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
+    for (x, e), y in sorted(policy.trans.items()):
         lines.append(f"trans {x.render()} {e} {y.render()}")
     return "\n".join(lines) + "\n"
 

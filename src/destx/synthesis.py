@@ -97,8 +97,7 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
 
 
 class DeterministicSchedule:
-    """One committed successor per (estimate, event), rooted at one initial.
-    Equal to a schedule with the same initial, states and transitions."""
+    """One committed successor per (estimate, event), rooted at one initial."""
 
     def __init__(
         self,
@@ -109,11 +108,6 @@ class DeterministicSchedule:
         self.initial = initial
         self.states = states
         self.trans = trans
-
-    def __eq__(self, other):
-        if other.__class__ is not DeterministicSchedule:
-            return NotImplemented
-        return (self.initial, self.states, self.trans) == (other.initial, other.states, other.trans)
 
 
 def extract_min_transmit(

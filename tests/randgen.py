@@ -35,7 +35,7 @@ def lang_size_capped(plant: Plant, depth: int, cap: int) -> int | None:
 
 def make_labeled(base: str, decisions: dict[str, str]) -> LabeledState:
     """The version of `base` taking decision Y or N on each event given."""
-    return LabeledState(base, tuple(sorted(decisions.items())))
+    return LabeledState((base, tuple(sorted(decisions.items()))))
 
 
 def uniform_policy(plant: Plant, decision: str) -> Policy:

@@ -76,7 +76,7 @@ def _matches_by_scan(text, plant):
         rest = text[len(q):]
         events = sorted(plant.defined_events(q))
         if len(rest) == len(events) and all(c in (Y, N) for c in rest):
-            matches.append(LabeledState(q, tuple(zip(events, rest))))
+            matches.append(LabeledState((q, tuple(zip(events, rest)))))
     return matches
 
 
@@ -117,7 +117,8 @@ def test_labeled_state_is_an_immutable_value(lsys):
     assert v is not w and v == w and hash(v) == hash(w)
     assert v in set(lsys.states) and {v: 1}[w] == 1
     assert v != make_labeled("q0", {"σ1": N, "σ2": N, "σ3": N})
-    assert v != ("q0", v.bits) and ("q0", v.bits) != v
+    # the value is the pair (base, bits)
+    assert v == ("q0", v.bits) and ("q0", v.bits) == v and hash(v) == hash(("q0", v.bits))
     for name in ("base", "bits"):
         with pytest.raises(AttributeError):
             setattr(v, name, getattr(w, name))
@@ -131,6 +132,9 @@ def test_sort_key_orders_by_base_then_bits(lsys):
     assert rendered == sorted(rendered)
     assert rendered[0].startswith("q0")
     assert rendered[-1] == "q5"
+    # states sort as their (base, bits) pairs
+    shuffled = lsys.states[::-1]
+    assert sorted(shuffled) == sorted(shuffled, key=lambda v: (v.base, v.bits)) == list(lsys.states)
 
 
 def test_suppressed_moves(lsys, plant):
@@ -208,7 +212,7 @@ def test_state_count_formula_random(plant):
     lsys = build_labeled_system(plant)
     expected = sum(2 ** len(plant.defined_events(q)) for q in plant.states)
     assert len(lsys.states) == expected
-    assert lsys.states == tuple(sorted(lsys.states, key=LabeledState.sort_key))
+    assert lsys.states == tuple(sorted(lsys.states, key=lambda v: (v.base, v.bits)))
     assert lsys.initials == lsys.versions_of(plant.initial)
     # forgetting labels lands every move on a plant transition
     for v in lsys.states:

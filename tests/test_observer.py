@@ -225,7 +225,7 @@ def _bruteforce_top_down(sys, seed, depth=None):
     """The oracle as it was before its level loop: every candidate subset,
     checked against top-down depth-indexed range families with a fresh memo,
     always to the full depth."""
-    universe = sorted(unobservable_reach(sys, (seed,)), key=lambda v: v.sort_key())
+    universe = sorted(unobservable_reach(sys, (seed,)))
     if depth is None:
         depth = len(universe) * len(universe) + 1
 

@@ -51,7 +51,7 @@ def test_rank_orders_by_suppressed_reach(lsys, plant):
 
 
 def test_rank_without_chain(lsys, plant):
-    # neither reaches the other, so the two tie and sort_key orders them
+    # neither reaches the other, so the two tie and (base, bits) orders them
     q1y, q3y = parse_labeled("q1Y", plant), parse_labeled("q3Y", plant)
     assert rank(lsys, [q3y, q1y]) == (q1y, q3y)
 
@@ -91,7 +91,7 @@ def test_rank_cap():
 def _rank_by_permutations(lsys, d):
     """Reference for rank: the first permutation, in canonical order, in
     which every element lies in the suppressed reach of its predecessor."""
-    elems = sorted(set(d), key=lambda v: v.sort_key())
+    elems = sorted(set(d))
     reach = {v: unobservable_reach(lsys, (v,)) for v in elems}
     for perm in itertools.permutations(elems):
         if all(b in reach[a] for a, b in zip(perm, perm[1:])):
@@ -107,7 +107,7 @@ def test_rank_matches_permutation_search():
         # sets drawn from all states, and from one state's suppressed reach,
         # where chains are likelier
         pools = [lsys.states] * 3 + [
-            sorted(unobservable_reach(lsys, (rng.choice(lsys.states),)), key=lambda v: v.sort_key())
+            sorted(unobservable_reach(lsys, (rng.choice(lsys.states),)))
             for _ in range(3)
         ]
         for pool in pools:

@@ -1,10 +1,21 @@
-"""The end-to-end demo script on the bundled running example."""
+"""The end-to-end demo script on the bundled running example, and the
+benchmark's tracer against the command line tool."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
+import pytest
+
+from destx_child import python_child, run
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_pipeline.py"
+TRACED = ROOT / "perfbench" / "traced.py"
+PLANT = str(ROOT / "data" / "running_example.des")
+PAIRS = str(ROOT / "data" / "distinguish.pairs")
+HAND = str(ROOT / "data" / "example.policy")
 
 
 def test_run_pipeline_depth_6(tmp_path):
@@ -17,6 +28,7 @@ def test_run_pipeline_depth_6(tmp_path):
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     for line in (
+        "observer: 18 states, 38 transitions",  # built on the system carrying the property
         "PROP1 ok words=8 depth=6",
         "THM1 ok words=14 depth=6",
         "PROBLEM1 ok words=14 depth=6",
@@ -25,3 +37,35 @@ def test_run_pipeline_depth_6(tmp_path):
     ):
         assert line in lines
     assert out.read_text().startswith("initial ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("synthesize", PLANT, PAIRS, "POLICY"), 0),
+        (("synthesize", PLANT, PAIRS, "POLICY", "--pin-initial", "q0NNY"), 0),
+        (("verify", PLANT, HAND, PAIRS), 5),  # the hand-written policy merges q1 and q2
+        (("oracle-maxs", PLANT), 0),
+    ],
+    ids=["synthesize", "synthesize-pinned", "verify", "oracle-maxs"],
+)
+def test_traced_says_what_the_cli_says(tmp_path, argv, code):
+    """`perfbench/traced.py SPANS_OUT COMMAND ARGS` calls the library the way
+    `destx.cli` does, with spans around each layer.  Under `--trace 1`,
+    `perfbench/run.py` counts a call as failed unless it gives the same exit
+    code, the same stdout once the policy path is swapped, and the same
+    policy bytes as `python -m destx`; so a library change that the tracer
+    does not follow fails here."""
+    cli_policy, traced_policy = tmp_path / "cli.policy", tmp_path / "traced.policy"
+    spans = tmp_path / "spans.json"
+    plain = run(*(str(cli_policy) if a == "POLICY" else a for a in argv))
+    traced = python_child(
+        str(TRACED), str(spans), *(str(traced_policy) if a == "POLICY" else a for a in argv)
+    )
+    assert plain.returncode == code, plain.stderr
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout.replace(str(traced_policy), str(cli_policy)) == plain.stdout
+    if "POLICY" in argv:
+        assert traced_policy.read_bytes() == cli_policy.read_bytes()
+    record = json.loads(spans.read_text("utf-8"))
+    assert record["spans"] and set(record) == {"spans", "counters"}
