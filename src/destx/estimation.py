@@ -10,10 +10,11 @@ Two independent routes to the receiver's estimate:
 * brute force: read the estimate straight off the definition, as the end
   states of the plant words, of any length, that the policy projects onto
   the same transmitted word.  The words are not listed one by one: a table
-  over distinct (plant state, policy state, projection) triples finds, per
-  projection asked for, every triple that such a word reaches, by closing
-  the triples one transmitted event past the projection's prefix under the
-  steps that keep the projection.
+  over distinct (policy state, projection) keys finds, per projection asked
+  for, every key that such a word reaches, by closing the keys one
+  transmitted event past the projection's prefix under the steps that keep
+  the projection.  The plant state is the policy state's base, so each key
+  stands for one (plant state, policy state, projection) triple.
 
 The checks below run over all words up to a depth.  PROP1 checks that each
 tracker state is one of the dynamic observer's estimates for its observed
@@ -21,18 +22,19 @@ word, without building the observer; THM1 compares the tracker with brute
 force, and PROBLEM1 the brute-force estimate with the property.  All three
 walk the levels of `shortlex_levels` in `_first_failure`, over the distinct
 keys that decide a word's verdict and continuations: (tracker state,
-targets) for PROP1, (plant state, policy state, projection) for THM1 and
-PROBLEM1.  They are bounded substitutes for the universal statements, not
-proofs.  One budget caps the entries of each walk, summed over its levels,
-the set unions of PROP1's test of one entry, and the triples of the
-brute-force table.  An entry stands for at least one word, so no depth
-whose words fit the budget is refused.  The tracker needs no cap of its
-own: PROP1 steps it at most once per event of an entry, THM1 once per new
-projection and a replay once per event.
+targets) for PROP1, (policy state, projection) for THM1 and PROBLEM1.
+They are bounded substitutes for the universal statements, not proofs.
+One budget caps the entries of each walk, summed over its levels, the set
+unions of PROP1's test of one entry, and the keys of the brute-force
+table.  An entry stands for at least one word, so no depth whose words
+fit the budget is refused.  The tracker needs no cap of its own: PROP1
+steps it at most once per event of an entry, THM1 once per new projection
+and a replay once per event.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
@@ -94,38 +96,38 @@ _TRIPLES = "(plant state, policy state, projection) entries over the plant words
 
 
 def _triples(policy: Policy):
-    """The triple of the empty word, and the (event, triple) successors of a
-    (plant state, policy state, projection) triple in event order; the
-    projection grows by each event the policy state transmits."""
-    plant = policy.plant
+    """The key of the empty word, and the (event, key) successors of a
+    (policy state, projection) key in event order; the projection grows by
+    each event the policy state transmits.  Every policy move follows the
+    plant, so the key (x, p) stands for the triple (x.base, x, p)."""
 
-    def successors(t):
-        q, x, proj = t
-        for e in sorted(plant.defined_events(q)):
-            yield e, (plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
+    def successors(key):
+        x, proj = key
+        for e, lab in x.bits:
+            yield e, (policy.step(x, e), proj + (e,) if lab == Y else proj)
 
-    return (plant.initial, policy.initial, ()), successors
+    return (policy.initial, ()), successors
 
 
 class _EstimateTable:
     """The brute-force estimate, exact per projection, built on demand.
 
-    A triple's successors depend on the triple alone, and each step keeps
-    the projection or extends it by the one event transmitted.  So the
-    triples that plant words with projection p reach, however long the
-    words, are those reached from the triples parked on p by the steps that
-    keep the projection.  The start triple is parked on the empty
-    projection, and every other parked triple is one transmitted event past
-    a triple of p[:-1].  `estimate(p)` therefore admits p[:-1] first, then
-    closes p's parked triples, parking each transmitted successor under its
-    own projection; the plant states of p's triples are the estimate by
-    definition.  Every triple the table holds, parked ones included, counts
+    A (policy state, projection) key's successors depend on the key alone,
+    and each step keeps the projection or extends it by the one event
+    transmitted.  So the keys that plant words with projection p reach,
+    however long the words, are those reached from the keys parked on p by
+    the steps that keep the projection.  The start key is parked on the
+    empty projection, and every other parked key is one transmitted event
+    past a key of p[:-1].  `estimate(p)` therefore admits p[:-1] first,
+    then closes p's parked keys, parking each transmitted successor under
+    its own projection; the bases of p's policy states are the estimate by
+    definition.  Every key the table holds, parked ones included, counts
     against `budget`, past which InstanceTooLarge names `check`."""
 
     def __init__(self, policy: Policy, budget: int, check: str):
         start, self.successors = _triples(policy)
         self.budget, self.check = budget, check
-        self.parked: dict[Word, dict[tuple[str, LabeledState, Word], None]] = {(): {start: None}}
+        self.parked: dict[Word, dict[tuple[LabeledState, Word], None]] = {(): {start: None}}
         self.size = 1
         self.estimates: dict[Word, frozenset[str]] = {}
 
@@ -134,16 +136,16 @@ class _EstimateTable:
         if proj not in self.estimates:
             if proj:
                 self.estimate(proj[:-1])
-            triples = self.parked.pop(proj, {})
-            work = list(triples)
+            keys = self.parked.pop(proj, {})
+            work = list(keys)
             while work:
-                for _e, t in self.successors(work.pop()):
-                    into = triples if t[2] == proj else self.parked.setdefault(t[2], {})
-                    if t in into:
+                for _e, key in self.successors(work.pop()):
+                    into = keys if key[1] == proj else self.parked.setdefault(key[1], {})
+                    if key in into:
                         continue
-                    into[t] = None
-                    if into is triples:
-                        work.append(t)
+                    into[key] = None
+                    if into is keys:
+                        work.append(key)
                     self.size += 1
                     if self.size > self.budget:
                         raise InstanceTooLarge(
@@ -151,26 +153,16 @@ class _EstimateTable:
                             f"{self.budget} (plant state, policy state, projection) triples "
                             f"at projection length {len(proj)}"
                         )
-            self.estimates[proj] = frozenset(q for q, _x, _p in triples)
+            self.estimates[proj] = frozenset(x.base for x, _p in keys)
         return self.estimates[proj]
 
 
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "name ok words depth word expected got", defaults=(None, "", ""))):
     """A check's verdict.  `words` counts the words checked: all of them up
     to the depth when the check holds, and on a failure the words of the
     keys checked before the failing one plus the failing word itself."""
 
-    def __init__(
-        self, name: str, ok: bool, words: int, depth: int,
-        word: Word | None = None, expected: str = "", got: str = "",
-    ):
-        self.name = name
-        self.ok = ok
-        self.words = words
-        self.depth = depth
-        self.word = word
-        self.expected = expected
-        self.got = got
+    __slots__ = ()
 
     def line(self) -> str:
         if self.ok:
@@ -256,11 +248,12 @@ def check_estimate_agreement(
     """Tracker estimates equal brute-force estimates for every plant word up
     to the depth.  The brute-force side is exact: it takes the end states of
     every plant word with the same projection, however long.  Both sides
-    depend on a word only through its projection, so each distinct (plant
-    state, policy state, projection) triple of a level is compared once, and
-    the tracker is stepped once per new projection.  The entries of the
-    walk, summed over its levels, and the triples of the estimate table are
-    both capped by `budget`."""
+    depend on a word only through its projection, so each distinct (policy
+    state, projection) key of a level, which stands for one (plant state,
+    policy state, projection) triple, is compared once, and the tracker is
+    stepped once per new projection.  The entries of the walk, summed over
+    its levels, and the keys of the estimate table are both capped by
+    `budget`."""
     est = Estimator(build_labeled_system(plant), policy)
     table = _EstimateTable(policy, budget, "THM1")
     # tracker state and estimate per projection; a key's projection is that
@@ -270,7 +263,7 @@ def check_estimate_agreement(
     }
 
     def fails(key):
-        proj = key[2]
+        proj = key[1]
         if proj not in trackers:
             h = trackers[proj[:-1]][0]
             h = est.step(h, proj[-1]) if h is not None else None
@@ -287,12 +280,12 @@ def check_property_satisfaction(
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
     up to the depth, with the same exact brute-force estimate, budget and
-    capped walk over distinct triples as THM1.  It reads only its own
-    estimate table, so it builds no tracker."""
+    capped walk over distinct (policy state, projection) keys as THM1.  It
+    reads only its own estimate table, so it builds no tracker."""
     table = _EstimateTable(policy, budget, "PROBLEM1")
 
     def fails(key):
-        estimate = table.estimate(key[2])
+        estimate = table.estimate(key[1])
         if prop.holds(estimate):
             return None
         return "estimate satisfying the property", _render_states(estimate) + " (" + prop.describe(estimate) + ")"
@@ -306,9 +299,7 @@ class TraceSession:
     def __init__(self, plant: Plant, policy: Policy):
         self.plant = plant
         self.policy = policy
-        self.sys = build_labeled_system(plant)
-        self.est = Estimator(self.sys, policy)
-        self.state = plant.initial
+        self.est = Estimator(build_labeled_system(plant), policy)
         self.x = policy.initial
         self.h = self.est.initial
         self.observed: Word = ()
@@ -318,9 +309,8 @@ class TraceSession:
         return self.h.underlying()
 
     def step(self, e: str) -> tuple[bool, frozenset[str]]:
-        q2 = self.plant.step(self.state, e)
-        if q2 is None:
-            raise UndefinedEvent(f"event {e!r} is not defined at plant state {self.state!r}")
+        if self.plant.step(self.x.base, e) is None:
+            raise UndefinedEvent(f"event {e!r} is not defined at plant state {self.x.base!r}")
         transmitted = self.x.label(e) == Y
         x2 = self.policy.step(self.x, e)
         if transmitted:
@@ -331,5 +321,5 @@ class TraceSession:
                 )
             self.h = h2
             self.observed += (e,)
-        self.state, self.x = q2, x2
+        self.x = x2
         return transmitted, self.estimate

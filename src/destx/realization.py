@@ -59,12 +59,10 @@ class Policy:
 
     def projection(self, s: Iterable[str]) -> Word:
         """The transmitted subsequence of a plant word."""
-        q: str | None = self.plant.initial
         x = self.initial
         out = []
         for e in s:
-            q = self.plant.step(q, e) if q is not None else None
-            if q is None:
+            if self.plant.step(x.base, e) is None:
                 raise WordNotInPlant(f"event {e!r} fell outside the plant language")
             if x.label(e) == Y:
                 out.append(e)

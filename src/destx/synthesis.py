@@ -23,6 +23,7 @@ the schedule is the walk whose step commits to one successor.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 
 from .automata import explore
@@ -96,18 +97,12 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
     )
 
 
-class DeterministicSchedule:
-    """One committed successor per (estimate, event), rooted at one initial."""
+class DeterministicSchedule(namedtuple("DeterministicSchedule", "initial states trans")):
+    """One committed successor per (estimate, event), rooted at the estimate
+    `initial`: `trans` maps (estimate, event) to it, and `states` holds the
+    estimates reached, in `sort_key` order."""
 
-    def __init__(
-        self,
-        initial: ObserverState,
-        states: tuple[ObserverState, ...],
-        trans: dict[tuple[ObserverState, str], ObserverState],
-    ):
-        self.initial = initial
-        self.states = states
-        self.trans = trans
+    __slots__ = ()
 
 
 def extract_min_transmit(

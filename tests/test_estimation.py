@@ -9,6 +9,7 @@ import destx.estimation
 import destx.observer
 from destx import (
     CheckReport,
+    DeterministicSchedule,
     DistinguishabilitySpec,
     Estimator,
     InstanceTooLarge,
@@ -30,6 +31,7 @@ from destx import (
     parse_labeled,
     prune_violating,
     realize_policy,
+    shortlex_levels,
 )
 from destx.labeled import N, Y
 from destx.observer import ObserverState
@@ -423,6 +425,21 @@ def test_check_report_keywords_match_positions():
     assert CheckReport("PROP1", False, 1, 0, ()).line() == "FAIL PROP1 word=ε expected= got="
 
 
+def test_report_and_schedule_are_named_tuples(plant, lsys):
+    report = CheckReport("PROBLEM1", False, 3, 6, ("σ2", "σ2"), "{q1,q2}", "x")
+    fields = ("PROBLEM1", False, 3, 6, ("σ2", "σ2"), "{q1,q2}", "x")
+    assert report == fields and hash(report) == hash(fields)
+    with pytest.raises(AttributeError):
+        report.ok = True
+    ok = CheckReport("THM1", True, 14, 6)
+    assert (ok.word, ok.expected, ok.got) == (None, "", "")
+    assert ok.line() == "THM1 ok words=14 depth=6"
+    assert report.line() == "FAIL PROBLEM1 word=σ2 σ2 expected={q1,q2} got=x"
+    z = ObserverState(lsys.versions_of(plant.initial)[:1])
+    sched = DeterministicSchedule(z, (z,), {(z, "σ1"): z})
+    assert (sched.initial, sched.states, sched.trans) == (z, (z,), {(z, "σ1"): z}) == tuple(sched)
+
+
 def test_check_lines_pinned(plant, prop, pinned_policy):
     assert check_tracker_containment(plant, pinned_policy, 5).line() == "PROP1 ok words=8 depth=5"
     assert check_estimate_agreement(plant, pinned_policy, 5).line() == "THM1 ok words=12 depth=5"
@@ -726,6 +743,34 @@ def test_estimate_table_counts_triples_not_words():
     assert check_property_satisfaction(HOLLOW, pol, prop, 5).ok
     reachable = Plant(["q0"], ["a", "b"], {("q0", "a"): "q0", ("q0", "b"): "q0"}, "q0")
     assert _table_size(pol, 5) == _table_size(Policy(reachable, pol.initial, pol.trans), 5) == 8
+
+
+def test_bruteforce_keys_match_plant_word_triples():
+    """Per level, the (policy state, projection) keys that THM1 and PROBLEM1
+    walk stand one for one for the distinct (plant state, policy state,
+    projection) triples that the plant words of that length reach, stepped
+    one word at a time, with the same first words and word counts; so the
+    budget stops and `words=` counts are those of the triples."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        plant = random_plant(rng)
+        for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
+            root, successors = destx.estimation._triples(policy)
+            words = [((), plant.initial, policy.initial, ())]
+            for n, level in shortlex_levels(root, 10, successors):
+                assert all(len(key) == 2 for key in level)
+                got = [((x.base, x, proj), first, count) for (x, proj), (first, count) in level.items()]
+                triples = {}
+                for w, q, x, proj in words:
+                    first, count = triples.get((q, x, proj), (w, 0))
+                    triples[(q, x, proj)] = (first, count + 1)
+                assert got == [(t, first, count) for t, (first, count) in triples.items()], (seed, n)
+                words = [
+                    (w + (e,), plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
+                    for w, q, x, proj in words
+                    for e in sorted(plant.defined_events(q))
+                ]
+            assert n == 10 or not words, seed
 
 
 def test_checks_bounded_by_budget():
