@@ -5,66 +5,39 @@ be able to tell apart, the toolkit builds the space of feasible transmission
 choices, prunes it down to the property-preserving core, extracts a concrete
 per-history transmit/suppress policy, and independently verifies the result
 by brute force.
+
+The package imports a submodule on first access to one of its names, so a
+command-line call compiles only the modules its command runs.
 """
 
-from .automata import EPSILON, Plant, Word, explore, load_plant, parse_des, render_word, shortlex_levels, word
-from .errors import (
-    AlphabetTooLarge,
-    DestxError,
-    Infeasible,
-    InstanceTooLarge,
-    MissingSuccessor,
-    ParseError,
-    PolicyIncomplete,
-    StateBudgetExceeded,
-    UndefinedEvent,
-    UnknownInitial,
-    UnknownState,
-    WordNotInPlant,
-)
-from .estimation import (
-    CheckReport,
-    Estimator,
-    TraceSession,
-    check_estimate_agreement,
-    check_property_satisfaction,
-    check_tracker_containment,
-)
-from .labeled import (
-    LabeledState,
-    LabeledSystem,
-    build_labeled_system,
-    parse_labeled,
-    unobservable_reach,
-)
-from .observer import (
-    DynamicObserver,
-    ObserverState,
-    build_observer,
-    closure_family,
-    closure_family_bruteforce,
-    observer_step,
-    reach_closed,
-)
-from .properties import (
-    DistinguishabilitySpec,
-    distinguishability,
-    load_pairs,
-)
-from .realization import (
-    Policy,
-    format_policy,
-    load_policy,
-    parse_policy,
-    rank,
-    realize_policy,
-)
-from .synthesis import (
-    DeterministicSchedule,
-    consistency_fixpoint,
-    count_nontransmitted,
-    extract_min_transmit,
-    prune_violating,
-)
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "automata": "EPSILON Plant Word explore load_plant parse_des render_word shortlex_levels word",
+    "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge MissingSuccessor ParseError "
+    "PolicyIncomplete StateBudgetExceeded UndefinedEvent UnknownInitial UnknownState WordNotInPlant",
+    "estimation": "CheckReport Estimator TraceSession check_estimate_agreement check_property_satisfaction "
+    "check_tracker_containment",
+    "labeled": "LabeledState LabeledSystem build_labeled_system parse_labeled unobservable_reach",
+    "observer": "DynamicObserver ObserverState build_observer closure_family closure_family_bruteforce "
+    "observer_step reach_closed",
+    "properties": "DistinguishabilitySpec distinguishability load_pairs",
+    "realization": "Policy format_policy load_policy parse_policy rank realize_policy",
+    "synthesis": "DeterministicSchedule consistency_fixpoint count_nontransmitted extract_min_transmit "
+    "prune_violating",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_OWNER.get(name, name)}")
+    globals()[name] = value = getattr(module, name) if name in _OWNER else module
+    return value
+
+
+def __dir__():
+    return sorted({*__all__, *globals()} - {"import_module", "_EXPORTS", "_OWNER", "__getattr__", "__dir__"})

@@ -20,18 +20,6 @@ from .errors import (
     InstanceTooLarge,
     StateBudgetExceeded,
 )
-from .estimation import (
-    TraceSession,
-    check_estimate_agreement,
-    check_property_satisfaction,
-    check_tracker_containment,
-    _render_states,
-)
-from .labeled import build_labeled_system, parse_labeled
-from .observer import build_observer, closure_family, closure_family_bruteforce
-from .properties import distinguishability, load_pairs
-from .realization import format_policy, load_policy, realize_policy
-from .synthesis import consistency_fixpoint, extract_min_transmit
 
 DEFAULT_DEPTH = 6
 
@@ -89,6 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build_observer(args) -> int:
+    from .labeled import build_labeled_system
+    from .observer import build_observer
+
     plant = load_plant(args.plant)
     sysd = build_labeled_system(plant)
     obs = build_observer(sysd, state_budget=args.resolved_budget)
@@ -103,6 +94,12 @@ def cmd_build_observer(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .labeled import build_labeled_system, parse_labeled
+    from .observer import build_observer
+    from .properties import distinguishability, load_pairs
+    from .realization import format_policy, realize_policy
+    from .synthesis import consistency_fixpoint, extract_min_transmit
+
     plant = load_plant(args.plant)
     spec = load_pairs(args.pairs)
     prop = distinguishability(spec, plant)
@@ -129,14 +126,17 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .estimation import check_estimates, check_tracker_containment
+    from .properties import distinguishability, load_pairs
+    from .realization import load_policy
+
     plant = load_plant(args.plant)
     policy = load_policy(args.policy, plant)
     spec = load_pairs(args.pairs)
     prop = distinguishability(spec, plant)
     reports = [
         check_tracker_containment(plant, policy, args.depth, args.resolved_budget),
-        check_estimate_agreement(plant, policy, args.depth, args.resolved_budget),
-        check_property_satisfaction(plant, policy, prop, args.depth, args.resolved_budget),
+        *check_estimates(plant, policy, prop, args.depth, args.resolved_budget),
     ]
     for r in reports:
         print(r.line())
@@ -144,6 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .estimation import TraceSession, _render_states
+    from .realization import load_policy
+
     plant = load_plant(args.plant)
     policy = load_policy(args.policy, plant)
     session = TraceSession(plant, policy)
@@ -158,6 +161,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle_maxs(args) -> int:
+    from .labeled import build_labeled_system
+    from .observer import closure_family, closure_family_bruteforce
+
     plant = load_plant(args.plant)
     sysd = build_labeled_system(plant)
     mismatches = 0

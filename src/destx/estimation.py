@@ -19,10 +19,11 @@ Two independent routes to the receiver's estimate:
 The checks below run over all words up to a depth.  PROP1 checks that each
 tracker state is one of the dynamic observer's estimates for its observed
 word, without building the observer; THM1 compares the tracker with brute
-force, and PROBLEM1 the brute-force estimate with the property.  All three
-walk the levels of `shortlex_levels` in `_first_failure`, over the distinct
-keys that decide a word's verdict and continuations: (tracker state,
-targets) for PROP1, (policy state, projection) for THM1 and PROBLEM1.
+force, and PROBLEM1 the brute-force estimate with the property.  Each walks
+the levels of `shortlex_levels` in `_first_failure`, over the distinct keys
+that decide a word's verdict and continuations: (tracker state, targets)
+for PROP1, (policy state, projection) for THM1 and PROBLEM1, which share
+one walk and one brute-force table when run together (`check_estimates`).
 They are bounded substitutes for the universal statements, not proofs.
 One budget caps the entries of each walk, summed over its levels, the set
 unions of PROP1's test of one entry, and the keys of the brute-force
@@ -90,9 +91,6 @@ class Estimator:
                 self.states.setdefault(h2)
             self._trans[(h, e)] = h2
         return self._trans[(h, e)]
-
-
-_TRIPLES = "(plant state, policy state, projection) entries over the plant words"
 
 
 def _triples(policy: Policy):
@@ -173,25 +171,35 @@ class CheckReport(namedtuple("CheckReport", "name ok words depth word expected g
         )
 
 
-def _first_failure(check: str, entries: str, root, successors, depth: int, budget: int, fails) -> CheckReport:
-    """Walk `shortlex_levels` from `root` to `depth` and report on the
-    first key that `fails`, which returns (expected, got) for a failing key
-    and None otherwise.  Keys come in the order of their first words, so
-    the failing word is the shortlex-first one; `words` counts the words of
-    the keys checked before it plus that word.  Once the entries of all
-    levels so far pass `budget` the walk stops with InstanceTooLarge, whose
-    message names the check and what its entries are."""
+def _first_failure(checks, entries: str, root, successors, depth: int, budget: int, table=None) -> list[CheckReport]:
+    """Walk `shortlex_levels` from `root` to `depth` once for all the (name,
+    fails) pairs of `checks`, and report on each check's first key that its
+    `fails` returns (expected, got) for; it returns None for a passing key.
+    Keys come in the order of their first words, so each failing word is the
+    shortlex-first one; `words` counts the words of the keys checked before
+    it plus that word.  The walk stops once every check has failed.  Once
+    the entries of all levels so far pass `budget` it stops with
+    InstanceTooLarge, whose message names the first check still live, as
+    does `table`'s, and what the entries are."""
+    live, reports = dict(checks), {}
     total = checked = 0
     for n, level in shortlex_levels(root, depth, successors):
         total += len(level)
         if total > budget:
-            raise InstanceTooLarge(f"{check}: more than {budget} {entries} up to length {n}, over the budget")
+            raise InstanceTooLarge(f"{next(iter(live))}: more than {budget} {entries} up to length {n}, over the budget")
         for key, (w, count) in level.items():
-            failure = fails(key)
-            if failure is not None:
-                return CheckReport(check, False, checked + 1, depth, w, *failure)
+            for name, fails in list(live.items()):
+                failure = fails(key)
+                if failure is not None:
+                    reports[name] = CheckReport(name, False, checked + 1, depth, w, *failure)
+                    del live[name]
+            if not live:
+                return [reports[name] for name, _fails in checks]
+            if table is not None:
+                table.check = next(iter(live))
             checked += count
-    return CheckReport(check, True, checked, depth)
+    reports |= {name: CheckReport(name, True, checked, depth) for name in live}
+    return [reports[name] for name, _fails in checks]
 
 
 def _render_states(states) -> str:
@@ -237,32 +245,33 @@ def check_tracker_containment(
         return "estimate over " + _render_states(bases), _render_states(x.render() for x in h)
 
     return _first_failure(
-        "PROP1", "(tracker state, targets) entries over the observed words",
-        (est.initial, frozenset((plant.initial,))), successors, depth, budget, fails,
-    )
+        [("PROP1", fails)], "(tracker state, targets) entries over the observed words",
+        (est.initial, frozenset((plant.initial,))), successors, depth, budget,
+    )[0]
 
 
-def check_estimate_agreement(
-    plant: Plant, policy: Policy, depth: int, budget: int = DEFAULT_BUDGET
-) -> CheckReport:
-    """Tracker estimates equal brute-force estimates for every plant word up
-    to the depth.  The brute-force side is exact: it takes the end states of
-    every plant word with the same projection, however long.  Both sides
-    depend on a word only through its projection, so each distinct (policy
-    state, projection) key of a level, which stands for one (plant state,
-    policy state, projection) triple, is compared once, and the tracker is
-    stepped once per new projection.  The entries of the walk, summed over
-    its levels, and the keys of the estimate table are both capped by
-    `budget`."""
-    est = Estimator(build_labeled_system(plant), policy)
-    table = _EstimateTable(policy, budget, "THM1")
-    # tracker state and estimate per projection; a key's projection is that
-    # of a key one level up, which came first, or one event longer
-    trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
-        (): (est.initial, est.initial.underlying())
-    }
+def check_estimates(
+    plant: Plant, policy: Policy, prop: DistinguishabilitySpec | None, depth: int, budget: int = DEFAULT_BUDGET,
+    names: tuple[str, ...] = ("THM1", "PROBLEM1"),
+) -> list[CheckReport]:
+    """The checks `names`, THM1, PROBLEM1 or both in that order, in one walk
+    over distinct (policy state, projection) keys, each of which stands for
+    one (plant state, policy state, projection) triple, and over one
+    estimate table.  The walk and the table grow as they would for each
+    check alone, so each check reports as it would alone, and the entries
+    of the walk, summed over its levels, and the keys of the table are both
+    capped by `budget`.  Only THM1 builds a tracker, stepped once per new
+    projection."""
+    table = _EstimateTable(policy, budget, names[0])
+    if "THM1" in names:
+        est = Estimator(build_labeled_system(plant), policy)
+        # tracker state and estimate per projection; a key's projection is
+        # that of a key one level up, which came first, or one event longer
+        trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
+            (): (est.initial, est.initial.underlying())
+        }
 
-    def fails(key):
+    def thm1(key):
         proj = key[1]
         if proj not in trackers:
             h = trackers[proj[:-1]][0]
@@ -272,7 +281,26 @@ def check_estimate_agreement(
         brute = table.estimate(proj)
         return None if tracker == brute else (_render_states(brute), _render_states(tracker))
 
-    return _first_failure("THM1", _TRIPLES, *_triples(policy), depth, budget, fails)
+    def problem1(key):
+        estimate = table.estimate(key[1])
+        if prop.holds(estimate):
+            return None
+        return "estimate satisfying the property", _render_states(estimate) + " (" + prop.describe(estimate) + ")"
+
+    checks = {"THM1": thm1, "PROBLEM1": problem1}
+    entries = "(plant state, policy state, projection) entries over the plant words"
+    return _first_failure([(name, checks[name]) for name in names], entries, *_triples(policy), depth, budget, table)
+
+
+def check_estimate_agreement(
+    plant: Plant, policy: Policy, depth: int, budget: int = DEFAULT_BUDGET
+) -> CheckReport:
+    """Tracker estimates equal brute-force estimates for every plant word up
+    to the depth.  The brute-force side is exact: it takes the end states of
+    every plant word with the same projection, however long.  Both sides
+    depend on a word only through its projection, so each distinct key of
+    a level is compared once (see `check_estimates`)."""
+    return check_estimates(plant, policy, None, depth, budget, ("THM1",))[0]
 
 
 def check_property_satisfaction(
@@ -282,15 +310,7 @@ def check_property_satisfaction(
     up to the depth, with the same exact brute-force estimate, budget and
     capped walk over distinct (policy state, projection) keys as THM1.  It
     reads only its own estimate table, so it builds no tracker."""
-    table = _EstimateTable(policy, budget, "PROBLEM1")
-
-    def fails(key):
-        estimate = table.estimate(key[1])
-        if prop.holds(estimate):
-            return None
-        return "estimate satisfying the property", _render_states(estimate) + " (" + prop.describe(estimate) + ")"
-
-    return _first_failure("PROBLEM1", _TRIPLES, *_triples(policy), depth, budget, fails)
+    return check_estimates(plant, policy, prop, depth, budget, ("PROBLEM1",))[0]
 
 
 class TraceSession:

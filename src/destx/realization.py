@@ -18,7 +18,6 @@ from .errors import (
     WordNotInPlant,
 )
 from .labeled import N, Y, LabeledState, LabeledSystem, parse_labeled, unobservable_reach
-from .synthesis import DeterministicSchedule
 
 
 class Policy:

@@ -107,6 +107,16 @@ def random_plant(
         return plant
 
 
+def random_live_plant(rng: random.Random) -> Plant:
+    """One random DFA of two to five states in which every state defines
+    one or two of two or three events, so every word extends and the plant
+    has words of every length."""
+    states = [f"q{i}" for i in range(rng.randint(2, 5))]
+    events = EVENTS[:rng.randint(2, 3)]
+    trans = {(q, e): rng.choice(states) for q in states for e in sorted(rng.sample(events, rng.randint(1, 2)))}
+    return Plant(states, events, trans, "q0")
+
+
 def random_policy(rng: random.Random, plant: Plant) -> Policy:
     """Memoryless policy: one random label vector per plant state."""
     versions = {}

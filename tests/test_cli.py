@@ -7,9 +7,30 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from destx import cli, format_policy
+import destx.observer
+from destx import (
+    Estimator,
+    InstanceTooLarge,
+    ObserverState,
+    check_estimate_agreement,
+    check_property_satisfaction,
+    check_tracker_containment,
+    cli,
+    distinguishability,
+    format_policy,
+    load_pairs,
+    load_plant,
+    load_policy,
+)
 from destx_child import python_child, run
-from randgen import random_plant, random_policy, random_policy_with_memory, suppressing_tree, transitions
+from randgen import (
+    random_live_plant,
+    random_plant,
+    random_policy,
+    random_policy_with_memory,
+    suppressing_tree,
+    transitions,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PLANT = str(DATA / "running_example.des")
@@ -169,7 +190,7 @@ def _lossy(real):
 
 
 def test_oracle_maxs_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "closure_family", _lossy(cli.closure_family))
+    monkeypatch.setattr(destx.observer, "closure_family", _lossy(destx.observer.closure_family))
     assert cli.main(["oracle-maxs", PLANT]) == 5
     assert capsys.readouterr().out == (
         "MISMATCH seed=q0NNY only-fast=[] only-brute=['(q0NNY,q1Y,q5)']\n"
@@ -178,7 +199,7 @@ def test_oracle_maxs_mismatch(monkeypatch, capsys):
 
 
 def test_oracle_maxs_lossy_brute_side(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "closure_family_bruteforce", _lossy(cli.closure_family_bruteforce))
+    monkeypatch.setattr(destx.observer, "closure_family_bruteforce", _lossy(destx.observer.closure_family_bruteforce))
     assert cli.main(["oracle-maxs", PLANT]) == 5
     assert capsys.readouterr().out == (
         "MISMATCH seed=q0NNY only-fast=['(q0NNY,q1Y,q5)'] only-brute=[]\n"
@@ -212,6 +233,54 @@ def test_cold_import_skips_code_generation_modules():
     assert "destx.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
     assert sorted(loaded & heavy) == []
+    # the package loads a module on first access to one of its names, and
+    # each command only the modules it runs
+    assert sorted(m for m in loaded if m.startswith("destx")) == ["destx", "destx.automata", "destx.cli", "destx.errors"]
+    p = python_child("-c", "import sys, destx; print(*sorted(m for m in sys.modules if m.startswith('destx')))")
+    assert p.stdout.split() == ["destx"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out.policy")
+        for command, skipped in (
+            (["build-observer", PLANT], {"estimation", "realization", "synthesis"}),
+            (["oracle-maxs", PLANT], {"estimation", "realization", "synthesis"}),
+            (["synthesize", PLANT, PAIRS, out], {"estimation"}),
+            (["verify", PLANT, HAND, PAIRS], {"synthesis"}),
+            (["simulate", PLANT, HAND, "--trace", "σ3 σ2"], {"synthesis"}),
+        ):
+            p = python_child(
+                "-c",
+                "import sys; from destx.cli import main; code = main(sys.argv[1:]); "
+                "print(*sorted(m for m in sys.modules if m.startswith('destx.')), file=sys.stderr); "
+                "raise SystemExit(code)",
+                *command,
+            )
+            assert p.returncode in (0, 5), p.stderr
+            loaded = set(p.stderr.split())
+            assert "destx.observer" in loaded, command[0]
+            assert sorted(loaded & {f"destx.{m}" for m in skipped}) == [], command[0]
+    p = python_child(
+        "-c",
+        "import destx; print(*destx.__all__); print(*dir(destx)); "
+        "star = {}; exec('from destx import *', star); print(*sorted(set(star) - {'__builtins__'}))",
+    )
+    exports, names, star = (line.split() for line in p.stdout.splitlines())
+    assert star == exports
+    assert exports == sorted(exports) == [
+        "AlphabetTooLarge", "CheckReport", "DestxError", "DeterministicSchedule", "DistinguishabilitySpec",
+        "DynamicObserver", "EPSILON", "Estimator", "Infeasible", "InstanceTooLarge", "LabeledState",
+        "LabeledSystem", "MissingSuccessor", "ObserverState", "ParseError", "Plant", "Policy",
+        "PolicyIncomplete", "StateBudgetExceeded", "TraceSession", "UndefinedEvent", "UnknownInitial",
+        "UnknownState", "Word", "WordNotInPlant", "automata", "build_labeled_system", "build_observer",
+        "check_estimate_agreement", "check_property_satisfaction", "check_tracker_containment",
+        "closure_family", "closure_family_bruteforce", "consistency_fixpoint", "count_nontransmitted",
+        "distinguishability", "errors", "estimation", "explore", "extract_min_transmit", "format_policy",
+        "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "parse_des",
+        "parse_labeled", "parse_policy", "properties", "prune_violating", "rank", "reach_closed",
+        "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis",
+        "unobservable_reach", "word",
+    ]
+    assert names == sorted([*exports, "__all__", "__builtins__", "__cached__", "__doc__", "__file__",
+                            "__loader__", "__name__", "__package__", "__path__", "__spec__"])
 
 
 def test_missing_file():
@@ -569,6 +638,90 @@ def test_verify_memory_policy_outside_observer(tmp_path):
         "THM1 ok words=7 depth=3\n"
         "PROBLEM1 ok words=7 depth=3\n"
     )
+
+
+FIB = "alphabet a b\nstates q0 q1\ninitial q0\ntrans q0 a q1\ntrans q0 b q1\ntrans q1 b q0\n"
+
+
+def _verify_as_checks_alone(capsys, files, depth, budget):
+    """Run `verify` on the plant, policy and pairs `files` and assert that it
+    says what PROP1, THM1 and PROBLEM1 say when each runs alone: their three
+    lines, or the message of the first to pass the budget.  Returns the
+    check and the stop that message names, such as "THM1: more", or ""."""
+    plant = load_plant(files[0])
+    policy = load_policy(files[1], plant)
+    prop = distinguishability(load_pairs(files[2]), plant)
+    try:
+        reports = [
+            check_tracker_containment(plant, policy, depth, budget),
+            check_estimate_agreement(plant, policy, depth, budget),
+            check_property_satisfaction(plant, policy, prop, depth, budget),
+        ]
+    except InstanceTooLarge as exc:
+        expected = (3, "", f"error: {exc}\n")
+    else:
+        expected = (0 if all(r.ok for r in reports) else 5, "".join(f"{r.line()}\n" for r in reports), "")
+    code = cli.main(["verify", *map(str, files), "--depth", str(depth), "--budget", str(budget)])
+    assert (code, *capsys.readouterr()) == expected, (files, depth, budget)
+    return " ".join(expected[2].split()[1:3])
+
+
+def _wrong_tracker(m, kind):
+    """Patch the tracker so that THM1 fails and PROBLEM1 walks on alone:
+    "forgetful" drops the largest state of every estimate, so THM1 fails on
+    the empty word; "late" also claims the initial policy state after every
+    transmitted event, so THM1 fails, if at all, later in the walk."""
+    if kind == "forgetful":
+        real = ObserverState.underlying
+        m.setattr(ObserverState, "underlying", lambda h: real(h) - {max(real(h))})
+    elif kind == "late":
+        real = Estimator.step
+
+        def step(self, h, e):
+            h2 = real(self, h, e)
+            return None if h2 is None else ObserverState(h2 | {self.policy.initial})
+
+        m.setattr(Estimator, "step", step)
+
+
+def test_verify_shares_one_walk_as_checks_alone(tmp_path, capsys, monkeypatch):
+    """`verify` runs THM1 and PROBLEM1 in one walk over one estimate table,
+    and prints what the checks print one at a time: at every depth up to 10
+    on the benchmark's fib, ladder and hollow, and, one depth in turn and
+    depth 10, on random plants that dead-end and plants that do not, each
+    with a memoryless policy and a policy with memory.  Small budgets and
+    wrong trackers land each of the four stops: the walk's entries and the
+    table's triples, for THM1 and, once THM1 has failed, for PROBLEM1."""
+    stops = set()
+    budgets = (100_000, 4, 12, 40)
+    trackers = (None, "forgetful", "late")
+    files = [tmp_path / name for name in ("p.des", "p.policy", "p.pairs")]
+    for des, pair in ((FIB, "q0 q1"), (LADDER, "q1 q2"), (HOLLOW, "q0 q1")):
+        files[0].write_text(des)
+        files[2].write_text(f"pair {pair}\n")
+        assert cli.main(["synthesize", str(files[0]), str(files[2]), str(files[1])]) == 0
+        capsys.readouterr()
+        for kind in trackers:
+            with monkeypatch.context() as m:
+                _wrong_tracker(m, kind)
+                for depth in range(11):
+                    for budget in budgets:
+                        stops.add(_verify_as_checks_alone(capsys, files, depth, budget))
+    i = 0
+    for seed in range(200):
+        for draw in (random_plant, random_live_plant):
+            rng = random.Random(seed)
+            plant = draw(rng)
+            files[0].write_text(_plant_text(plant))
+            files[2].write_text("pair {} {}\n".format(*rng.sample(sorted(plant.states), 2)))
+            for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
+                files[1].write_text(format_policy(policy))
+                for depth in (i % 10, 10):
+                    with monkeypatch.context() as m:
+                        _wrong_tracker(m, trackers[i % 3])
+                        stops.add(_verify_as_checks_alone(capsys, files, depth, budgets[(i // 3 + depth) % 4]))
+                i += 1
+    assert {"THM1: more", "THM1: the", "PROBLEM1: more", "PROBLEM1: the"} <= stops
 
 
 DENSE3 = (

@@ -1,5 +1,6 @@
 """Receiver-side estimation: tracker, brute force, and the checkers."""
 
+import itertools
 import random
 import types
 
@@ -37,6 +38,7 @@ from destx.labeled import N, Y
 from destx.observer import ObserverState
 from randgen import (
     flip_to_suppress,
+    random_live_plant,
     random_plant,
     random_policy,
     random_policy_with_memory,
@@ -750,10 +752,11 @@ def test_bruteforce_keys_match_plant_word_triples():
     walk stand one for one for the distinct (plant state, policy state,
     projection) triples that the plant words of that length reach, stepped
     one word at a time, with the same first words and word counts; so the
-    budget stops and `words=` counts are those of the triples."""
-    for seed in range(200):
+    budget stops and `words=` counts are those of the triples.  Plants of
+    the second draw have words of every length."""
+    for seed, draw in itertools.product(range(200), (random_plant, random_live_plant)):
         rng = random.Random(seed)
-        plant = random_plant(rng)
+        plant = draw(rng)
         for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
             root, successors = destx.estimation._triples(policy)
             words = [((), plant.initial, policy.initial, ())]
