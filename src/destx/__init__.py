@@ -22,7 +22,7 @@ _EXPORTS = {
     "observer": "DynamicObserver ObserverState build_observer closure_family closure_family_bruteforce "
     "observer_step reach_closed",
     "properties": "DistinguishabilitySpec distinguishability load_pairs",
-    "realization": "Policy format_policy load_policy parse_policy rank realize_policy",
+    "realization": "Policy format_policy load_policy parse_policy realize_policy",
     "synthesis": "DeterministicSchedule consistency_fixpoint count_nontransmitted extract_min_transmit "
     "prune_violating",
 }

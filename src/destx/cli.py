@@ -204,10 +204,7 @@ def main(argv=None) -> int:
         print("infeasible")
         print(f"error: {exc}", file=_sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except DestxError as exc:
+    except (OSError, DestxError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

@@ -22,11 +22,13 @@ class AlphabetTooLarge(DestxError):
 
 
 class StateBudgetExceeded(DestxError):
-    """Exploration passed the configured state budget."""
+    """A search passed the state budget: observer states, estimate unions,
+    the range sets of a closure family, or the run-tree range search."""
 
 
 class InstanceTooLarge(DestxError):
-    """A brute-force oracle was asked to run on an instance it cannot enumerate."""
+    """A brute-force check passed its cap: the oracle's 20-state universe,
+    the budget of a check's walk over words, or that of the estimate table."""
 
 
 class Infeasible(DestxError):

@@ -42,7 +42,6 @@ from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortle
 from .errors import InstanceTooLarge, PolicyIncomplete, StateBudgetExceeded, UndefinedEvent
 from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system
 from .observer import ObserverState, reach_closed, realizable, targets
-from .properties import DistinguishabilitySpec
 from .realization import Policy
 
 
@@ -75,7 +74,7 @@ class Estimator:
 
     def _move(self, x: LabeledState, e: str, lab: str) -> tuple[LabeledState, ...]:
         """The policy's move from `x` on `e`, if `x` labels `e` with `lab`."""
-        x2 = self.policy.trans.get((x, e)) if x._map.get(e) == lab else None
+        x2 = self.policy.trans.get((x, e)) if (e, lab) in x.bits else None
         return () if x2 is None else (x2,)
 
     def _close(self, seed) -> ObserverState:

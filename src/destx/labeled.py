@@ -16,7 +16,6 @@ from functools import cached_property
 
 from .automata import Plant
 from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
-from .properties import DistinguishabilitySpec
 
 Y = "Y"
 N = "N"
@@ -29,18 +28,15 @@ class LabeledState(tuple):
     (base, bits), bits being ((event, decision), ...) sorted by event, so it
     compares, hashes and sorts as that tuple."""
 
+    __slots__ = ()
     base = property(operator.itemgetter(0))
     bits = property(operator.itemgetter(1))
 
-    @cached_property
-    def _map(self) -> dict[str, str]:
-        return dict(self.bits)
-
     def label(self, e: str) -> str:
-        try:
-            return self._map[e]
-        except KeyError:
-            raise UndefinedEvent(f"event {e!r} is not defined at {self.base!r}") from None
+        for e2, lab in self.bits:
+            if e2 == e:
+                return lab
+        raise UndefinedEvent(f"event {e!r} is not defined at {self.base!r}")
 
     def events(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.bits)

@@ -174,7 +174,7 @@ def _estimates_over(sys: LabeledSystem, bases: frozenset[str], budget: int) -> t
 
 def targets(plant: Plant, z, e: str) -> frozenset[str]:
     """The plant states that the members of `z` transmitting `e` move to."""
-    return frozenset(plant.step(v.base, e) for v in z if v._map.get(e) == Y)
+    return frozenset(plant.step(v.base, e) for v in z if (e, Y) in v.bits)
 
 
 def observer_step(

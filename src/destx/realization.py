@@ -17,7 +17,7 @@ from .errors import (
     PolicyIncomplete,
     WordNotInPlant,
 )
-from .labeled import N, Y, LabeledState, LabeledSystem, parse_labeled, unobservable_reach
+from .labeled import N, Y, LabeledState, LabeledSystem, parse_labeled
 
 
 class Policy:
@@ -72,21 +72,14 @@ class Policy:
         return f"Policy(initial={self.initial.render()}, states={len(self.states)})"
 
 
-def rank(sys: LabeledSystem, d: Iterable[LabeledState]) -> tuple[LabeledState, ...]:
-    """Order labeled states by how many of the set lie in each one's
-    unobservable reach, most first, then by (base, bits).
+def _leading_back_first(plant: Plant, versions: Iterable[LabeledState]) -> list[LabeledState]:
+    """Versions of one plant state, those whose suppressed events lead back
+    to that state first, each group in (base, bits) order."""
 
-    This is the canonically smallest suppressed-reachability chain, each
-    element in the reach of its predecessor, whenever the set has one.
-    Suppressed reach is transitive, so in a chain every element reaches all
-    later ones: a chain exists exactly when every two elements are
-    comparable, and an element then reaches at least as many of the set as
-    any later one, strictly more unless the two reach each other.  A set
-    without a chain is ordered all the same.
-    """
-    elems = set(d)
-    reach = {v: unobservable_reach(sys, (v,)) for v in elems}
-    return tuple(sorted(elems, key=lambda v: (-len(reach[v] & elems), v)))
+    def leads_back(v):
+        return v.base in plant.reach(plant.step(v.base, e) for e, lab in v.bits if lab == N)
+
+    return sorted(versions, key=lambda v: (not leads_back(v), v))
 
 
 def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
@@ -94,45 +87,43 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
 
     Depth-first from the initial state; the active schedule state advances
     only on transmitted events.  When several members of the target estimate
-    are versions of the same plant successor, the `rank` order decides, and
-    an element already used as some target is skipped so repeated visits
-    spread along that order.
+    are versions of the plant successor, those whose suppressed events lead
+    back to it in the plant come first, then (base, bits) decides; a
+    version already used as some target is skipped so repeated visits spread
+    along that order.  Only `sys.plant` is read.
     """
+    plant = sys.plant
     z0 = sched.initial
-    roots = [v for v in z0 if v.base == sys.plant.initial]
+    roots = [v for v in z0 if v.base == plant.initial]
     if not roots:
         raise MissingSuccessor(f"schedule initial {z0.render()} has no plant-initial member")
-    x0 = rank(sys, roots)[0]
+    x0 = _leading_back_first(plant, roots)[0]
 
     trans: dict[tuple[LabeledState, str], LabeledState] = {}
     visited = {x0}
-    stack = [(x0, z0, iter(x0.events()))]
+    stack = [(x0, z0, iter(x0.bits))]
     while stack:
-        x, z, events = stack[-1]
-        e = next(events, None)
+        x, z, bits = stack[-1]
+        e, lab = next(bits, (None, None))
         if e is None:
             stack.pop()
             continue
-        if x.label(e) == N:
-            z2 = z
-        else:
-            z2 = sched.trans.get((z, e))
-            if z2 is None:
-                raise MissingSuccessor(
-                    f"schedule lacks a successor for ({z.render()}, {e}) needed by {x.render()}"
-                )
-        d = [w for w in z2 if w.base == sys.plant.step(x.base, e)]
+        z2 = z if lab == N else sched.trans.get((z, e))
+        if z2 is None:
+            raise MissingSuccessor(f"schedule lacks a successor for ({z.render()}, {e}) needed by {x.render()}")
+        q2 = plant.step(x.base, e)
+        d = [w for w in z2 if w.base == q2]
         if not d:
             raise MissingSuccessor(
                 f"no version of the plant successor of ({x.render()}, {e}) lies in {z2.render()}"
             )
-        chain = rank(sys, d)
-        tgt = next((c for c in chain if c not in visited), chain[0])
+        order = _leading_back_first(plant, d)
+        tgt = next((c for c in order if c not in visited), order[0])
         trans[(x, e)] = tgt
         if tgt not in visited:
             visited.add(tgt)
-            stack.append((tgt, z2, iter(tgt.events())))
-    return Policy(sys.plant, x0, trans)
+            stack.append((tgt, z2, iter(tgt.bits)))
+    return Policy(plant, x0, trans)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .automata import explore
 from .errors import Infeasible, UnknownInitial
 from .labeled import N, LabeledSystem
 from .observer import DynamicObserver, ObserverState, targets
-from .properties import DistinguishabilitySpec
 
 
 def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:

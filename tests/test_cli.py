@@ -241,11 +241,11 @@ def test_cold_import_skips_code_generation_modules():
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out.policy")
         for command, skipped in (
-            (["build-observer", PLANT], {"estimation", "realization", "synthesis"}),
-            (["oracle-maxs", PLANT], {"estimation", "realization", "synthesis"}),
+            (["build-observer", PLANT], {"estimation", "properties", "realization", "synthesis"}),
+            (["oracle-maxs", PLANT], {"estimation", "properties", "realization", "synthesis"}),
             (["synthesize", PLANT, PAIRS, out], {"estimation"}),
             (["verify", PLANT, HAND, PAIRS], {"synthesis"}),
-            (["simulate", PLANT, HAND, "--trace", "σ3 σ2"], {"synthesis"}),
+            (["simulate", PLANT, HAND, "--trace", "σ3 σ2"], {"properties", "synthesis"}),
         ):
             p = python_child(
                 "-c",
@@ -275,7 +275,7 @@ def test_cold_import_skips_code_generation_modules():
         "closure_family", "closure_family_bruteforce", "consistency_fixpoint", "count_nontransmitted",
         "distinguishability", "errors", "estimation", "explore", "extract_min_transmit", "format_policy",
         "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "parse_des",
-        "parse_labeled", "parse_policy", "properties", "prune_violating", "rank", "reach_closed",
+        "parse_labeled", "parse_policy", "properties", "prune_violating", "reach_closed",
         "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis",
         "unobservable_reach", "word",
     ]

@@ -124,6 +124,10 @@ def test_labeled_state_is_an_immutable_value(lsys):
             setattr(v, name, getattr(w, name))
         with pytest.raises(AttributeError):
             delattr(v, name)
+    # nor can any other attribute be set: the state is its tuple alone
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(AttributeError):
+        v.note = "x"
     assert v == w and repr(v) == "<q0NNY>"
 
 

@@ -1,4 +1,4 @@
-"""Ranking, schedule realization, policy files, and history projections."""
+"""Version order, schedule realization, policy files, and history projections."""
 
 import itertools
 import random
@@ -26,34 +26,20 @@ from destx import (
     format_policy,
     parse_labeled,
     parse_policy,
-    rank,
     realize_policy,
     unobservable_reach,
 )
+from destx import realization
 from destx.labeled import N, Y
 from destx.observer import ObserverState
-from randgen import make_labeled, random_plant, random_policy, uniform_policy
+from destx.realization import _leading_back_first
+from randgen import make_labeled, random_live_plant, random_plant, random_policy, uniform_policy
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
 
 
 def _os(plant, *renderings):
     return ObserverState(parse_labeled(r, plant) for r in renderings)
-
-
-def test_rank_orders_by_suppressed_reach(lsys, plant):
-    q2n, q2y = parse_labeled("q2N", plant), parse_labeled("q2Y", plant)
-    assert rank(lsys, [q2y, q2n]) == (q2n, q2y)
-    assert rank(lsys, [q2n, q2y]) == (q2n, q2y)
-    q1n = parse_labeled("q1N", plant)
-    assert rank(lsys, [q1n, q2n]) == (q1n, q2n)
-    assert rank(lsys, [q2n]) == (q2n,)
-
-
-def test_rank_without_chain(lsys, plant):
-    # neither reaches the other, so the two tie and (base, bits) orders them
-    q1y, q3y = parse_labeled("q1Y", plant), parse_labeled("q3Y", plant)
-    assert rank(lsys, [q3y, q1y]) == (q1y, q3y)
 
 
 def test_realize_versions_without_chain():
@@ -75,21 +61,8 @@ def test_realize_versions_without_chain():
         assert report.ok, report.line()
 
 
-def test_rank_cap():
-    # a nine-state chain, past what the old permutation search would take
-    chain = Plant(
-        [f"s{i}" for i in range(10)],
-        ["e"],
-        {(f"s{i}", "e"): f"s{i + 1}" for i in range(9)},
-        "s0",
-    )
-    lsys = build_labeled_system(chain)
-    big = [make_labeled(f"s{i}", {"e": N}) for i in range(9)]
-    assert rank(lsys, reversed(big)) == tuple(big)
-
-
 def _rank_by_permutations(lsys, d):
-    """Reference for rank: the first permutation, in canonical order, in
+    """Reference for `_rank_formula`: the first permutation, in canonical order, in
     which every element lies in the suppressed reach of its predecessor."""
     elems = sorted(set(d))
     reach = {v: unobservable_reach(lsys, (v,)) for v in elems}
@@ -99,28 +72,74 @@ def _rank_by_permutations(lsys, d):
     return None
 
 
-def test_rank_matches_permutation_search():
+def _rank_formula(lsys, d):
+    """The order realization once took on any set of labeled states: most
+    of the set in each one's unobservable reach first, then (base, bits)."""
+    elems = set(d)
+    reach = {v: unobservable_reach(lsys, (v,)) for v in elems}
+    return tuple(sorted(elems, key=lambda v: (-len(reach[v] & elems), v)))
+
+
+def test_rank_matches_permutation_search(lsys, plant):
+    # realization orders one plant state's versions: q2N suppresses σ1
+    # into q1, which leads back to q2, and q2Y suppresses nothing
+    q2n, q2y = parse_labeled("q2N", plant), parse_labeled("q2Y", plant)
+    assert _leading_back_first(plant, [q2y, q2n]) == _leading_back_first(plant, [q2n, q2y]) == [q2n, q2y]
+    assert _leading_back_first(plant, [q2n]) == [q2n]
+    # nothing leads back to q0, so (base, bits) alone orders its versions
+    assert _leading_back_first(plant, reversed(lsys.initials)) == list(lsys.initials)
+    # s leaves for the sink t on a and loops on b, c and d: a version leads
+    # back when it suppresses a loop, and the two that transmit all three
+    # loops go last, on a set past the size the permutation search takes
+    loops = Plant(["s", "t"], "abcd", {("s", "a"): "t", **{("s", e): "s" for e in "bcd"}}, "s")
+    lsys4 = build_labeled_system(loops)
+    versions = lsys4.versions_of("s")
+    last = [make_labeled("s", {"a": a, "b": Y, "c": Y, "d": Y}) for a in (N, Y)]
+    got = _leading_back_first(loops, reversed(versions))
+    assert got == [v for v in versions if v not in last] + last
+    assert tuple(got) == _rank_formula(lsys4, versions)
     chains = long_chains = chainless = 0
     for seed in range(300):
         rng = random.Random(seed)
-        lsys = build_labeled_system(random_plant(rng))
-        # sets drawn from all states, and from one state's suppressed reach,
-        # where chains are likelier
-        pools = [lsys.states] * 3 + [
-            sorted(unobservable_reach(lsys, (rng.choice(lsys.states),)))
-            for _ in range(3)
-        ]
-        for pool in pools:
-            d = rng.sample(pool, rng.randint(1, min(7, len(pool))))
-            ref = _rank_by_permutations(lsys, d)
-            if ref is None:
-                chainless += 1
-                assert set(rank(lsys, d)) == set(d)
-            else:
-                chains += 1
-                long_chains += len(ref) >= 3
-                assert rank(lsys, d) == ref
-    assert chains > 100 and long_chains > 50 and chainless > 100
+        for rplant in (random_plant(rng), random_live_plant(rng)):
+            rsys = build_labeled_system(rplant)
+            for q in sorted(rplant.states):
+                versions = rsys.versions_of(q)
+                d = rng.sample(versions, rng.randint(1, min(7, len(versions))))
+                got = tuple(_leading_back_first(rplant, d))
+                assert got == _rank_formula(rsys, d)
+                ref = _rank_by_permutations(rsys, d)
+                if ref is None:
+                    chainless += 1
+                else:
+                    chains += 1
+                    long_chains += len(ref) >= 3
+                    assert got == ref
+    assert chains > 1000 and long_chains > 100 and chainless > 200, (chains, long_chains, chainless)
+
+
+def test_realize_order_matches_rank_formula(monkeypatch):
+    # pinning every surviving root of random plants, realization writes the
+    # same policy with its order swapped for the general rank formula
+    cases = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        rplant = random_plant(rng)
+        states = sorted(rplant.states)
+        prop = distinguishability(DistinguishabilitySpec.of([(rng.choice(states), rng.choice(states))]), rplant)
+        rsys = build_labeled_system(rplant, prop)
+        obs = build_observer(rsys)
+        gstar = consistency_fixpoint(obs, obs)
+        for z in gstar.initials:
+            sched = extract_min_transmit(gstar, pin_initial=z)
+            cases.append((rsys, sched, format_policy(realize_policy(rsys, sched))))
+    monkeypatch.setattr(realization, "_leading_back_first", lambda p, d: _rank_formula(build_labeled_system(p), d))
+    for rsys, sched, text in cases:
+        assert format_policy(realize_policy(rsys, sched)) == text
+    # the order decides: (base, bits) alone changes some of these policies
+    monkeypatch.setattr(realization, "_leading_back_first", lambda p, d: sorted(d))
+    changed = sum(format_policy(realize_policy(rsys, sched)) != text for rsys, sched, text in cases)
+    assert len(cases) > 300 and changed > 10, (len(cases), changed)
 
 
 PINNED_TEXT = """initial q0NNY

@@ -156,7 +156,7 @@ def _assert_successor_exists_iff_member_transmits(full):
     checked = 0
     for z in full.states:
         for e in full.sys.plant.alphabet:
-            assert bool(full.successors(z, e)) == any(v._map.get(e) == Y for v in z), (z, e)
+            assert bool(full.successors(z, e)) == any((e, Y) in v.bits for v in z), (z, e)
             checked += 1
     return checked
 
