@@ -14,12 +14,11 @@ from importlib import import_module
 
 _EXPORTS = {
     "automata": "EPSILON Plant Word explore load_plant parse_des render_word shortlex_levels word",
-    "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge MissingSuccessor ParseError "
-    "PolicyIncomplete StateBudgetExceeded UndefinedEvent UnknownInitial UnknownState WordNotInPlant",
+    "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge StateBudgetExceeded",
     "estimation": "CheckReport Estimator TraceSession check_estimate_agreement check_property_satisfaction "
     "check_tracker_containment",
-    "labeled": "LabeledState LabeledSystem build_labeled_system parse_labeled unobservable_reach",
-    "observer": "DynamicObserver ObserverState build_observer closure_family closure_family_bruteforce "
+    "labeled": "LabeledState LabeledSystem ObserverState build_labeled_system parse_labeled unobservable_reach",
+    "observer": "DynamicObserver build_observer closure_family closure_family_bruteforce "
     "observer_step reach_closed",
     "properties": "DistinguishabilitySpec distinguishability load_pairs",
     "realization": "Policy format_policy load_policy parse_policy realize_policy",

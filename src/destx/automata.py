@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import ParseError, StateBudgetExceeded
+from .errors import DestxError, StateBudgetExceeded
 
 Word = tuple[str, ...]
 EPSILON: Word = ()
@@ -32,12 +32,12 @@ def render_word(w: Iterable[str]) -> str:
 
 
 def read_input(path) -> str:
-    """Text of an input file; a file that is not UTF-8 is a ParseError."""
+    """Text of an input file; a file that is not UTF-8 is a DestxError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+            raise DestxError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def records(text: str):
@@ -69,15 +69,15 @@ class Plant:
         self.initial = initial
         self._trans = dict(trans)
         if not self.states:
-            raise ParseError("a plant needs at least one state")
+            raise DestxError("a plant needs at least one state")
         if initial not in self.states:
-            raise ParseError(f"initial state {initial!r} is not a declared state")
+            raise DestxError(f"initial state {initial!r} is not a declared state")
         defined: dict[str, list[str]] = {q: [] for q in self.states}
         for (q, e), p in self._trans.items():
             if q not in self.states or p not in self.states:
-                raise ParseError(f"transition ({q},{e},{p}) uses an undeclared state")
+                raise DestxError(f"transition ({q},{e},{p}) uses an undeclared state")
             if e not in self.alphabet:
-                raise ParseError(f"transition ({q},{e},{p}) uses an undeclared event")
+                raise DestxError(f"transition ({q},{e},{p}) uses an undeclared event")
             defined[q].append(e)
         self._defined = {q: frozenset(es) for q, es in defined.items()}
 
@@ -184,21 +184,21 @@ def parse_des(text: str) -> Plant:
             states.extend(rest)
         elif kw == "initial":
             if len(rest) != 1:
-                raise ParseError(f"line {lineno}: initial takes exactly one state")
+                raise DestxError(f"line {lineno}: initial takes exactly one state")
             if initial is not None:
-                raise ParseError(f"line {lineno}: duplicate initial line")
+                raise DestxError(f"line {lineno}: duplicate initial line")
             initial = rest[0]
         elif kw == "trans":
             if len(rest) != 3:
-                raise ParseError(f"line {lineno}: trans takes source, event, target")
+                raise DestxError(f"line {lineno}: trans takes source, event, target")
             src, e, dst = rest
             if (src, e) in trans:
-                raise ParseError(f"line {lineno}: duplicate transition for ({src},{e})")
+                raise DestxError(f"line {lineno}: duplicate transition for ({src},{e})")
             trans[(src, e)] = dst
         else:
-            raise ParseError(f"line {lineno}: unknown keyword {kw!r}")
+            raise DestxError(f"line {lineno}: unknown keyword {kw!r}")
     if initial is None:
-        raise ParseError("missing initial line")
+        raise DestxError("missing initial line")
     return Plant(states, alphabet, trans, initial)
 
 

@@ -13,13 +13,7 @@ import argparse
 import sys as _sys
 
 from .automata import DEFAULT_BUDGET, load_plant, word
-from .errors import (
-    AlphabetTooLarge,
-    DestxError,
-    Infeasible,
-    InstanceTooLarge,
-    StateBudgetExceeded,
-)
+from .errors import DestxError, Infeasible, InstanceTooLarge
 
 DEFAULT_DEPTH = 6
 
@@ -197,7 +191,7 @@ def main(argv=None) -> int:
             "oracle-maxs": cmd_oracle_maxs,
         }[args.command]
         return handler(args)
-    except (StateBudgetExceeded, InstanceTooLarge, AlphabetTooLarge) as exc:
+    except InstanceTooLarge as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
     except Infeasible as exc:

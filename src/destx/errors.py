@@ -1,51 +1,30 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one family per exit code of
+the command line (`cli.main`):
+
+* `DestxError`, exit 2: bad input, such as a malformed or inconsistent
+  plant, pair list, policy or trace, or a name that is not in the plant;
+* `InstanceTooLarge`, exit 3: a search or check passed its cap;
+* `Infeasible`, exit 4: no transmission schedule satisfies the property.
+"""
 
 
 class DestxError(Exception):
-    """Base class for every toolkit-specific error."""
+    """Base class for every toolkit-specific error, and the bad-input one."""
 
 
-class ParseError(DestxError):
-    """Malformed input text (plant, pair list, policy, or trace)."""
+class InstanceTooLarge(DestxError):
+    """A cap was passed; raised as such by the brute-force checks: the
+    oracle's 20-state universe, a check's walk over words or estimate table."""
 
 
-class UndefinedEvent(DestxError):
-    """An event was queried at a state where it is not defined."""
-
-
-class UnknownState(DestxError):
-    """A name does not refer to any state of the bound plant."""
-
-
-class AlphabetTooLarge(DestxError):
+class AlphabetTooLarge(InstanceTooLarge):
     """A state defines more events than the decision-vector bound allows."""
 
 
-class StateBudgetExceeded(DestxError):
+class StateBudgetExceeded(InstanceTooLarge):
     """A search passed the state budget: observer states, estimate unions,
     the range sets of a closure family, or the run-tree range search."""
 
 
-class InstanceTooLarge(DestxError):
-    """A brute-force check passed its cap: the oracle's 20-state universe,
-    the budget of a check's walk over words, or that of the estimate table."""
-
-
 class Infeasible(DestxError):
     """No transmission schedule satisfies the requested property."""
-
-
-class UnknownInitial(DestxError):
-    """A pinned initial state does not survive synthesis."""
-
-
-class MissingSuccessor(DestxError):
-    """A schedule state offers no successor for a defined plant move."""
-
-
-class WordNotInPlant(DestxError):
-    """A word is not generated by the plant."""
-
-
-class PolicyIncomplete(DestxError):
-    """A replay needed a policy transition that was never defined."""

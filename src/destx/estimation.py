@@ -39,9 +39,8 @@ from collections import namedtuple
 from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
-from .errors import InstanceTooLarge, PolicyIncomplete, StateBudgetExceeded, UndefinedEvent
-from .labeled import N, Y, LabeledState, LabeledSystem, build_labeled_system
-from .observer import ObserverState, reach_closed, realizable, targets
+from .errors import DestxError, InstanceTooLarge, StateBudgetExceeded
+from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system
 from .realization import Policy
 
 
@@ -119,11 +118,11 @@ class _EstimateTable:
     then closes p's parked keys, parking each transmitted successor under
     its own projection; the bases of p's policy states are the estimate by
     definition.  Every key the table holds, parked ones included, counts
-    against `budget`, past which InstanceTooLarge names `check`."""
+    against `budget`, past which it raises InstanceTooLarge."""
 
-    def __init__(self, policy: Policy, budget: int, check: str):
+    def __init__(self, policy: Policy, budget: int):
         start, self.successors = _triples(policy)
-        self.budget, self.check = budget, check
+        self.budget = budget
         self.parked: dict[Word, dict[tuple[LabeledState, Word], None]] = {(): {start: None}}
         self.size = 1
         self.estimates: dict[Word, frozenset[str]] = {}
@@ -146,7 +145,7 @@ class _EstimateTable:
                     self.size += 1
                     if self.size > self.budget:
                         raise InstanceTooLarge(
-                            f"{self.check}: the brute-force estimate table passed the budget of "
+                            "the brute-force estimate table passed the budget of "
                             f"{self.budget} (plant state, policy state, projection) triples "
                             f"at projection length {len(proj)}"
                         )
@@ -170,7 +169,7 @@ class CheckReport(namedtuple("CheckReport", "name ok words depth word expected g
         )
 
 
-def _first_failure(checks, entries: str, root, successors, depth: int, budget: int, table=None) -> list[CheckReport]:
+def _first_failure(checks, entries: str, root, successors, depth: int, budget: int) -> list[CheckReport]:
     """Walk `shortlex_levels` from `root` to `depth` once for all the (name,
     fails) pairs of `checks`, and report on each check's first key that its
     `fails` returns (expected, got) for; it returns None for a passing key.
@@ -178,8 +177,9 @@ def _first_failure(checks, entries: str, root, successors, depth: int, budget: i
     shortlex-first one; `words` counts the words of the keys checked before
     it plus that word.  The walk stops once every check has failed.  Once
     the entries of all levels so far pass `budget` it stops with
-    InstanceTooLarge, whose message names the first check still live, as
-    does `table`'s, and what the entries are."""
+    InstanceTooLarge, whose message names the first check still live and
+    what the entries are; one that a check's `fails` raises gets that
+    check's name."""
     live, reports = dict(checks), {}
     total = checked = 0
     for n, level in shortlex_levels(root, depth, successors):
@@ -188,14 +188,15 @@ def _first_failure(checks, entries: str, root, successors, depth: int, budget: i
             raise InstanceTooLarge(f"{next(iter(live))}: more than {budget} {entries} up to length {n}, over the budget")
         for key, (w, count) in level.items():
             for name, fails in list(live.items()):
-                failure = fails(key)
+                try:
+                    failure = fails(key)
+                except InstanceTooLarge as exc:
+                    raise InstanceTooLarge(f"{name}: {exc}") from exc
                 if failure is not None:
                     reports[name] = CheckReport(name, False, checked + 1, depth, w, *failure)
                     del live[name]
             if not live:
                 return [reports[name] for name, _fails in checks]
-            if table is not None:
-                table.check = next(iter(live))
             checked += count
     reports |= {name: CheckReport(name, True, checked, depth) for name in live}
     return [reports[name] for name, _fails in checks]
@@ -218,6 +219,8 @@ def check_tracker_containment(
     restricted to h2.  The walk has one entry per distinct (h2, T), checked
     once; `budget` caps the entries of all its levels together and the set
     unions of each entry's test."""
+    from .observer import reach_closed, realizable, targets
+
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)
     events = sorted(plant.alphabet)
@@ -238,7 +241,7 @@ def check_tracker_containment(
         try:
             ok = all(roots) and reach_closed(sys, h) and realizable(sys, members, full, roots, budget=budget)
         except StateBudgetExceeded as exc:
-            raise InstanceTooLarge(f"PROP1: {exc} on one (tracker state, targets) entry") from exc
+            raise InstanceTooLarge(f"{exc} on one (tracker state, targets) entry") from exc
         if ok:
             return None
         return "estimate over " + _render_states(bases), _render_states(x.render() for x in h)
@@ -261,7 +264,7 @@ def check_estimates(
     of the walk, summed over its levels, and the keys of the table are both
     capped by `budget`.  Only THM1 builds a tracker, stepped once per new
     projection."""
-    table = _EstimateTable(policy, budget, names[0])
+    table = _EstimateTable(policy, budget)
     if "THM1" in names:
         est = Estimator(build_labeled_system(plant), policy)
         # tracker state and estimate per projection; a key's projection is
@@ -288,7 +291,7 @@ def check_estimates(
 
     checks = {"THM1": thm1, "PROBLEM1": problem1}
     entries = "(plant state, policy state, projection) entries over the plant words"
-    return _first_failure([(name, checks[name]) for name in names], entries, *_triples(policy), depth, budget, table)
+    return _first_failure([(name, checks[name]) for name in names], entries, *_triples(policy), depth, budget)
 
 
 def check_estimate_agreement(
@@ -329,13 +332,13 @@ class TraceSession:
 
     def step(self, e: str) -> tuple[bool, frozenset[str]]:
         if self.plant.step(self.x.base, e) is None:
-            raise UndefinedEvent(f"event {e!r} is not defined at plant state {self.x.base!r}")
+            raise DestxError(f"event {e!r} is not defined at plant state {self.x.base!r}")
         transmitted = self.x.label(e) == Y
         x2 = self.policy.step(self.x, e)
         if transmitted:
             h2 = self.est.step(self.h, e)
             if h2 is None:
-                raise PolicyIncomplete(
+                raise DestxError(
                     f"tracker cannot follow transmitted event {e!r}; policy and plant disagree"
                 )
             self.h = h2

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from functools import cached_property
 
 from .automata import Plant
-from .errors import AlphabetTooLarge, ParseError, UndefinedEvent, UnknownState
+from .errors import AlphabetTooLarge, DestxError
 
 Y = "Y"
 N = "N"
@@ -36,7 +36,7 @@ class LabeledState(tuple):
         for e2, lab in self.bits:
             if e2 == e:
                 return lab
-        raise UndefinedEvent(f"event {e!r} is not defined at {self.base!r}")
+        raise DestxError(f"event {e!r} is not defined at {self.base!r}")
 
     def events(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.bits)
@@ -46,6 +46,28 @@ class LabeledState(tuple):
 
     def __repr__(self):
         return f"<{self.render()}>"
+
+
+class ObserverState(frozenset):
+    """An estimate: a frozenset of labeled states, rendered and ordered
+    canonically."""
+
+    @cached_property
+    def members(self) -> tuple[LabeledState, ...]:
+        """The members in canonical order, for `render` and `sort_key`."""
+        return tuple(sorted(self))
+
+    def underlying(self) -> frozenset[str]:
+        return frozenset(ls.base for ls in self)
+
+    def render(self) -> str:
+        return "(" + ",".join(ls.render() for ls in self.members) + ")"
+
+    def sort_key(self):
+        return (len(self), self.members)
+
+    def __repr__(self):
+        return self.render()
 
 
 def parse_labeled(text: str, plant: Plant) -> LabeledState:
@@ -65,9 +87,9 @@ def parse_labeled(text: str, plant: Plant) -> LabeledState:
         if q in plant.states and len(plant.defined_events(q)) == k:
             matches.append(LabeledState((q, tuple(zip(sorted(plant.defined_events(q)), text[len(q):])))))
     if not matches:
-        raise ParseError(f"{text!r} is not a labeled state of this plant")
+        raise DestxError(f"{text!r} is not a labeled state of this plant")
     if len(matches) > 1:
-        raise ParseError(f"{text!r} is ambiguous between the plant states {sorted(m.base for m in matches)}")
+        raise DestxError(f"{text!r} is ambiguous between the plant states {sorted(m.base for m in matches)}")
     return matches[0]
 
 
@@ -122,7 +144,7 @@ class LabeledSystem:
         hit = self._versions.get(q)
         if hit is None:
             if q not in self.plant.states:
-                raise UnknownState(f"unknown plant state {q!r}")
+                raise DestxError(f"unknown plant state {q!r}")
             events = sorted(self.plant.defined_events(q))
             if len(events) > _MAX_EVENTS_PER_STATE:
                 raise AlphabetTooLarge(f"state {q!r} defines {len(events)} events, bound is {_MAX_EVENTS_PER_STATE}")

@@ -31,33 +31,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from functools import cached_property
 
 from .automata import DEFAULT_BUDGET, Plant, explore
 from .errors import InstanceTooLarge, StateBudgetExceeded
-from .labeled import N, Y, LabeledState, LabeledSystem, unobservable_reach
-
-
-class ObserverState(frozenset):
-    """An estimate: a frozenset of labeled states, rendered and ordered
-    canonically."""
-
-    @cached_property
-    def members(self) -> tuple[LabeledState, ...]:
-        """The members in canonical order, for `render` and `sort_key`."""
-        return tuple(sorted(self))
-
-    def underlying(self) -> frozenset[str]:
-        return frozenset(ls.base for ls in self)
-
-    def render(self) -> str:
-        return "(" + ",".join(ls.render() for ls in self.members) + ")"
-
-    def sort_key(self):
-        return (len(self), self.members)
-
-    def __repr__(self):
-        return self.render()
+from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, unobservable_reach
 
 
 def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:

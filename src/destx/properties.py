@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .automata import Plant, read_input, records
-from .errors import ParseError, UnknownState
+from .errors import DestxError
 
 
 class DistinguishabilitySpec(frozenset):
@@ -34,7 +34,7 @@ class DistinguishabilitySpec(frozenset):
         pairs = []
         for ln, raw, kw, rest in records(text):
             if kw != "pair" or len(rest) != 2:
-                raise ParseError(f"line {ln}: expected 'pair <state> <state>', got {raw!r}")
+                raise DestxError(f"line {ln}: expected 'pair <state> <state>', got {raw!r}")
             pairs.append((rest[0], rest[1]))
         return DistinguishabilitySpec.of(pairs)
 
@@ -54,7 +54,7 @@ def distinguishability(spec: DistinguishabilitySpec, plant: Plant) -> Distinguis
     for a, b in spec:
         for q in (a, b):
             if q not in plant.states:
-                raise UnknownState(f"pair mentions unknown state {q!r}")
+                raise DestxError(f"pair mentions unknown state {q!r}")
     return spec
 
 

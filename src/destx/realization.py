@@ -11,12 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .automata import Plant, Word, read_input, records
-from .errors import (
-    MissingSuccessor,
-    ParseError,
-    PolicyIncomplete,
-    WordNotInPlant,
-)
+from .errors import DestxError
 from .labeled import N, Y, LabeledState, LabeledSystem, parse_labeled
 
 
@@ -26,7 +21,7 @@ class Policy:
     trans is partial: it covers every transition the realization visited,
     which for synthesized policies is everything reachable from the initial
     state.  Replaying a word that escapes the covered part raises
-    PolicyIncomplete.
+    DestxError.
     """
 
     def __init__(self, plant: Plant, initial: LabeledState, trans: dict[tuple[LabeledState, str], LabeledState]):
@@ -34,7 +29,7 @@ class Policy:
         self.initial = initial
         self.trans = dict(trans)
         if initial.base != plant.initial:
-            raise ParseError(
+            raise DestxError(
                 f"policy initial {initial.render()} is not a version of the plant initial {plant.initial!r}"
             )
         seen = {initial}
@@ -42,18 +37,18 @@ class Policy:
             seen.add(x)
             seen.add(y)
             if plant.step(x.base, e) != y.base:
-                raise ParseError(
+                raise DestxError(
                     f"policy transition {x.render()} -{e}-> {y.render()} does not follow the plant"
                 )
         for x in seen:
             if tuple(sorted(plant.defined_events(x.base))) != x.events():
-                raise ParseError(f"{x.render()} does not label exactly the defined events")
+                raise DestxError(f"{x.render()} does not label exactly the defined events")
         self.states = tuple(sorted(seen))
 
     def step(self, x: LabeledState, e: str) -> LabeledState:
         nxt = self.trans.get((x, e))
         if nxt is None:
-            raise PolicyIncomplete(f"policy has no transition for ({x.render()}, {e})")
+            raise DestxError(f"policy has no transition for ({x.render()}, {e})")
         return nxt
 
     def projection(self, s: Iterable[str]) -> Word:
@@ -62,7 +57,7 @@ class Policy:
         out = []
         for e in s:
             if self.plant.step(x.base, e) is None:
-                raise WordNotInPlant(f"event {e!r} fell outside the plant language")
+                raise DestxError(f"event {e!r} fell outside the plant language")
             if x.label(e) == Y:
                 out.append(e)
             x = self.step(x, e)
@@ -96,7 +91,7 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
     z0 = sched.initial
     roots = [v for v in z0 if v.base == plant.initial]
     if not roots:
-        raise MissingSuccessor(f"schedule initial {z0.render()} has no plant-initial member")
+        raise DestxError(f"schedule initial {z0.render()} has no plant-initial member")
     x0 = _leading_back_first(plant, roots)[0]
 
     trans: dict[tuple[LabeledState, str], LabeledState] = {}
@@ -110,11 +105,11 @@ def realize_policy(sys: LabeledSystem, sched: DeterministicSchedule) -> Policy:
             continue
         z2 = z if lab == N else sched.trans.get((z, e))
         if z2 is None:
-            raise MissingSuccessor(f"schedule lacks a successor for ({z.render()}, {e}) needed by {x.render()}")
+            raise DestxError(f"schedule lacks a successor for ({z.render()}, {e}) needed by {x.render()}")
         q2 = plant.step(x.base, e)
         d = [w for w in z2 if w.base == q2]
         if not d:
-            raise MissingSuccessor(
+            raise DestxError(
                 f"no version of the plant successor of ({x.render()}, {e}) lies in {z2.render()}"
             )
         order = _leading_back_first(plant, d)
@@ -154,29 +149,29 @@ def parse_policy(text: str, plant: Plant) -> Policy:
     for lineno, _raw, kw, rest in records(text):
         if kw == "initial":
             if len(rest) != 1 or initial is not None:
-                raise ParseError(f"line {lineno}: bad or duplicate initial line")
+                raise DestxError(f"line {lineno}: bad or duplicate initial line")
             initial = parse_labeled(rest[0], plant)
         elif kw == "label":
             if len(rest) != 3:
-                raise ParseError(f"line {lineno}: label takes state, event, Y|N")
+                raise DestxError(f"line {lineno}: label takes state, event, Y|N")
             labels.append((parse_labeled(rest[0], plant), rest[1], rest[2]))
         elif kw == "trans":
             if len(rest) != 3:
-                raise ParseError(f"line {lineno}: trans takes source, event, target")
+                raise DestxError(f"line {lineno}: trans takes source, event, target")
             src = parse_labeled(rest[0], plant)
             dst = parse_labeled(rest[2], plant)
             if (src, rest[1]) in trans:
-                raise ParseError(f"line {lineno}: duplicate transition for ({rest[0]},{rest[1]})")
+                raise DestxError(f"line {lineno}: duplicate transition for ({rest[0]},{rest[1]})")
             trans[(src, rest[1])] = dst
         else:
-            raise ParseError(f"line {lineno}: unknown keyword {kw!r}")
+            raise DestxError(f"line {lineno}: unknown keyword {kw!r}")
     if initial is None:
-        raise ParseError("missing initial line")
+        raise DestxError("missing initial line")
     for x, e, lab in labels:
         if lab not in (Y, N):
-            raise ParseError(f"label for ({x.render()}, {e}) must be Y or N")
+            raise DestxError(f"label for ({x.render()}, {e}) must be Y or N")
         if x.label(e) != lab:
-            raise ParseError(
+            raise DestxError(
                 f"label line for ({x.render()}, {e}) contradicts the state rendering"
             )
     return Policy(plant, initial, trans)

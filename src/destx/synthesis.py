@@ -27,7 +27,7 @@ from collections import namedtuple
 from functools import cache
 
 from .automata import explore
-from .errors import Infeasible, UnknownInitial
+from .errors import DestxError, Infeasible
 from .labeled import N, LabeledSystem
 from .observer import DynamicObserver, ObserverState, targets
 
@@ -126,7 +126,7 @@ def extract_min_transmit(
     roots = gstar.initials
     if pin_initial is not None:
         if pin_initial not in roots:
-            raise UnknownInitial(f"{pin_initial.render()} is not a surviving initial estimate")
+            raise DestxError(f"{pin_initial.render()} is not a surviving initial estimate")
         roots = (pin_initial,)
     count = cache(lambda z: count_nontransmitted(sys, z, nz_mode))
 

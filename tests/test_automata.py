@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from destx import (
     EPSILON,
-    ParseError,
+    DestxError,
     Plant,
     parse_des,
     render_word,
@@ -109,26 +109,27 @@ def test_parse_accepts_comments_and_blanks():
     assert p.initial == "s0"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "alphabet a\nstates s0\n",  # no initial
-        "alphabet a\ninitial s0\ntrans s0 a s0\n",  # no states
-        "alphabet a\nstates s0\ninitial s1\n",  # unknown initial
-        "alphabet a\nstates s0\ninitial s0\ntrans s0 b s0\n",  # unknown event
-        "alphabet a\nstates s0\ninitial s0\ntrans s0 a s9\n",  # unknown target
-        "alphabet a\nstates s0 s1\ninitial s0\ntrans s0 a s0\ntrans s0 a s1\n",  # duplicate move
-        "alphabet a\nstates s0\ninitial s0\ninitial s0\n",  # duplicate initial
-        "states s0\ninitial s0\nfrobnicate s0\n",  # bad keyword
-    ],
-)
+# each rejected plant text and the message that names its fault
+REJECTED = {
+    "alphabet a\nstates s0\n": r"^missing initial line$",
+    "alphabet a\ninitial s0\ntrans s0 a s0\n": r"^a plant needs at least one state$",
+    "alphabet a\nstates s0\ninitial s1\n": r"^initial state 's1' is not a declared state$",
+    "alphabet a\nstates s0\ninitial s0\ntrans s0 b s0\n": r"^transition \(s0,b,s0\) uses an undeclared event$",
+    "alphabet a\nstates s0\ninitial s0\ntrans s0 a s9\n": r"^transition \(s0,a,s9\) uses an undeclared state$",
+    "alphabet a\nstates s0 s1\ninitial s0\ntrans s0 a s0\ntrans s0 a s1\n": r"^line 5: duplicate transition for \(s0,a\)$",
+    "alphabet a\nstates s0\ninitial s0\ninitial s0\n": r"^line 4: duplicate initial line$",
+    "states s0\ninitial s0\nfrobnicate s0\n": r"^line 3: unknown keyword 'frobnicate'$",
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTED))
 def test_parse_rejects(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=REJECTED[text]):
         parse_des(text)
 
 
 def test_plant_validation():
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^transition \(s0,a,s9\) uses an undeclared state$"):
         Plant(["s0"], ["a"], {("s0", "a"): "s9"}, "s0")
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^a plant needs at least one state$"):
         Plant([], [], {}, "s0")

@@ -10,16 +10,14 @@ import destx.estimation
 import destx.observer
 from destx import (
     CheckReport,
+    DestxError,
     DeterministicSchedule,
     DistinguishabilitySpec,
     Estimator,
     InstanceTooLarge,
     Plant,
     Policy,
-    PolicyIncomplete,
     TraceSession,
-    UndefinedEvent,
-    WordNotInPlant,
     build_labeled_system,
     build_observer,
     check_estimate_agreement,
@@ -83,7 +81,7 @@ def _bruteforce_estimate(policy, s, bound=None):
 
 def _exact_estimate(policy, s):
     """The same, from a fresh exact table."""
-    return destx.estimation._EstimateTable(policy, 100_000, "test").estimate(policy.projection(s))
+    return destx.estimation._EstimateTable(policy, 100_000).estimate(policy.projection(s))
 
 
 def _synthesized(plant, pairs):
@@ -177,7 +175,7 @@ def _buckets_word_by_word(policy, depth, cache):
             q2 = plant.step(q, e)
             x2 = policy.trans.get((x, e))
             if x2 is None:
-                raise PolicyIncomplete(f"policy has no transition for ({x.render()}, {e})")
+                raise DestxError(f"policy has no transition for ({x.render()}, {e})")
             proj2 = proj + (e,) if x.label(e) == Y else proj
             buckets.setdefault(proj2, set()).add(q2)
             stack.append((q2, x2, proj2, n + 1))
@@ -252,7 +250,7 @@ def _assert_exact_matches_reference(policy):
     the word-length reference's estimate at the proven bound."""
     refs = {}
     for depth in range(6):
-        table = destx.estimation._EstimateTable(policy, 100_000, "test")
+        table = destx.estimation._EstimateTable(policy, 100_000)
         for s in policy.plant.words_upto(depth):
             ref = _estimate_by_projection(policy, s, refs)
             assert table.estimate(policy.projection(s)) == ref, s
@@ -392,7 +390,7 @@ def test_estimate_bruteforce(plant, hand_policy):
         assert estimate(an, ("σ2", "σ2")) == frozenset(plant.states)
         assert estimate(ay, ("σ2",)) == {"q1"}
         assert sorted(estimate(hand_policy, ())) == ["q0", "q1", "q5"]
-        with pytest.raises(WordNotInPlant):
+        with pytest.raises(DestxError, match=r"^event 'σ1' fell outside the plant language$"):
             estimate(an, ("σ1", "σ1"))
 
 
@@ -402,10 +400,11 @@ def test_bruteforce_incomplete_policy(plant, prop):
     # the empty projection of a one-state policy, and stops on a step past
     # the initial state
     assert _bruteforce_estimate(partial, ()) == {"q0"}
-    with pytest.raises(PolicyIncomplete):
+    incomplete = r"^policy has no transition for \(q0NNY, σ1\)$"
+    with pytest.raises(DestxError, match=incomplete):
         _bruteforce_estimate(partial, (), 3)
     # the exact table closes the empty projection, stepping q0NNY at once
-    with pytest.raises(PolicyIncomplete):
+    with pytest.raises(DestxError, match=incomplete):
         _exact_estimate(partial, ())
     # the checks and their word-by-word references stop alike
     for depth in (3, 5):
@@ -415,7 +414,7 @@ def test_bruteforce_incomplete_policy(plant, prop):
             lambda: _thm1_word_by_word(plant, partial, depth, {}),
             lambda: _problem1_word_by_word(plant, partial, prop, depth, {}),
         ):
-            with pytest.raises(PolicyIncomplete):
+            with pytest.raises(DestxError, match=incomplete):
                 check()
 
 
@@ -487,7 +486,7 @@ def test_trace_session(plant, hand_policy):
     assert sorted(ts.estimate) == ["q0", "q1", "q5"]
     assert ts.step("σ3") == (True, frozenset({"q3"}))
     assert ts.step("σ2") == (True, frozenset({"q4"}))
-    with pytest.raises(UndefinedEvent):
+    with pytest.raises(DestxError, match=r"^event 'σ1' is not defined at plant state 'q4'$"):
         ts.step("σ1")
 
 
@@ -729,7 +728,7 @@ def test_bruteforce_table_is_independent():
 def _table_size(policy, depth):
     """Triples of a fresh exact table asked the projections of the plant
     words up to `depth`, as THM1 and PROBLEM1 ask them."""
-    table = destx.estimation._EstimateTable(policy, 100_000, "test")
+    table = destx.estimation._EstimateTable(policy, 100_000)
     for s in policy.plant.words_upto(depth):
         table.estimate(policy.projection(s))
     return table.size

@@ -1,16 +1,15 @@
 """Labeled system: decision versions and suppressed reach."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from destx import (
     AlphabetTooLarge,
-    ParseError,
+    DestxError,
     Plant,
-    UndefinedEvent,
-    UnknownState,
     build_labeled_system,
     parse_labeled,
     unobservable_reach,
@@ -31,7 +30,7 @@ def test_versions_of(lsys):
     assert len(lsys.versions_of("q0")) == 8
     assert len(lsys.versions_of("q1")) == 2
     assert len(lsys.versions_of("q5")) == 1
-    with pytest.raises(UnknownState):
+    with pytest.raises(DestxError, match=r"^unknown plant state 'q9'$"):
         lsys.versions_of("q9")
 
 
@@ -41,7 +40,7 @@ def test_render_and_labels(plant):
     assert v.label("σ1") == N
     assert v.label("σ3") == Y
     assert v.events() == ("σ1", "σ2", "σ3")
-    with pytest.raises(UndefinedEvent):
+    with pytest.raises(DestxError, match=r"^event 'σ1' is not defined at 'q1'$"):
         make_labeled("q1", {"σ2": Y}).label("σ1")
 
 
@@ -52,7 +51,7 @@ def test_parse_labeled(plant):
     assert parse_labeled("q2N", plant) == make_labeled("q2", {"σ1": N})
     assert parse_labeled("q5", plant) == make_labeled("q5", {})
     for bad in ("q9N", "q0NN", "q0NNYY", "q0NNX", ""):
-        with pytest.raises(ParseError):
+        with pytest.raises(DestxError, match=f"^{re.escape(repr(bad))} is not a labeled state of this plant$"):
             parse_labeled(bad, plant)
 
 
@@ -60,7 +59,7 @@ def test_parse_labeled_ambiguity_names_candidates():
     # q with two events, qY with one and qYN with none: every version
     # renders as qYN, so the message names the three plant states
     plant = Plant(["q", "qY", "qYN"], "ab", {("q", "a"): "qY", ("q", "b"): "qYN", ("qY", "a"): "q"}, "q")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(DestxError) as exc:
         parse_labeled("qYN", plant)
     assert str(exc.value) == "'qYN' is ambiguous between the plant states ['q', 'qY', 'qYN']"
     assert parse_labeled("qNN", plant) == make_labeled("q", {"a": N, "b": N})
@@ -97,7 +96,7 @@ def test_parse_labeled_matches_scan(seed):
         if len(found) == 1:
             assert parse_labeled(text, plant) == found[0]
             continue
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(DestxError) as exc:
             parse_labeled(text, plant)
         if found:
             bases = sorted(v.base for v in found)

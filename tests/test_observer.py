@@ -3,7 +3,7 @@
 import itertools
 import random
 import types
-from sys import setprofile
+from sys import modules, setprofile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,7 +304,9 @@ def test_bruteforce_levels_match_top_down(lsys):
 def _names_reached(func):
     """Every name that the code of `func` reads, following its nested
     functions and, transitively, the library functions and classes (their
-    methods and properties included) that the code names."""
+    methods and properties included) that the code names, imported inside
+    a function included: `from .m import f` puts both m and f in the
+    importing code's names."""
     todo, seen, names = [(func.__code__, func.__globals__)], set(), set()
     while todo:
         code, namespace = todo.pop()
@@ -313,8 +315,9 @@ def _names_reached(func):
         seen.add(code)
         names.update(code.co_names)
         todo.extend((c, namespace) for c in code.co_consts if isinstance(c, types.CodeType))
+        imported = [vars(m) for m in map(modules.get, (f"destx.{n}" for n in code.co_names)) if m]
         for name in code.co_names:
-            obj = namespace.get(name)
+            obj = next((ns[name] for ns in (namespace, *imported) if name in ns), None)
             if not getattr(obj, "__module__", "").startswith("destx."):
                 continue
             for member in vars(obj).values() if isinstance(obj, type) else (obj,):

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from destx import (
+    DestxError,
     DistinguishabilitySpec,
-    ParseError,
-    UnknownState,
     distinguishability,
     parse_labeled,
 )
@@ -16,9 +15,9 @@ STATES = ("q0", "q1", "q2", "q3", "q4", "q5")
 
 
 def test_spec_parse_rejects():
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^line 1: expected 'pair <state> <state>', got 'pair q0'$"):
         DistinguishabilitySpec.parse("pair q0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^line 1: expected 'pair <state> <state>', got 'couple q0 q1'$"):
         DistinguishabilitySpec.parse("couple q0 q1\n")
 
 
@@ -77,7 +76,7 @@ def test_verdict_ignores_pair_order(plant):
 
 
 def test_unknown_state(plant):
-    with pytest.raises(UnknownState):
+    with pytest.raises(DestxError, match=r"^pair mentions unknown state 'q9'$"):
         distinguishability(DistinguishabilitySpec.of([("q0", "q9")]), plant)
 
 

@@ -2,7 +2,9 @@
 
 A name counts as used when some module of the library other than
 `__init__.py`, or a file under `scripts/` or `perfbench/`, reads it outside
-its own definition.  Code only tests call belongs in the tests.
+its own definition.  Code only tests call belongs in the tests.  An error
+class other than the base one must also be caught by name somewhere in the
+program, or nothing tells it apart from the base class.
 """
 
 import ast
@@ -48,13 +50,16 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+PROGRAM = (
+    [p for p in LIBRARY if p.name != "__init__.py"]
+    + sorted((ROOT / "scripts").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py"))
+)
+
+
 def _program_reads():
     reads = _Reads()
-    for path in (
-        [p for p in LIBRARY if p.name != "__init__.py"]
-        + sorted((ROOT / "scripts").glob("*.py"))
-        + sorted((ROOT / "perfbench").glob("*.py"))
-    ):
+    for path in PROGRAM:
         reads.visit(_parse(path))
     return reads.names
 
@@ -80,3 +85,19 @@ def test_every_definition_is_used_by_the_program():
     }
     assert len(defined) > 100
     assert sorted(defined - _program_reads()) == []
+
+
+def test_every_error_class_is_caught_by_the_program():
+    # the names in the `except` clauses of the program, bare or dotted,
+    # alone or in a tuple
+    caught = set()
+    for path in PROGRAM:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, (ast.Name, ast.Attribute)):
+                        caught.add(name.id if isinstance(name, ast.Name) else name.attr)
+    errors = ROOT / "src" / "destx" / "errors.py"
+    classes = {node.name for node in _parse(errors).body if isinstance(node, ast.ClassDef)}
+    assert "DestxError" in classes and len(classes) > 1
+    assert sorted(classes - {"DestxError"} - caught) == []

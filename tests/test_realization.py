@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from destx import (
+    DestxError,
     DeterministicSchedule,
     DistinguishabilitySpec,
-    MissingSuccessor,
-    ParseError,
     Plant,
-    PolicyIncomplete,
     Policy,
-    WordNotInPlant,
     build_labeled_system,
     build_observer,
     check_estimate_agreement,
@@ -211,33 +208,34 @@ def test_realize_alternates_when_chain_exhausted():
 
 
 def test_realize_missing_successor(lsys, plant):
-    z0 = _os(plant, "q0NNY", "q1Y", "q5")
-    # x0 transmits σ3 but the schedule has no move for it
-    sched = DeterministicSchedule(z0, (z0,), {(z0, "σ2"): _os(plant, "q2Y")})
-    with pytest.raises(MissingSuccessor):
+    z0, z1 = _os(plant, "q0NNY", "q1Y", "q5"), _os(plant, "q2Y")
+    # q2Y transmits σ1 but the schedule has no move for it
+    sched = DeterministicSchedule(z0, (z0, z1), {(z0, "σ2"): z1})
+    with pytest.raises(DestxError, match=r"^schedule lacks a successor for \(\(q2Y\), σ1\) needed by q2Y$"):
+        realize_policy(lsys, sched)
+    # once the loop back to z0 is there, x0 transmits σ3 with no move for it
+    sched = DeterministicSchedule(z0, (z0, z1), {(z0, "σ2"): z1, (z1, "σ1"): z0})
+    with pytest.raises(DestxError, match=r"^schedule lacks a successor for \(\(q0NNY,q1Y,q5\), σ3\) needed by q0NNY$"):
         realize_policy(lsys, sched)
     # a successor that shares no version with the plant target is as bad
-    sched = DeterministicSchedule(
-        z0, (z0, _os(plant, "q2Y")),
-        {(z0, "σ2"): _os(plant, "q2Y"), (z0, "σ3"): _os(plant, "q2Y")},
-    )
-    with pytest.raises(MissingSuccessor):
+    sched = DeterministicSchedule(z0, (z0, z1), {(z0, "σ2"): z1, (z1, "σ1"): z0, (z0, "σ3"): z1})
+    with pytest.raises(DestxError, match=r"^no version of the plant successor of \(q0NNY, σ3\) lies in \(q2Y\)$"):
         realize_policy(lsys, sched)
 
 
 def test_policy_validation(plant, lsys):
     q1y = parse_labeled("q1Y", plant)
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^policy initial q1Y is not a version of the plant initial 'q0'$"):
         Policy(plant, q1y, {})  # initial must sit on the plant's initial state
     q0 = parse_labeled("q0NNY", plant)
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^policy transition q0NNY -σ2-> q3Y does not follow the plant$"):
         Policy(plant, q0, {(q0, "σ2"): parse_labeled("q3Y", plant)})  # wrong target
 
 
 def test_policy_step_incomplete(plant):
     q0 = parse_labeled("q0NNY", plant)
     pol = Policy(plant, q0, {})
-    with pytest.raises(PolicyIncomplete):
+    with pytest.raises(DestxError, match=r"^policy has no transition for \(q0NNY, σ2\)$"):
         pol.step(q0, "σ2")
 
 
@@ -255,7 +253,7 @@ def test_projection(pinned_policy, hand_policy):
     assert pinned_policy.projection(("σ3", "σ2")) == ("σ3", "σ2")
     assert hand_policy.projection(("σ2", "σ2", "σ1", "σ2")) == ("σ2", "σ2")
     assert hand_policy.projection(()) == ()
-    with pytest.raises(WordNotInPlant):
+    with pytest.raises(DestxError, match=r"^event 'σ1' fell outside the plant language$"):
         pinned_policy.projection(("σ1", "σ1"))
 
 
@@ -273,18 +271,18 @@ def test_format_parse_round_trip(pinned_policy, hand_policy, plant):
 
 
 def test_parse_policy_rejects(plant):
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^missing initial line$"):
         parse_policy("label q0NNY σ1 N\n", plant)  # no initial
     base = "initial q0NNY\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^label line for \(q0NNY, σ1\) contradicts the state rendering$"):
         # label line contradicting the state name
         parse_policy(base + "label q0NNY σ1 Y\n", plant)
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^policy transition q0NNY -σ2-> q3Y does not follow the plant$"):
         # transition disagreeing with the plant
         parse_policy(base + "trans q0NNY σ2 q3Y\n", plant)
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^policy transition q0NNY -σ9-> q1Y does not follow the plant$"):
         parse_policy(base + "trans q0NNY σ9 q1Y\n", plant)
-    with pytest.raises(ParseError):
+    with pytest.raises(DestxError, match=r"^line 2: unknown keyword 'widget'$"):
         parse_policy(base + "widget q0NNY\n", plant)
 
 

@@ -6,12 +6,12 @@ import random
 import pytest
 
 from destx import (
+    DestxError,
     DeterministicSchedule,
     DistinguishabilitySpec,
     DynamicObserver,
     Infeasible,
     Plant,
-    UnknownInitial,
     build_labeled_system,
     build_observer,
     consistency_fixpoint,
@@ -303,7 +303,7 @@ def test_extract_deterministic(gstar, pinned_sched):
 
 
 def test_extract_unknown_pin(gstar, plant):
-    with pytest.raises(UnknownInitial):
+    with pytest.raises(DestxError, match=r"^\(q2Y\) is not a surviving initial estimate$"):
         extract_min_transmit(gstar, pin_initial=_os(plant, "q2Y"))
 
 
