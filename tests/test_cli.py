@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -58,6 +60,15 @@ def test_build_observer_dot(tmp_path):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert "(q2Y)" in text
+
+
+def test_build_observer_dot_unwritable(tmp_path):
+    # the DOT file is written before anything is printed, so a failed write
+    # leaves stdout empty, as on every other exit-2 path
+    dot = tmp_path / "no-such-dir" / "obs.dot"
+    p = run("build-observer", PLANT, "--dot", str(dot))
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr == f"error: [Errno 2] No such file or directory: '{dot}'\n"
 
 
 def test_synthesize_pinned(tmp_path):
@@ -236,7 +247,7 @@ def test_cold_import_skips_code_generation_modules():
     assert p.returncode == 0, p.stderr
     loaded = set(p.stdout.split())
     assert "destx.cli" in loaded
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale"}
     assert sorted(loaded & heavy) == []
     # the package loads a module on first access to one of its names, and
     # each command only the modules it runs
@@ -254,15 +265,17 @@ def test_cold_import_skips_code_generation_modules():
         ):
             p = python_child(
                 "-c",
-                "import sys; from destx.cli import main; code = main(sys.argv[1:]); "
+                "import sys; from destx.cli import main; before = set(sys.modules); code = main(sys.argv[1:]); "
                 "print(*sorted(m for m in sys.modules if m.startswith('destx.')), file=sys.stderr); "
+                "print(*sorted(set(sys.modules) - before), file=sys.stderr); "
                 "raise SystemExit(code)",
                 *command,
             )
             assert p.returncode in (0, 5), p.stderr
-            loaded = set(p.stderr.split())
+            loaded, new = (set(line.split()) for line in p.stderr.splitlines()[-2:])
             assert "destx.observer" in loaded or "observer" in skipped, command[0]
             assert sorted(loaded & {f"destx.{m}" for m in skipped}) == [], command[0]
+            assert sorted(new & heavy) == [], command[0]
     p = python_child(
         "-c",
         "import destx; print(*destx.__all__); print(*dir(destx)); "
@@ -848,6 +861,187 @@ def test_usage_error():
     assert p.returncode == 2
     p = run("frobnicate")
     assert p.returncode == 2
+
+
+def _argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser that `cli` used before its table: the reference
+    for what each argv parses to."""
+    p = argparse.ArgumentParser(prog="destx")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def common(sp, depth=False):
+        sp.add_argument("--budget", type=int, default=None)
+        if depth:
+            sp.add_argument("--depth", type=int, default=6)
+
+    sp = sub.add_parser("build-observer")
+    sp.add_argument("plant")
+    sp.add_argument("--dot", default=None)
+    common(sp)
+    sp = sub.add_parser("synthesize")
+    sp.add_argument("plant")
+    sp.add_argument("pairs")
+    sp.add_argument("out")
+    sp.add_argument("--pin-initial", default=None)
+    sp.add_argument("--nz-mode", choices=("default", "unlabeled"), default="default")
+    common(sp)
+    sp = sub.add_parser("verify")
+    sp.add_argument("plant")
+    sp.add_argument("policy")
+    sp.add_argument("pairs")
+    common(sp, depth=True)
+    sp = sub.add_parser("simulate")
+    sp.add_argument("plant")
+    sp.add_argument("policy")
+    sp.add_argument("--trace", default="")
+    sp = sub.add_parser("oracle-maxs")
+    sp.add_argument("plant")
+    common(sp)
+    return p
+
+
+README_PLANT, README_PAIRS = "data/running_example.des", "data/distinguish.pairs"
+ACCEPTED = [
+    # the tests', the README's and the benchmark's calls
+    ["build-observer", PLANT],
+    ["build-observer", PLANT, "--dot", "obs.dot"],
+    ["build-observer", PLANT, "--budget", "150"],
+    ["build-observer", PLANT, "--budget", "0"],
+    ["build-observer", README_PLANT, "--budget", "100000000"],
+    ["synthesize", PLANT, PAIRS, "pin.policy", "--pin-initial", "q0NNY"],
+    ["synthesize", PLANT, PAIRS, "auto.policy"],
+    ["synthesize", PLANT, PAIRS, "pin.policy", "--pin-initial", "q1N"],
+    ["synthesize", README_PLANT, README_PAIRS, "min.policy", "--pin-initial", "q0NNY"],
+    ["verify", PLANT, "pin.policy", PAIRS],
+    ["verify", PLANT, HAND, PAIRS, "--depth", "4"],
+    ["verify", PLANT, HAND, PAIRS, "--depth", "33"],
+    ["verify", PLANT, HAND, PAIRS, "--budget", "5"],
+    ["verify", PLANT, HAND, PAIRS, "--budget", "0"],
+    ["verify", "fib.des", "fib.policy", "fib.pairs", "--depth", "32", "--budget", "32"],
+    ["verify", "tree.des", "tree.policy", "none.pairs", "--depth", "0", "--budget", "329"],
+    ["verify", README_PLANT, "min.policy", README_PAIRS, "--depth", "6"],
+    ["simulate", PLANT, HAND, "--trace", "σ3 σ2"],
+    ["simulate", PLANT, HAND, "--trace", "σ2 σ2 σ1 σ2"],
+    ["simulate", PLANT, HAND],
+    ["simulate", PLANT, HAND, "--trace", ""],
+    ["simulate", README_PLANT, "min.policy", "--trace", "σ2 σ2 σ1"],
+    ["oracle-maxs", PLANT],
+    ["oracle-maxs", PLANT, "--budget", "300"],
+    # options before, between and after the positionals
+    ["verify", "--depth", "4", PLANT, HAND, PAIRS],
+    ["verify", PLANT, "--budget", "7", HAND, "--depth", "3", PAIRS],
+    ["synthesize", "--nz-mode", "unlabeled", PLANT, PAIRS, "--pin-initial", "q0NNY", "out.policy"],
+    ["synthesize", PLANT, PAIRS, "out.policy", "--nz-mode", "default"],
+    # --opt=value
+    ["verify", PLANT, HAND, PAIRS, "--depth=4", "--budget=9"],
+    ["simulate", PLANT, HAND, "--trace=σ3 σ2"],
+    ["simulate", PLANT, HAND, "--trace="],
+    ["simulate", PLANT, HAND, "--trace=a=b"],
+    ["synthesize", PLANT, PAIRS, "out.policy", "--pin-initial=q0NNY", "--nz-mode=unlabeled"],
+    ["build-observer", PLANT, "--dot=obs.dot"],
+    # unique prefixes
+    ["synthesize", PLANT, PAIRS, "out.policy", "--pin", "q0NNY", "--nz=unlabeled"],
+    ["verify", PLANT, HAND, PAIRS, "--dep", "4", "--b", "10"],
+    ["simulate", PLANT, HAND, "--tr", "σ3"],
+    ["build-observer", PLANT, "--d", "obs.dot", "--bud=5"],
+    # -- ends the options
+    ["verify", "--depth", "3", "--", PLANT, HAND, PAIRS],
+    ["verify", PLANT, "--", HAND, PAIRS],
+    ["verify", PLANT, HAND, PAIRS, "--"],
+    ["build-observer", "--", "-plant.des"],
+    # the last of a repeated option wins
+    ["verify", PLANT, HAND, PAIRS, "--depth", "3", "--depth", "5"],
+    ["simulate", PLANT, HAND, "--trace", "a", "--trace", "b"],
+    ["synthesize", PLANT, PAIRS, "out.policy", "--nz-mode", "unlabeled", "--nz-mode", "default"],
+    # values argparse reads as positionals although they start with "-",
+    # and the forms int() accepts
+    ["verify", PLANT, HAND, PAIRS, "--depth", "-1"],
+    ["verify", PLANT, HAND, PAIRS, "--budget", "-5", "--depth", "+4"],
+    ["verify", PLANT, HAND, PAIRS, "--depth", " 4 "],
+    ["simulate", PLANT, HAND, "--trace", "-x y"],
+    ["build-observer", "-"],
+    ["build-observer", "-1.5"],
+]
+REJECTED = [
+    [],
+    ["frobnicate"],
+    ["VERIFY", PLANT, HAND, PAIRS],
+    ["--", "verify", PLANT, HAND, PAIRS],
+    ["--budget", "3", "verify", PLANT, HAND, PAIRS],
+    ["verify", PLANT, HAND, PAIRS, "--zzz"],
+    ["verify", PLANT, HAND, PAIRS, "-x"],
+    ["verify", PLANT, HAND, PAIRS, "-d", "3"],
+    ["oracle-maxs", PLANT, "--depth", "3"],
+    ["simulate", PLANT, HAND, "--budget", "3"],
+    ["verify", PLANT, HAND, PAIRS, "--depth"],
+    ["verify", PLANT, HAND, PAIRS, "--depth", "--budget", "3"],
+    ["verify", PLANT, HAND, PAIRS, "--depth", "-x"],
+    ["simulate", PLANT, HAND, "--trace", "--"],
+    ["build-observer", PLANT, "--dot"],
+    ["verify", PLANT, HAND, PAIRS, "--depth", "x"],
+    ["verify", PLANT, HAND, PAIRS, "--depth=4.5"],
+    ["verify", PLANT, HAND, PAIRS, "--budget="],
+    ["synthesize", PLANT, PAIRS, "out.policy", "--nz-mode", "fast"],
+    ["synthesize", PLANT, PAIRS, "out.policy", "--nz=Default"],
+    ["build-observer"],
+    ["verify", PLANT, HAND],
+    ["verify", PLANT, HAND, PAIRS, "extra"],
+    ["verify", "--", "--depth", "3", PLANT, HAND, PAIRS],
+    ["verify", PLANT, HAND, PAIRS, "-hx"],
+    ["verify", PLANT, HAND, PAIRS, "--help=x"],
+]
+OPTIONS = {
+    "build-observer": ["--budget", "--dot"],
+    "synthesize": ["--budget", "--nz-mode", "--pin-initial"],
+    "verify": ["--budget", "--depth"],
+    "simulate": ["--trace"],
+    "oracle-maxs": ["--budget"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """What `parser.parse_args(argv)` gives: its namespace as a dict or its
+    exit code, and what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def test_parser_matches_argparse(capsys):
+    # every argv the old argparse parser accepted parses to the same
+    # attributes, and every one it rejected exits 2 with a usage line and an
+    # error line on stderr and nothing on stdout
+    reference = _argparse_reference()
+    for argv in ACCEPTED:
+        expected, _printed = _parse(reference, argv, capsys)
+        assert isinstance(expected, dict), argv
+        assert _parse(cli.build_parser(), argv, capsys) == (expected, ("", "")), argv
+    for argv in REJECTED:
+        assert _parse(reference, argv, capsys)[0] == 2, argv
+        code, (out, err) = _parse(cli.build_parser(), argv, capsys)
+        assert (code, out) == (2, ""), argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: destx") and ": error: " in error, argv
+
+
+def test_help_lists_the_commands_options(capsys):
+    # -h and --help, after the command or before it, print help and exit 0;
+    # a command's help names exactly its own options, as argparse's did
+    reference = _argparse_reference()
+    for command, options in OPTIONS.items():
+        for argv in ([command, "-h"], [command, PLANT, "--help"], [command, "--he", "--zzz"]):
+            helps = []
+            for parser in (reference, cli.build_parser()):
+                code, (out, err) = _parse(parser, argv, capsys)
+                assert (code, err) == (0, ""), argv
+                helps.append(sorted(set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"}))
+            assert helps == [options, options], argv
+    for argv in (["-h"], ["--help"], ["--h", "verify"]):
+        code, (out, err) = _parse(cli.build_parser(), argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert all(command in out for command in OPTIONS), argv
 
 
 def test_repeated_runs_identical(tmp_path):
