@@ -9,12 +9,10 @@ Two independent routes to the receiver's estimate:
   equals the tracker of that product (see `Estimator`);
 * brute force: read the estimate straight off the definition, as the end
   states of the plant words, of any length, that the policy projects onto
-  the same transmitted word.  The words are not listed one by one: a table
-  over distinct (policy state, projection) keys finds, per projection asked
-  for, every key that such a word reaches, by closing the keys one
-  transmitted event past the projection's prefix under the steps that keep
-  the projection.  The plant state is the policy state's base, so each key
-  stands for one (plant state, policy state, projection) triple.
+  the same transmitted word.  The words are not listed one by one: the
+  policy states that such words reach are those one transmitted event past
+  the set of the projection's prefix, closed under the steps that keep the
+  projection, memoized per (set, event) and read off the policy alone.
 
 The checks below run over all words up to a depth.  PROP1 checks that each
 tracker state is one of the dynamic observer's estimates for its observed
@@ -22,15 +20,17 @@ word, without building the observer; THM1 compares the tracker with brute
 force, and PROBLEM1 the brute-force estimate with the property.  Each walks
 the levels of `shortlex_levels` in `_first_failure`, over the distinct keys
 that decide a word's verdict and continuations: (tracker state, targets)
-for PROP1, (policy state, projection) for THM1 and PROBLEM1, which share
-one walk and one brute-force table when run together (`check_estimates`).
-They are bounded substitutes for the universal statements, not proofs.
-One budget caps the entries of each walk, summed over its levels, the set
-unions of PROP1's test of one entry, and the keys of the brute-force
-table.  An entry stands for at least one word, so no depth whose words
-fit the budget is refused.  The tracker needs no cap of its own: PROP1
-steps it at most once per event of an entry, THM1 once per new projection
-and a replay once per event.
+for PROP1, (policy state, brute-force set, tracker state) for THM1 and
+(policy state, brute-force set) for PROBLEM1, which share one walk and one
+memo when run together (`check_estimates`).  Every part of a key ranges
+over a finite set, so a level's size is bounded by the policy, not by its
+words.  The checks are bounded substitutes for the universal statements,
+not proofs.  One budget caps the entries of each walk, summed over its
+levels, the set unions of PROP1's test of one entry, and the policy states
+put into the memo's sets.  An entry stands for at least one word, so no
+depth whose words fit the budget is refused.  The tracker needs no cap of
+its own: a walk steps it at most once per event of an entry, and a replay
+once per event.
 """
 
 from __future__ import annotations
@@ -91,72 +91,67 @@ class Estimator:
         return self._trans[(h, e)]
 
 
-def _triples(policy: Policy):
-    """The key of the empty word, and the (event, key) successors of a
-    (policy state, projection) key in event order; the projection grows by
-    each event the policy state transmits.  Every policy move follows the
-    plant, so the key (x, p) stands for the triple (x.base, x, p)."""
+def _brute_force(policy: Policy, budget: int):
+    """The brute-force side, read off the policy alone: the set for a
+    projection p holds the policy states that the plant words, of any
+    length, with projection p reach, and its bases are the estimate by
+    definition.  A step that suppresses its event keeps the projection, so
+    `after(S, e)`, the set for p + (e,) when S is the one for p, closes the
+    e-successors of the members of S that transmit e under such steps.
+    Returns the set for the empty projection and `after`, memoized per
+    (set, event).  Every policy state put into a set counts against
+    `budget`, past which it raises InstanceTooLarge."""
+    memo: dict[tuple[frozenset[LabeledState], str], frozenset[LabeledState]] = {}
+    used = 0
+
+    def close(seed):
+        nonlocal used
+        found = dict.fromkeys(seed)
+        work = list(found)
+        for x in work:
+            for e, lab in x.bits:
+                x2 = policy.step(x, e)
+                if lab == N and x2 not in found:
+                    found[x2] = None
+                    work.append(x2)
+        used += len(found)
+        if used > budget:
+            raise InstanceTooLarge(f"the brute-force sets passed the budget of {budget} policy states")
+        return frozenset(found)
+
+    def after(S, e):
+        if (S, e) not in memo:
+            memo[(S, e)] = close([policy.step(x, e) for x in sorted(S) if (e, Y) in x.bits])
+        return memo[(S, e)]
+
+    return close([policy.initial]), after
+
+
+def _walk(policy: Policy, budget: int, est: Estimator | None):
+    """The key of the empty word, and the (event, key) successors of a key
+    in event order, for THM1 and PROBLEM1: (policy state, brute-force set,
+    tracker state) with the tracker `est`, (policy state, brute-force set)
+    without.  The policy state decides how a key continues and the sets its
+    verdicts.  An event the policy state suppresses keeps both sets; one it
+    transmits moves each on, a tracker state of None staying None."""
+    start, after = _brute_force(policy, budget)
 
     def successors(key):
-        x, proj = key
+        x, S, *h = key
         for e, lab in x.bits:
-            yield e, (policy.step(x, e), proj + (e,) if lab == Y else proj)
+            x2 = policy.step(x, e)
+            if lab == N:
+                yield e, (x2, S, *h)
+            else:
+                yield e, (x2, after(S, e), *(None if t is None else est.step(t, e) for t in h))
 
-    return (policy.initial, ()), successors
-
-
-class _EstimateTable:
-    """The brute-force estimate, exact per projection, built on demand.
-
-    A (policy state, projection) key's successors depend on the key alone,
-    and each step keeps the projection or extends it by the one event
-    transmitted.  So the keys that plant words with projection p reach,
-    however long the words, are those reached from the keys parked on p by
-    the steps that keep the projection.  The start key is parked on the
-    empty projection, and every other parked key is one transmitted event
-    past a key of p[:-1].  `estimate(p)` therefore admits p[:-1] first,
-    then closes p's parked keys, parking each transmitted successor under
-    its own projection; the bases of p's policy states are the estimate by
-    definition.  Every key the table holds, parked ones included, counts
-    against `budget`, past which it raises InstanceTooLarge."""
-
-    def __init__(self, policy: Policy, budget: int):
-        start, self.successors = _triples(policy)
-        self.budget = budget
-        self.parked: dict[Word, dict[tuple[LabeledState, Word], None]] = {(): {start: None}}
-        self.size = 1
-        self.estimates: dict[Word, frozenset[str]] = {}
-
-    def estimate(self, proj: Word) -> frozenset[str]:
-        """Endpoints of the plant words, of any length, with projection `proj`."""
-        if proj not in self.estimates:
-            if proj:
-                self.estimate(proj[:-1])
-            keys = self.parked.pop(proj, {})
-            work = list(keys)
-            while work:
-                for _e, key in self.successors(work.pop()):
-                    into = keys if key[1] == proj else self.parked.setdefault(key[1], {})
-                    if key in into:
-                        continue
-                    into[key] = None
-                    if into is keys:
-                        work.append(key)
-                    self.size += 1
-                    if self.size > self.budget:
-                        raise InstanceTooLarge(
-                            "the brute-force estimate table passed the budget of "
-                            f"{self.budget} (plant state, policy state, projection) triples "
-                            f"at projection length {len(proj)}"
-                        )
-            self.estimates[proj] = frozenset(x.base for x, _p in keys)
-        return self.estimates[proj]
+    return (policy.initial, start, *([est.initial] if est else [])), successors
 
 
 class CheckReport(namedtuple("CheckReport", "name ok words depth word expected got", defaults=(None, "", ""))):
     """A check's verdict.  `words` counts the words checked: all of them up
     to the depth when the check holds, and on a failure the words of the
-    keys checked before the failing one plus the failing word itself."""
+    merged keys checked before the failing one plus the failing word."""
 
     __slots__ = ()
 
@@ -169,35 +164,36 @@ class CheckReport(namedtuple("CheckReport", "name ok words depth word expected g
         )
 
 
-def _first_failure(checks, entries: str, root, successors, depth: int, budget: int) -> list[CheckReport]:
-    """Walk `shortlex_levels` from `root` to `depth` once for all the (name,
-    fails) pairs of `checks`, and report on each check's first key that its
-    `fails` returns (expected, got) for; it returns None for a passing key.
-    Keys come in the order of their first words, so each failing word is the
-    shortlex-first one; `words` counts the words of the keys checked before
-    it plus that word.  The walk stops once every check has failed.  Once
-    the entries of all levels so far pass `budget` it stops with
-    InstanceTooLarge, whose message names the first check still live and
-    what the entries are; one that a check's `fails` raises gets that
-    check's name."""
+def _first_failure(checks, entries: str, walk, depth: int, budget: int) -> list[CheckReport]:
+    """Walk `shortlex_levels` to `depth` from the root and successors that
+    `walk()` returns, once for all the (name, fails) pairs of `checks`, and
+    report on each check's first key that its `fails` returns (expected,
+    got) for; it returns None for a passing key.  Keys come in the order of
+    their first words, so each failing word is the shortlex-first one;
+    `words` counts the words of the keys checked before it plus that word.
+    The walk stops once every check has failed.  Once the entries of all
+    levels so far pass `budget` it stops with InstanceTooLarge, whose
+    message names what the entries are; that and any other InstanceTooLarge
+    raised on the way get the name of the first check still live."""
     live, reports = dict(checks), {}
     total = checked = 0
-    for n, level in shortlex_levels(root, depth, successors):
-        total += len(level)
-        if total > budget:
-            raise InstanceTooLarge(f"{next(iter(live))}: more than {budget} {entries} up to length {n}, over the budget")
-        for key, (w, count) in level.items():
-            for name, fails in list(live.items()):
-                try:
+    try:
+        root, successors = walk()
+        for n, level in shortlex_levels(root, depth, successors):
+            total += len(level)
+            if total > budget:
+                raise InstanceTooLarge(f"more than {budget} {entries} up to length {n}, over the budget")
+            for key, (w, count) in level.items():
+                for name, fails in list(live.items()):
                     failure = fails(key)
-                except InstanceTooLarge as exc:
-                    raise InstanceTooLarge(f"{name}: {exc}") from exc
-                if failure is not None:
-                    reports[name] = CheckReport(name, False, checked + 1, depth, w, *failure)
-                    del live[name]
-            if not live:
-                return [reports[name] for name, _fails in checks]
-            checked += count
+                    if failure is not None:
+                        reports[name] = CheckReport(name, False, checked + 1, depth, w, *failure)
+                        del live[name]
+                if not live:
+                    return [reports[name] for name, _fails in checks]
+                checked += count
+    except InstanceTooLarge as exc:
+        raise InstanceTooLarge(f"{next(iter(live))}: {exc}") from exc
     reports |= {name: CheckReport(name, True, checked, depth) for name in live}
     return [reports[name] for name, _fails in checks]
 
@@ -248,7 +244,7 @@ def check_tracker_containment(
 
     return _first_failure(
         [("PROP1", fails)], "(tracker state, targets) entries over the observed words",
-        (est.initial, frozenset((plant.initial,))), successors, depth, budget,
+        lambda: ((est.initial, frozenset((plant.initial,))), successors), depth, budget,
     )[0]
 
 
@@ -257,41 +253,30 @@ def check_estimates(
     names: tuple[str, ...] = ("THM1", "PROBLEM1"),
 ) -> list[CheckReport]:
     """The checks `names`, THM1, PROBLEM1 or both in that order, in one walk
-    over distinct (policy state, projection) keys, each of which stands for
-    one (plant state, policy state, projection) triple, and over one
-    estimate table.  The walk and the table grow as they would for each
-    check alone, so each check reports as it would alone, and the entries
-    of the walk, summed over its levels, and the keys of the table are both
-    capped by `budget`.  Only THM1 builds a tracker, stepped once per new
-    projection."""
-    table = _EstimateTable(policy, budget)
-    if "THM1" in names:
-        est = Estimator(build_labeled_system(plant), policy)
-        # tracker state and estimate per projection; a key's projection is
-        # that of a key one level up, which came first, or one event longer
-        trackers: dict[Word, tuple[ObserverState | None, frozenset[str]]] = {
-            (): (est.initial, est.initial.underlying())
-        }
+    over the keys of `_walk` and over one brute-force memo.  A right
+    tracker's state is the brute-force set, so THM1's keys are as many as
+    PROBLEM1's and each check reports as it would alone.  The entries of
+    the walk, summed over its levels, and the policy states of the memo's
+    sets are both capped by `budget`.  Only THM1 builds a tracker."""
+    est = Estimator(build_labeled_system(plant), policy) if "THM1" in names else None
+    bases = cache(lambda S: frozenset(x.base for x in S))
 
     def thm1(key):
-        proj = key[1]
-        if proj not in trackers:
-            h = trackers[proj[:-1]][0]
-            h = est.step(h, proj[-1]) if h is not None else None
-            trackers[proj] = (h, h.underlying() if h is not None else frozenset())
-        tracker = trackers[proj][1]
-        brute = table.estimate(proj)
+        h, brute = key[2], bases(key[1])
+        tracker = h.underlying() if h is not None else frozenset()
         return None if tracker == brute else (_render_states(brute), _render_states(tracker))
 
     def problem1(key):
-        estimate = table.estimate(key[1])
+        estimate = bases(key[1])
         if prop.holds(estimate):
             return None
         return "estimate satisfying the property", _render_states(estimate) + " (" + prop.describe(estimate) + ")"
 
     checks = {"THM1": thm1, "PROBLEM1": problem1}
-    entries = "(plant state, policy state, projection) entries over the plant words"
-    return _first_failure([(name, checks[name]) for name in names], entries, *_triples(policy), depth, budget)
+    return _first_failure(
+        [(name, checks[name]) for name in names], "(policy state, estimate) entries over the plant words",
+        lambda: _walk(policy, budget, est), depth, budget,
+    )
 
 
 def check_estimate_agreement(
@@ -300,8 +285,9 @@ def check_estimate_agreement(
     """Tracker estimates equal brute-force estimates for every plant word up
     to the depth.  The brute-force side is exact: it takes the end states of
     every plant word with the same projection, however long.  Both sides
-    depend on a word only through its projection, so each distinct key of
-    a level is compared once (see `check_estimates`)."""
+    depend on a word only through its projection, so the words of one
+    (policy state, brute-force set, tracker state) key are compared once
+    (see `check_estimates`)."""
     return check_estimates(plant, policy, None, depth, budget, ("THM1",))[0]
 
 
@@ -309,9 +295,9 @@ def check_property_satisfaction(
     plant: Plant, policy: Policy, prop: DistinguishabilitySpec, depth: int, budget: int = DEFAULT_BUDGET
 ) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
-    up to the depth, with the same exact brute-force estimate, budget and
-    capped walk over distinct (policy state, projection) keys as THM1.  It
-    reads only its own estimate table, so it builds no tracker."""
+    up to the depth, with the same exact brute-force estimate and budget as
+    THM1, over a capped walk of (policy state, brute-force set) keys.  It
+    reads only its own memo, so it builds no tracker."""
     return check_estimates(plant, policy, prop, depth, budget, ("PROBLEM1",))[0]
 
 

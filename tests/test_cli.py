@@ -343,7 +343,7 @@ def test_non_utf8_input(tmp_path, kind):
 
 def test_verify_bounded_by_budget(tmp_path):
     # the policy suppresses every event, so each fib word is silent and
-    # each level of THM1's walk holds one triple: 33 up to depth 32
+    # each level of THM1's walk holds one entry: 33 up to depth 32
     plant = tmp_path / "fib.des"
     plant.write_text("alphabet a b\nstates q0 q1\ninitial q0\ntrans q0 a q1\ntrans q0 b q1\ntrans q1 b q0\n")
     spec = tmp_path / "fib.pairs"
@@ -354,7 +354,7 @@ def test_verify_bounded_by_budget(tmp_path):
     assert p.returncode == 3
     assert p.stdout == ""
     assert p.stderr == (
-        "error: THM1: more than 32 (plant state, policy state, projection) entries "
+        "error: THM1: more than 32 (policy state, estimate) entries "
         "over the plant words up to length 32, over the budget\n"
     )
     p = run("verify", str(plant), str(silent), str(spec), "--depth", "32", "--budget", "33")
@@ -382,6 +382,31 @@ def test_verify_depth_32_within_default_budget(tmp_path, des, pair):
     p = run("verify", str(plant), str(out), str(spec), "--depth", "32", timeout=30)
     assert p.returncode == 0, p.stderr
     assert [line.split()[:2] for line in p.stdout.splitlines()] == [["PROP1", "ok"], ["THM1", "ok"], ["PROBLEM1", "ok"]]
+
+
+def test_verify_fib_walks_finite_keys(tmp_path):
+    # deep-verify's fib with its synthesized policy, which transmits every
+    # event: each check's walk holds one entry per level and the brute-force
+    # memo four policy states, so depth 18 fits a budget of 19, and depth 32
+    # decides within the default budget
+    files = [tmp_path / name for name in ("fib.des", "fib.policy", "fib.pairs")]
+    files[0].write_text(FIB)
+    files[2].write_text("pair q0 q1\n")
+    assert run("synthesize", str(files[0]), str(files[2]), str(files[1])).returncode == 0
+    verify = ("verify", *map(str, files))
+    p = run(*verify, "--depth", "18", "--budget", "19", timeout=3)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        0, "PROP1 ok words=2045 depth=18\nTHM1 ok words=2045 depth=18\nPROBLEM1 ok words=2045 depth=18\n", ""
+    )
+    p = run(*verify, "--depth", "18", "--budget", "18", timeout=3)
+    assert (p.returncode, p.stderr) == (
+        3, "error: PROP1: more than 18 (tracker state, targets) entries over the observed words up to length 18, "
+        "over the budget\n"
+    )
+    p = run(*verify, "--depth", "32", timeout=3)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        0, "PROP1 ok words=262141 depth=32\nTHM1 ok words=262141 depth=32\nPROBLEM1 ok words=262141 depth=32\n", ""
+    )
 
 
 RING_6_1 = "alphabet e\nstates q0 q1 q2 q3 q4 q5\ninitial q0\n" + "".join(
@@ -466,17 +491,14 @@ def test_tracker_built_on_demand(shift_register):
     p = run("verify", plant, policy, spec, "--budget", "10", "--depth", "2", timeout=3)
     assert p.returncode == 3
     assert p.stdout == ""
-    assert p.stderr == (
-        "error: THM1: the brute-force estimate table passed the budget of 10 "
-        "(plant state, policy state, projection) triples at projection length 1\n"
-    )
+    assert p.stderr == "error: THM1: the brute-force sets passed the budget of 10 policy states\n"
     p = run("simulate", plant, policy, "--trace", "a", timeout=3)
     assert p.returncode == 0
     assert p.stdout == "initial estimate={p0,p1}\n1 a sent=Y proj=a estimate={p0,p1,p2}\n"
 
 
 def test_verify_shift_register_default_budget(shift_register):
-    # the brute-force table holds only the triples of the projections asked
+    # the brute-force memo holds only the sets of the projections asked
     # for, so the family's 79 labeled states cost it nothing
     plant, policy, spec = shift_register
     p = run("verify", plant, policy, spec, "--depth", "6", timeout=5)
@@ -718,13 +740,13 @@ def _wrong_tracker(m, kind):
 
 
 def test_verify_shares_one_walk_as_checks_alone(tmp_path, capsys, monkeypatch):
-    """`verify` runs THM1 and PROBLEM1 in one walk over one estimate table,
+    """`verify` runs THM1 and PROBLEM1 in one walk over one brute-force memo,
     and prints what the checks print one at a time: at every depth up to 10
     on the benchmark's fib, ladder and hollow, and, one depth in turn and
     depth 10, on random plants that dead-end and plants that do not, each
     with a memoryless policy and a policy with memory.  Small budgets and
     wrong trackers land each of the four stops: the walk's entries and the
-    table's triples, for THM1 and, once THM1 has failed, for PROBLEM1."""
+    memo's policy states, for THM1 and, once THM1 has failed, for PROBLEM1."""
     stops = set()
     budgets = (100_000, 4, 12, 40)
     trackers = (None, "forgetful", "late")

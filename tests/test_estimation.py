@@ -45,23 +45,25 @@ from randgen import (
 )
 
 
-def _bruteforce_estimate(policy, s, bound=None):
-    """Word-length reference for the exact estimate table: the end states of
-    the plant words of length <= `bound` that project like `s`, found
-    breadth-first over (plant state, policy state, projection) triples, one
-    level of word length at a time.  A step only extends a projection, so
-    only triples whose projection is a prefix of the target p are kept.
+def _bruteforce_states(policy, s, bound=None):
+    """Word-length reference for the brute-force sets: the (plant state,
+    policy state) pairs ending the plant words of length <= `bound` that
+    project like `s`, found breadth-first over (plant state, policy state,
+    projection) triples, one level of word length at a time.  A step only
+    extends a projection, so only triples whose projection is a prefix of
+    the target p are kept.
 
     The bound defaults to |p| + (|p|+1)(|X|-1), X the policy's states, which
     reaches every triple with projection p when the policy has a move for
     every defined event of its states; the answer is then the exact
-    estimate.  A policy state x fixes its plant state x.base, so a triple is
-    fixed by its policy state and projection.  Cut a shortest word reaching
-    a triple at its |p| transmitted events into |p|+1 stretches of
-    suppressed steps.  If a policy state repeated within one stretch, both
-    visits would be the same triple, and cutting the loop between them
-    would leave a shorter word reaching the same end.  So a stretch visits
-    at most |X| policy states and takes at most |X|-1 steps."""
+    brute-force set.  A policy state x fixes its plant state x.base, so a
+    triple is fixed by its policy state and projection.  Cut a shortest
+    word reaching a triple at its |p| transmitted events into |p|+1
+    stretches of suppressed steps.  If a policy state repeated within one
+    stretch, both visits would be the same triple, and cutting the loop
+    between them would leave a shorter word reaching the same end.  So a
+    stretch visits at most |X| policy states and takes at most |X|-1
+    steps."""
     plant, target = policy.plant, policy.projection(s)
     if bound is None:
         bound = len(target) + (len(target) + 1) * (len(policy.states) - 1)
@@ -76,12 +78,26 @@ def _bruteforce_estimate(policy, s, bound=None):
                     seen.add(t)
                     fresh.append(t)
         frontier = fresh
-    return frozenset(q for q, _x, p in seen if p == target)
+    return frozenset((q, x) for q, x, p in seen if p == target)
+
+
+def _bruteforce_estimate(policy, s, bound=None):
+    """The plant states of `_bruteforce_states`: the estimate by definition."""
+    return frozenset(q for q, _x in _bruteforce_states(policy, s, bound))
+
+
+def _memo_set(policy, s, memo=None):
+    """The brute-force set for the projection of `s`, stepped along it from
+    the empty projection's set on the memo `memo`, a fresh one by default."""
+    S, after = memo or destx.estimation._brute_force(policy, 100_000)
+    for e in policy.projection(s):
+        S = after(S, e)
+    return S
 
 
 def _exact_estimate(policy, s):
-    """The same, from a fresh exact table."""
-    return destx.estimation._EstimateTable(policy, 100_000).estimate(policy.projection(s))
+    """The same estimate, from a fresh brute-force memo."""
+    return frozenset(x.base for x in _memo_set(policy, s))
 
 
 def _synthesized(plant, pairs):
@@ -245,15 +261,18 @@ def _assert_bruteforce_matches(plant, policy, prop):
 
 
 def _assert_exact_matches_reference(policy):
-    """For each depth 0-5, a fresh exact table, asked the projections of the
-    plant words up to the depth in shortlex order as THM1 asks them, gives
-    the word-length reference's estimate at the proven bound."""
+    """For each depth 0-5, a fresh brute-force memo, stepped along the
+    projections of the plant words up to the depth in shortlex order, gives
+    the word-length reference's policy states at the proven bound, each with
+    its plant state, and so its estimate."""
     refs = {}
     for depth in range(6):
-        table = destx.estimation._EstimateTable(policy, 100_000)
+        memo = destx.estimation._brute_force(policy, 100_000)
         for s in policy.plant.words_upto(depth):
-            ref = _estimate_by_projection(policy, s, refs)
-            assert table.estimate(policy.projection(s)) == ref, s
+            proj = policy.projection(s)
+            if proj not in refs:
+                refs[proj] = _bruteforce_states(policy, s)
+            assert {(x.base, x) for x in _memo_set(policy, s, memo)} == refs[proj], s
 
 
 def _assert_prop1_matches(plant, policy, depth):
@@ -403,7 +422,7 @@ def test_bruteforce_incomplete_policy(plant, prop):
     incomplete = r"^policy has no transition for \(q0NNY, σ1\)$"
     with pytest.raises(DestxError, match=incomplete):
         _bruteforce_estimate(partial, (), 3)
-    # the exact table closes the empty projection, stepping q0NNY at once
+    # the memo closes the empty projection, stepping q0NNY at once
     with pytest.raises(DestxError, match=incomplete):
         _exact_estimate(partial, ())
     # the checks and their word-by-word references stop alike
@@ -710,63 +729,85 @@ def test_exact_table_matches_word_length_reference(plant, hand_policy, pinned_po
 
 
 def test_bruteforce_table_is_independent():
-    """The brute-force side walks plant-word triples on its own: no code
-    object of the estimate table or of `_triples`, nested ones included,
-    names the tracker or observer code it is compared with."""
+    """The brute-force memo reads the policy on its own: no code object of
+    `_brute_force`, nested ones included, names the tracker or observer
+    code it is compared with."""
     tracker = {"Estimator", "ObserverState", "explore", "unobservable_reach", "build_labeled_system"}
-    codes = [destx.estimation._triples.__code__]
-    codes += [f.__code__ for f in vars(destx.estimation._EstimateTable).values() if isinstance(f, types.FunctionType)]
+    codes = [destx.estimation._brute_force.__code__]
     names = set()
     while codes:
         code = codes.pop()
         names.update(code.co_names)
         codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    assert {"step", "successors"} <= names
+    assert {"step", "bits", "initial"} <= names
     assert not names & tracker
 
 
-def _table_size(policy, depth):
-    """Triples of a fresh exact table asked the projections of the plant
-    words up to `depth`, as THM1 and PROBLEM1 ask them."""
-    table = destx.estimation._EstimateTable(policy, 100_000)
-    for s in policy.plant.words_upto(depth):
-        table.estimate(policy.projection(s))
-    return table.size
+def _memo_size(policy, depth):
+    """Policy states that a fresh brute-force memo puts into its sets when
+    stepped along the projections of the plant words up to `depth`, as THM1
+    and PROBLEM1 step it: the least budget that it passes."""
+    words = policy.plant.words_upto(depth)
+    for budget in itertools.count(1):
+        try:
+            memo = destx.estimation._brute_force(policy, budget)
+            for s in words:
+                _memo_set(policy, s, memo)
+        except InstanceTooLarge:
+            continue
+        return budget
 
 
-def test_estimate_table_counts_triples_not_words():
+def test_estimate_memo_counts_policy_states_not_words():
     # the deep-verify benchmark's hollow shape: 63 words up to depth 5 fall
-    # into 8 triples, and the two unreachable states, which raise the
-    # labeled states to twelve, add none
+    # into 15 walk entries and a memo of 5 policy states, and the two
+    # unreachable states, which raise the labeled states to twelve, add none
     pol, prop = _synthesized(HOLLOW, [("q0", "q1")])
     assert len(build_labeled_system(HOLLOW).states) == 12
-    assert check_estimate_agreement(HOLLOW, pol, 5).line() == "THM1 ok words=63 depth=5"
-    assert check_property_satisfaction(HOLLOW, pol, prop, 5).ok
+    assert check_estimate_agreement(HOLLOW, pol, 5, 15).line() == "THM1 ok words=63 depth=5"
+    assert check_property_satisfaction(HOLLOW, pol, prop, 5, 15).ok
+    with pytest.raises(InstanceTooLarge, match=r"^PROBLEM1: more than 14 \(policy state, estimate\) entries"):
+        check_property_satisfaction(HOLLOW, pol, prop, 5, 14)
     reachable = Plant(["q0"], ["a", "b"], {("q0", "a"): "q0", ("q0", "b"): "q0"}, "q0")
-    assert _table_size(pol, 5) == _table_size(Policy(reachable, pol.initial, pol.trans), 5) == 8
+    assert _memo_size(pol, 5) == _memo_size(Policy(reachable, pol.initial, pol.trans), 5) == 5
 
 
 def test_bruteforce_keys_match_plant_word_triples():
-    """Per level, the (policy state, projection) keys that THM1 and PROBLEM1
-    walk stand one for one for the distinct (plant state, policy state,
-    projection) triples that the plant words of that length reach, stepped
-    one word at a time, with the same first words and word counts; so the
-    budget stops and `words=` counts are those of the triples.  Plants of
-    the second draw have words of every length."""
+    """Per level, each key that THM1 walks, (policy state, brute-force set,
+    tracker state), and each that PROBLEM1 walks, (policy state, brute-force
+    set), merges the distinct (plant state, policy state, projection)
+    triples that the plant words of that length reach, stepped one word at
+    a time: its first word is the least of theirs and its count the sum of
+    theirs, keys in the order of their first words.  The sets are the
+    word-length reference's and the tracker states a replay's, so the
+    budget stops and `words=` counts are those of the merged triples.
+    Plants of the second draw have words of every length."""
     for seed, draw in itertools.product(range(200), (random_plant, random_live_plant)):
         rng = random.Random(seed)
         plant = draw(rng)
+        sys = build_labeled_system(plant)
         for policy in (random_policy(rng, plant), random_policy_with_memory(rng, plant)):
-            root, successors = destx.estimation._triples(policy)
+            walks = []
+            for est in (Estimator(sys, policy), None):
+                root, successors = destx.estimation._walk(policy, 100_000, est)
+                walks.append(shortlex_levels(root, 10, successors))
+            replay, sets = Estimator(sys, policy), {}
             words = [((), plant.initial, policy.initial, ())]
-            for n, level in shortlex_levels(root, 10, successors):
-                assert all(len(key) == 2 for key in level)
-                got = [((x.base, x, proj), first, count) for (x, proj), (first, count) in level.items()]
+            for (n, thm1), (_n, problem1) in zip(*walks):
                 triples = {}
                 for w, q, x, proj in words:
+                    assert q == x.base
                     first, count = triples.get((q, x, proj), (w, 0))
                     triples[(q, x, proj)] = (first, count + 1)
-                assert got == [(t, first, count) for t, (first, count) in triples.items()], (seed, n)
+                for level, tracked in ((thm1, True), (problem1, False)):
+                    keys = {}
+                    for (_q, x, proj), (first, count) in triples.items():
+                        if proj not in sets:
+                            sets[proj] = frozenset(x2 for _q2, x2 in _bruteforce_states(policy, first))
+                        key = (x, sets[proj], _after(replay, proj)) if tracked else (x, sets[proj])
+                        least, total = keys.get(key, (first, 0))
+                        keys[key] = (min(least, first), total + count)
+                    assert list(level.items()) == list(keys.items()), (seed, n)
                 words = [
                     (w + (e,), plant.step(q, e), policy.step(x, e), proj + (e,) if x.label(e) == Y else proj)
                     for w, q, x, proj in words
@@ -778,28 +819,29 @@ def test_bruteforce_keys_match_plant_word_triples():
 def test_checks_bounded_by_budget():
     pol, prop = _synthesized(FIB, [("q0", "q1")])
     # suppressing everything leaves every fib word silent, so its 2,045
-    # words up to depth 18 fall into one triple per level, 19 in all, and
-    # its table holds two triples
+    # words up to depth 18 fall into one entry per level, 19 in all, and
+    # its memo holds one set of two policy states
     silent = uniform_policy(FIB, N)
     free = distinguishability(DistinguishabilitySpec.of([]), FIB)
-    # fib's synthesized policy walks 2,045 entries to depth 18, and its
-    # table, exact for the projections asked, holds 3,069 triples
-    assert _table_size(pol, 18) == 3069
+    # fib's synthesized policy transmits every event: its walk also holds
+    # one entry per level, and its memo four sets of one policy state each;
+    # the fourth, made on the way to level 2, passes a budget of 3 that the
+    # walk's first three levels fit
+    assert _memo_size(silent, 18) == 2
+    assert _memo_size(pol, 18) == 4
     for name, check in (
         ("THM1", lambda p, pr, budget: check_estimate_agreement(FIB, p, 18, budget)),
         ("PROBLEM1", lambda p, pr, budget: check_property_satisfaction(FIB, p, pr, 18, budget)),
     ):
+        for p, pr in ((silent, free), (pol, prop)):
+            with pytest.raises(
+                InstanceTooLarge,
+                match=rf"^{name}: more than 18 \(policy state, estimate\) entries "
+                r"over the plant words up to length 18, over the budget$",
+            ):
+                check(p, pr, 18)
+            assert check(p, pr, 19).line() == f"{name} ok words=2045 depth=18"
         with pytest.raises(
-            InstanceTooLarge,
-            match=rf"^{name}: more than 18 \(plant state, policy state, projection\) entries "
-            r"over the plant words up to length 18, over the budget$",
+            InstanceTooLarge, match=rf"^{name}: the brute-force sets passed the budget of 3 policy states$"
         ):
-            check(silent, free, 18)
-        assert check(silent, free, 19).line() == f"{name} ok words=2045 depth=18"
-        with pytest.raises(
-            InstanceTooLarge,
-            match=rf"^{name}: the brute-force estimate table passed the budget of 3068 "
-            r"\(plant state, policy state, projection\) triples at projection length 18$",
-        ):
-            check(pol, prop, 3068)
-        assert check(pol, prop, 3069).ok
+            check(pol, prop, 3)
