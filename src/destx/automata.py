@@ -16,8 +16,8 @@ Word = tuple[str, ...]
 EPSILON: Word = ()
 
 # The one limit on a run's size: observer states, unions and range sets
-# while building estimates, and the entries, PROP1 unions and table triples
-# of each check.
+# while building estimates, and the entries, PROP1 unions and brute-force
+# memo policy states of each check.
 DEFAULT_BUDGET = 100_000
 
 

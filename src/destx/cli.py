@@ -31,7 +31,7 @@ _BUDGET = (
     "cap on observer states and on the set unions and range sets of each estimate step "
     "and closure family or, "
     "in verify, on the entries of each check's walk, the set unions of PROP1's test of one entry "
-    "and the brute-force estimate-table triples (default: %d)" % DEFAULT_BUDGET,
+    "and the policy states in the brute-force memo's sets (default: %d)" % DEFAULT_BUDGET,
 )
 
 # command: (help line, positionals, options); an option is (flag, `str`,

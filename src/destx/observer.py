@@ -29,7 +29,9 @@ renders and sorts canonically.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections.abc import Sequence
 
 from .automata import DEFAULT_BUDGET, Plant, explore
@@ -216,47 +218,57 @@ def _maximal(sets) -> set[int]:
     return set(kept)
 
 
-def _range_levels(sys: LabeledSystem, members: Sequence[LabeledState], cand: int, depth: int | None, charge):
-    """The run-tree range families inside the bitmask `cand` over `members`,
-    one list of bitmask sets per level, reading the system only through its
-    plant's steps.  Level 0 maps each member v to {{v}}, and level d+1
-    unions {v} with, per suppressed event, nothing or one level-d range of
-    a successor version.  Each level holds the one before; the last is at
-    `depth` (None: the fixpoint) or the one the next would leave unchanged.
-    A range lies inside `cand`, so swapping it for a larger one of its
-    family changes no union that must be `cand`: the fixpoint keeps only
-    maximal ranges.  `charge(unions)` runs before each batch of unions."""
-    inside = {v: i for i, v in enumerate(members) if cand >> i & 1}
-    # a suppressed move lands on every version of its target, so it may
-    # follow the candidate's versions of that plant state; a member with no
-    # such move keeps its one-node range and is left out of the loop
-    at: dict[str, list[int]] = {}
-    for v, i in inside.items():
-        at.setdefault(v.base, []).append(i)
-    moves = []
-    for v, i in inside.items():
-        events = [at[q] for q in (sys.plant.step(v.base, e) for e, lab in v.bits if lab == N) if q in at]
-        if events:
-            moves.append((i, events))
-    # per suppressed event: follow nothing, or one range of a version
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _range_levels(moves: Sequence[Sequence[int]], cand: int, depth: int | None, charge):
+    """The run-tree range families inside the bitmask `cand`, one list of
+    bitmask sets per level.  `moves[i]` holds, per suppressed event of
+    member i, the mask of the members that are versions of its target: the
+    step may follow any of them inside `cand`.  Level 0 maps each member i
+    to {1 << i}, and level d+1 unions {1 << i} with, per suppressed event,
+    nothing or one level-d range of such a version.  Each level holds the
+    one before; the last is at `depth` (None: the fixpoint) or the one the
+    next would leave unchanged.  A range lies inside `cand`, so swapping it
+    for a larger one of its family changes no union that must be `cand`:
+    the fixpoint keeps only maximal ranges.  `charge(unions)` counts each
+    batch of unions."""
+    # member -> (the members it reads, per event its versions inside); a
+    # member with no such event keeps its one-node range and is left out
+    reads = {i: [m & cand for m in ms if m & cand] for i, ms in enumerate(moves) if cand >> i & 1}
+    reads = {i: (functools.reduce(operator.or_, ms), [_bits(m) for m in ms]) for i, ms in reads.items() if ms}
     nothing = set() if depth is None else {0}
-    level = [{1 << i} for i in range(len(members))]
+    level, last, changed = [{1 << i} for i in range(len(moves))], [set()] * len(moves), cand
     for _ in itertools.count() if depth is None else range(depth):
         yield level
-        nxt, changed = level[:], False
-        for i, events in moves:
-            acc = {1 << i}
-            for opts in events:
-                ways = nothing.union(*[level[w] for w in opts])
-                charge(len(acc) * len(ways))
-                acc = {a | r for a in acc for r in ways}
+        # semi-naive: a member none of whose reads changed keeps its set
+        nxt, dirty, changed = level[:], changed, 0
+        for i, (src, events) in reads.items():
+            if not src & dirty:
+                continue
+            if len(events) == 1:  # then only the ranges new at level d make new unions
+                new = {1 << i | r for w in events[0] for r in level[w] - last[w]}
+                charge(len(new))
+                acc = level[i] | new
+            else:
+                acc = {1 << i}
+                for opts in events:
+                    ways = nothing.union(*[level[w] for w in opts])
+                    charge(len(acc) * len(ways))
+                    acc = {a | r for a in acc for r in ways}
             if depth is None:
                 acc = _maximal(acc)
-            changed = changed or acc != level[i]
-            nxt[i] = acc
+            if acc != level[i]:
+                nxt[i], changed = acc, changed | 1 << i
         if not changed:
             return
-        level = nxt
+        last, level = level, nxt
     yield level
 
 
@@ -270,6 +282,10 @@ def realizable(
     raise StateBudgetExceeded."""
     index = {v: i for i, v in enumerate(members)}
     groups = [[index[v] for v in group] for group in roots]
+    at: dict[str, int] = {}
+    for i, v in enumerate(members):
+        at[v.base] = at.get(v.base, 0) | 1 << i
+    moves = [[at.get(sys.plant.step(v.base, e), 0) for e, lab in v.bits if lab == N] for v in members]
     spent = 0
 
     def charge(unions: int) -> None:
@@ -289,7 +305,7 @@ def realizable(
         charge(len(unions) * sum(len(level[i]) for i in last))
         return any(u | r == cand for u in unions for i in last for r in level[i])
 
-    return any(map(covered, _range_levels(sys, members, cand, depth, charge)))
+    return any(map(covered, _range_levels(moves, cand, depth, charge)))
 
 
 def closure_family_bruteforce(
@@ -299,9 +315,9 @@ def closure_family_bruteforce(
     of the seed's suppressed-reach universe that holds the seed, is reach
     closed, and is the range of a partial run tree of at most `depth`
     levels (default |U|^2 + 1) that never leaves it.  It reads the system
-    only through `sys.suppressed_moves`, and `_range_levels` through its
-    plant's steps, with its own universe walk, closure check and reach walk,
-    on int bitmasks over the universe in sort order.
+    only through `sys.suppressed_moves`, in its own universe walk and then
+    into one move table for its closure check, reach walks and
+    `_range_levels`, on int bitmasks over the universe in sort order.
 
     The closure check and a subset's range families do not depend on the
     root, so one scan per (universe, depth), memoized on the system, serves
@@ -322,26 +338,35 @@ def closure_family_bruteforce(
         universe = sorted(seen)
         index = {v: i for i, v in enumerate(universe)}
         moves = [[sum(1 << index[w] for w in opts) for _e, opts in sys.suppressed_moves(v)] for v in universe]
-        # target mask -> mask of the members that must answer it
-        needed = {t: sum(1 << i for i, ts in enumerate(moves) if t in ts) for ts in moves for t in ts}
+        succ = {1 << i: functools.reduce(operator.or_, ts, 0) for i, ts in enumerate(moves)}
+        pred = {1 << i: sum(b for b, t in succ.items() if t >> i & 1) for i in range(n)}
+        # (member bit, target mask): a closed subset meets every target of its members
+        pairs = [(1 << i, t) for i, ts in enumerate(moves) for t in set(ts)]
 
-        def plain_reach(root: int, cand: int) -> int:
-            reached = frontier = 1 << root
-            while frontier:
-                step = 0
-                for t, need in needed.items():
-                    if need & frontier:
-                        step |= t
-                frontier = step & cand & ~reached
-                reached |= frontier
+        def walk(root: int, cand: int, table) -> int:
+            reached = todo = root
+            while todo:
+                low = todo & -todo
+                new = table[low] & cand & ~reached
+                reached, todo = reached | new, todo ^ low | new
             return reached
 
         # the members whose own universe this is, and the subsets found for each
-        found = {i: [] for i in range(n) if plain_reach(i, (1 << n) - 1) == (1 << n) - 1}
+        full = (1 << n) - 1
+        found = {i: [] for i in range(n) if walk(1 << i, full, succ) == full}
+        seeds = sum(1 << i for i in found)
         for cand in range(1 << n):
-            if all(t & cand for t, need in needed.items() if need & cand):
-                pending = {i for i in found if cand >> i & 1 and plain_reach(i, cand) == cand}
-                for level in _range_levels(sys, universe, cand, depth, lambda unions: None) if pending else ():
+            if all(t & cand for bit, t in pairs if bit & cand):
+                # the seeds whose reach fills `cand` are those that reach one
+                # such seed, and no seed inside a reach that falls short is one
+                left, pending = seeds & cand, set()
+                while left and not pending:
+                    root = left & -left
+                    fwd = walk(root, cand, succ)
+                    if fwd == cand:
+                        pending = set(_bits(seeds & walk(root, cand, pred)))
+                    left &= ~fwd
+                for level in _range_levels(moves, cand, depth, lambda unions: None) if pending else ():
                     for i in [i for i in pending if cand in level[i]]:
                         pending.remove(i)
                         found[i].append(frozenset(v for j, v in enumerate(universe) if cand >> j & 1))

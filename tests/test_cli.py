@@ -650,7 +650,7 @@ def test_verify_suppressing_tree(tmp_path):
     # choose.  Whole families of subtrees grow to 458,329 sets a node at
     # height 4 and do not finish.  With the root looping on c the first
     # state holds two versions of the root; a budget below the search's
-    # 330 set unions stops it
+    # 134 set unions stops it
     spec = tmp_path / "none.pairs"
     spec.write_text("")
     for loop, props, words in ((False, 1, 63), (True, 6, 120)):
@@ -663,11 +663,11 @@ def test_verify_suppressing_tree(tmp_path):
         assert p.stdout == (
             f"PROP1 ok words={props} depth=5\nTHM1 ok words={words} depth=5\nPROBLEM1 ok words={words} depth=5\n"
         )
-    p = run("verify", str(des), str(pol), str(spec), "--depth", "0", "--budget", "329", timeout=10)
+    p = run("verify", str(des), str(pol), str(spec), "--depth", "0", "--budget", "133", timeout=10)
     assert p.returncode == 3
     assert p.stdout == ""
     assert p.stderr == (
-        "error: PROP1: the run-tree range search passed the budget of 329 set unions "
+        "error: PROP1: the run-tree range search passed the budget of 133 set unions "
         "on one (tracker state, targets) entry\n"
     )
 

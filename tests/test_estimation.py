@@ -668,15 +668,15 @@ def test_prop1_bounded_by_budget(plant, pinned_policy):
 
 def test_prop1_range_search_bounded_by_budget():
     # a binary tree of height 2 whose root loops on c: the first tracker
-    # state holds two versions of the root, and deciding it takes 20 set
+    # state holds two versions of the root, and deciding it takes 16 set
     # unions; the unions of one entry's search count against the budget
     plant, policy = suppressing_tree(2, True)
-    assert check_tracker_containment(plant, policy, 0, 20).line() == "PROP1 ok words=1 depth=0"
+    assert check_tracker_containment(plant, policy, 0, 16).line() == "PROP1 ok words=1 depth=0"
     with pytest.raises(
         InstanceTooLarge,
-        match=r"^PROP1: the run-tree range search passed the budget of 19 set unions on one \(tracker state, targets\) entry$",
+        match=r"^PROP1: the run-tree range search passed the budget of 15 set unions on one \(tracker state, targets\) entry$",
     ):
-        check_tracker_containment(plant, policy, 0, 19)
+        check_tracker_containment(plant, policy, 0, 15)
 
 
 def _running_policies(plant, hand_policy, pinned_policy):

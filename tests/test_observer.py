@@ -414,15 +414,106 @@ def test_bruteforce_scans_each_universe_once(monkeypatch):
     576."""
     cands, levels = [], observer._range_levels
 
-    def counted(sysd, members, cand, depth, charge):
-        cands.append((tuple(members), cand))
-        return levels(sysd, members, cand, depth, charge)
+    def counted(moves, cand, depth, charge):
+        cands.append((moves, cand))  # each scan builds its own table, held here
+        return levels(moves, cand, depth, charge)
 
     monkeypatch.setattr(observer, "_range_levels", counted)
     sysd = build_labeled_system(_ring(6, 1))
     for seed in sysd.states:
         closure_family_bruteforce(sysd, seed)
-    assert len(cands) == len(set(cands)) == 256
+    assert len(cands) == len({(id(moves), cand) for moves, cand in cands}) == 256
+
+
+def test_bruteforce_level_loops_form_few_unions(monkeypatch):
+    """Work-count guard on the oracle's 256 level loops on ring(6,1), the
+    charge of each loop counted in place of the oracle's no-op: 7,368 set
+    unions over 1,728 levels.  When every round recomputed every member
+    from all its ranges, the same levels took 57,168 unions."""
+    unions, levels = [0, 0], observer._range_levels
+
+    def counted(moves, cand, depth, charge):
+        def count(n):
+            unions[0] += n
+
+        for level in levels(moves, cand, depth, count):
+            unions[1] += 1
+            yield level
+
+    monkeypatch.setattr(observer, "_range_levels", counted)
+    sysd = build_labeled_system(_ring(6, 1))
+    for seed in sysd.states:
+        closure_family_bruteforce(sysd, seed)
+    assert unions == [7368, 1728]
+
+
+def _range_levels_full(sysd, members, cand, depth):
+    """The level loop as it was before its rounds went semi-naive: it reads
+    plant steps, and every round recomputes every member inside `cand`
+    from all the ranges of the versions it reads."""
+    inside = {v: i for i, v in enumerate(members) if cand >> i & 1}
+    at = {}
+    for v, i in inside.items():
+        at.setdefault(v.base, []).append(i)
+    moves = []
+    for v, i in inside.items():
+        events = [at[q] for q in (sysd.plant.step(v.base, e) for e, lab in v.bits if lab == N) if q in at]
+        if events:
+            moves.append((i, events))
+    nothing = set() if depth is None else {0}
+    level = [{1 << i} for i in range(len(members))]
+    for _ in itertools.count() if depth is None else range(depth):
+        yield level
+        nxt, changed = level[:], False
+        for i, events in moves:
+            acc = {1 << i}
+            for opts in events:
+                ways = nothing.union(*[level[w] for w in opts])
+                acc = {a | r for a in acc for r in ways}
+            if depth is None:
+                acc = {a for a in acc if not any(a != b and a | b == b for b in acc)}
+            changed = changed or acc != level[i]
+            nxt[i] = acc
+        if not changed:
+            return
+        level = nxt
+    yield level
+
+
+def _assert_levels_match(sysd, members, cand):
+    """Every level that `_range_levels` yields on the move table of
+    `members` is the one the full recompute yields, at every depth tried."""
+    moves = [
+        [sum(1 << j for j, w in enumerate(members) if w.base == sysd.plant.step(v.base, e)) for e, lab in v.bits if lab == N]
+        for v in members
+    ]
+    for depth in (None, 0, 1, 2, 3, len(members) ** 2 + 1):
+        got = list(observer._range_levels(moves, cand, depth, lambda unions: None))
+        assert got == list(_range_levels_full(sysd, members, cand, depth)), (
+            f"{[v.render() for i, v in enumerate(members) if cand >> i & 1]}, depth {depth}"
+        )
+
+
+def test_range_levels_match_full_recompute_on_random_candidates():
+    rng = random.Random(11)
+    for seed in range(60):
+        sysd = build_labeled_system(random_plant(random.Random(seed), max_states=4))
+        members = list(sysd.states)
+        for _ in range(10):
+            _assert_levels_match(sysd, members, rng.randrange(1, 1 << len(members)))
+
+
+def test_range_levels_match_full_recompute_on_ring():
+    """Every closed candidate of ring(6,1)'s 12-state universe."""
+    sysd = build_labeled_system(_ring(6, 1))
+    members = list(sysd.states)
+    closed = [
+        cand for cand in range(1, 1 << len(members))
+        if reach_closed(sysd, frozenset(v for i, v in enumerate(members) if cand >> i & 1))
+    ]
+    assert len(closed) == 1583
+    for cand in closed:
+        _assert_levels_match(sysd, members, cand)
 
 
 def test_bruteforce_memo_ignores_call_order():
