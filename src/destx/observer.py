@@ -340,8 +340,15 @@ def closure_family_bruteforce(
         moves = [[sum(1 << index[w] for w in opts) for _e, opts in sys.suppressed_moves(v)] for v in universe]
         succ = {1 << i: functools.reduce(operator.or_, ts, 0) for i, ts in enumerate(moves)}
         pred = {1 << i: sum(b for b, t in succ.items() if t >> i & 1) for i in range(n)}
-        # (member bit, target mask): a closed subset meets every target of its members
-        pairs = [(1 << i, t) for i, ts in enumerate(moves) for t in set(ts)]
+        # bit c of cols[i] is bit i of c, so `closed` tests every subset at
+        # once: a closed subset meets each target of each member it holds
+        cols: list[int] = []
+        for k in range(n):
+            cols = [x | x << (1 << k) for x in cols] + [((1 << (1 << k)) - 1) << (1 << k)]
+        closed = (1 << (1 << n)) - 1
+        for i, ts in enumerate(moves):
+            for t in set(ts):
+                closed &= ~cols[i] | functools.reduce(operator.or_, (cols[j] for j in _bits(t)))
 
         def walk(root: int, cand: int, table) -> int:
             reached = todo = root
@@ -355,8 +362,8 @@ def closure_family_bruteforce(
         full = (1 << n) - 1
         found = {i: [] for i in range(n) if walk(1 << i, full, succ) == full}
         seeds = sum(1 << i for i in found)
-        for cand in range(1 << n):
-            if all(t & cand for bit, t in pairs if bit & cand):
+        for cand, bit in enumerate(reversed(f"{closed:b}")):
+            if bit == "1":
                 # the seeds whose reach fills `cand` are those that reach one
                 # such seed, and no seed inside a reach that falls short is one
                 left, pending = seeds & cand, set()
