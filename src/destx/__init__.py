@@ -17,9 +17,10 @@ _EXPORTS = {
     "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge StateBudgetExceeded",
     "estimation": "CheckReport Estimator TraceSession check_estimate_agreement check_property_satisfaction "
     "check_tracker_containment",
-    "labeled": "LabeledState LabeledSystem ObserverState build_labeled_system parse_labeled unobservable_reach",
-    "observer": "DynamicObserver build_observer closure_family closure_family_bruteforce "
-    "observer_step reach_closed",
+    "labeled": "LabeledState LabeledSystem ObserverState build_labeled_system parse_labeled reach_closed "
+    "unobservable_reach",
+    "observer": "DynamicObserver build_observer closure_family observer_step",
+    "oracle": "closure_family_bruteforce",
     "properties": "DistinguishabilitySpec distinguishability load_pairs",
     "realization": "Policy format_policy load_policy parse_policy realize_policy",
     "synthesis": "DeterministicSchedule consistency_fixpoint count_nontransmitted extract_min_transmit "

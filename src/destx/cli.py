@@ -260,7 +260,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle_maxs(args) -> int:
     from .labeled import build_labeled_system
-    from .observer import closure_family, closure_family_bruteforce
+    from .observer import closure_family
+    from .oracle import closure_family_bruteforce
 
     plant = load_plant(args.plant)
     sysd = build_labeled_system(plant)

@@ -40,7 +40,7 @@ from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
 from .errors import DestxError, InstanceTooLarge, StateBudgetExceeded
-from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system
+from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system, reach_closed, targets
 from .realization import Policy
 
 
@@ -215,7 +215,7 @@ def check_tracker_containment(
     restricted to h2.  The walk has one entry per distinct (h2, T), checked
     once; `budget` caps the entries of all its levels together and the set
     unions of each entry's test."""
-    from .observer import reach_closed, realizable, targets
+    from .ranges import realizable
 
     sys = build_labeled_system(plant)
     est = Estimator(sys, policy)

@@ -70,6 +70,10 @@ class ObserverState(frozenset):
         return self.render()
 
 
+def _sorted_estimates(ranges) -> tuple[ObserverState, ...]:
+    return tuple(sorted(map(ObserverState, ranges), key=ObserverState.sort_key))
+
+
 def parse_labeled(text: str, plant: Plant) -> LabeledState:
     """Parse a rendering such as q0NNY back into a labeled state.
 
@@ -180,3 +184,15 @@ def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> fro
     seeds = frozenset(seeds)
     targets = {sys.plant.step(v.base, e) for v in seeds for e, lab in v.bits if lab == N}
     return seeds.union(*(sys.versions_of(q) for q in sys.plant.reach(targets)))
+
+
+def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
+    """Every suppressed event of every member must land inside the set: on
+    a member of its plant successor, since the step may land on any version."""
+    bases = {v.base for v in members}
+    return all(sys.plant.step(v.base, e) in bases for v in members for e, lab in v.bits if lab == N)
+
+
+def targets(plant: Plant, z, e: str) -> frozenset[str]:
+    """The plant states that the members of `z` transmitting `e` move to."""
+    return frozenset(plant.step(v.base, e) for v in z if (e, Y) in v.bits)

@@ -28,8 +28,8 @@ from functools import cache
 
 from .automata import explore
 from .errors import DestxError, Infeasible
-from .labeled import N, LabeledSystem
-from .observer import DynamicObserver, ObserverState, targets
+from .labeled import N, LabeledSystem, ObserverState, targets
+from .observer import DynamicObserver
 
 
 def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import destx.errors
 import destx.observer
+import destx.oracle
 from destx import (
     AlphabetTooLarge,
     DestxError,
@@ -215,7 +216,7 @@ def test_oracle_maxs_mismatch(monkeypatch, capsys):
 
 
 def test_oracle_maxs_lossy_brute_side(monkeypatch, capsys):
-    monkeypatch.setattr(destx.observer, "closure_family_bruteforce", _lossy(destx.observer.closure_family_bruteforce))
+    monkeypatch.setattr(destx.oracle, "closure_family_bruteforce", _lossy(destx.oracle.closure_family_bruteforce))
     assert cli.main(["oracle-maxs", PLANT]) == 5
     assert capsys.readouterr().out == (
         "MISMATCH seed=q0NNY only-fast=['(q0NNY,q1Y,q5)'] only-brute=[]\n"
@@ -250,18 +251,21 @@ def test_cold_import_skips_code_generation_modules():
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale"}
     assert sorted(loaded & heavy) == []
     # the package loads a module on first access to one of its names, and
-    # each command only the modules it runs
-    assert sorted(m for m in loaded if m.startswith("destx")) == ["destx", "destx.automata", "destx.cli", "destx.errors"]
+    # each command only the modules it runs: `verify` runs PROP1's range
+    # search and builds no observer; `oracle-maxs` runs the observer's
+    # closure families and the oracle, which runs the range search
+    base = ["destx.automata", "destx.cli", "destx.errors"]
+    assert sorted(m for m in loaded if m.startswith("destx")) == ["destx", *base]
     p = python_child("-c", "import sys, destx; print(*sorted(m for m in sys.modules if m.startswith('destx')))")
     assert p.stdout.split() == ["destx"]
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out.policy")
-        for command, skipped in (
-            (["build-observer", PLANT], {"estimation", "properties", "realization", "synthesis"}),
-            (["oracle-maxs", PLANT], {"estimation", "properties", "realization", "synthesis"}),
-            (["synthesize", PLANT, PAIRS, out], {"estimation"}),
-            (["verify", PLANT, HAND, PAIRS], {"synthesis"}),
-            (["simulate", PLANT, HAND, "--trace", "σ3 σ2"], {"observer", "properties", "synthesis"}),
+        for command, modules in (
+            (["build-observer", PLANT], {"labeled", "observer"}),
+            (["oracle-maxs", PLANT], {"labeled", "observer", "oracle", "ranges"}),
+            (["synthesize", PLANT, PAIRS, out], {"labeled", "observer", "properties", "realization", "synthesis"}),
+            (["verify", PLANT, HAND, PAIRS], {"estimation", "labeled", "properties", "ranges", "realization"}),
+            (["simulate", PLANT, HAND, "--trace", "σ3 σ2"], {"estimation", "labeled", "realization"}),
         ):
             p = python_child(
                 "-c",
@@ -273,8 +277,7 @@ def test_cold_import_skips_code_generation_modules():
             )
             assert p.returncode in (0, 5), p.stderr
             loaded, new = (set(line.split()) for line in p.stderr.splitlines()[-2:])
-            assert "destx.observer" in loaded or "observer" in skipped, command[0]
-            assert sorted(loaded & {f"destx.{m}" for m in skipped}) == [], command[0]
+            assert sorted(loaded) == sorted([*base, *(f"destx.{m}" for m in modules)]), command[0]
             assert sorted(new & heavy) == [], command[0]
     p = python_child(
         "-c",
@@ -291,7 +294,7 @@ def test_cold_import_skips_code_generation_modules():
         "check_estimate_agreement", "check_property_satisfaction", "check_tracker_containment",
         "closure_family", "closure_family_bruteforce", "consistency_fixpoint", "count_nontransmitted",
         "distinguishability", "errors", "estimation", "explore", "extract_min_transmit", "format_policy",
-        "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "parse_des",
+        "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "oracle", "parse_des",
         "parse_labeled", "parse_policy", "properties", "prune_violating", "reach_closed",
         "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis",
         "unobservable_reach", "word",

@@ -7,6 +7,7 @@ import types
 import pytest
 
 import destx.estimation
+import destx.labeled
 import destx.observer
 from destx import (
     CheckReport,
@@ -170,7 +171,7 @@ def _prop1_word_by_word(plant, policy, depth):
             h2 = est.step(h, e)
             if h2 is None:
                 continue
-            queue.append((w + (e,), h2, destx.observer.observer_step(sys, h, e), destx.observer.targets(plant, h, e)))
+            queue.append((w + (e,), h2, destx.observer.observer_step(sys, h, e), destx.labeled.targets(plant, h, e)))
     return CheckReport("PROP1", True, checked, depth)
 
 

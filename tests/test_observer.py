@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import types
 from sys import modules, setprofile
 
@@ -20,14 +21,17 @@ from destx import (
     explore,
     shortlex_levels,
     observer_step,
+    parse_des,
     parse_labeled,
     reach_closed,
     unobservable_reach,
 )
-from destx import observer
+from destx import observer, oracle
 from destx.automata import DEFAULT_BUDGET
 from destx.labeled import N
-from destx.observer import ObserverState, _cover_families, _union_choices, realizable
+from destx.observer import ObserverState, _cover_families, _union_choices
+from destx.ranges import _range_levels, realizable
+from destx_child import python_child
 from randgen import make_labeled, random_plant
 
 plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
@@ -216,6 +220,33 @@ def test_to_dot(obs):
     assert obs.to_dot() == dot
 
 
+def test_to_dot_escapes_quotes_and_backslashes():
+    """Names holding `"` and `\\`: every label is one well-formed quoted
+    string, closed before its attribute ends, that unescapes back to the
+    estimate or event it renders; `\\N` would read as Graphviz's node name."""
+    plant = parse_des('alphabet a"x\nstates q\\N q1\ninitial q\\N\ntrans q\\N a"x q1\ntrans q1 a"x q\\N\n')
+    obs = build_observer(build_labeled_system(plant))
+    dot = obs.to_dot()
+    labels = re.findall(r'label=("(?:[^"\\]|\\.)*")([,\]])', dot)
+    assert len(labels) == len(obs.states) + obs.transition_count == 37
+    assert len(re.findall("label=", dot)) == len(labels)
+    names = [re.sub(r"\\(.)", r"\1", quoted[1:-1]) for quoted, _end in labels]
+    assert names[: len(obs.states)] == [z.render() for z in obs.states]
+    assert set(names[len(obs.states):]) == {'a"x'}
+    assert '"(q\\\\NY)"' in dot and '"a\\"x"' in dot
+
+
+def test_oracle_still_imports_from_observer():
+    """The oracle lives in `destx.oracle`; `destx.observer` forwards its one
+    name, which `perfbench/traced.py` imports from there."""
+    from destx.observer import closure_family_bruteforce as forwarded
+
+    assert forwarded is oracle.closure_family_bruteforce is closure_family_bruteforce
+    assert forwarded.__module__ == "destx.oracle"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        observer.no_such_name
+
+
 def test_bruteforce_matches_on_fixture(lsys):
     for seed in lsys.states:
         assert closure_family(lsys, seed) == closure_family_bruteforce(lsys, seed)
@@ -337,6 +368,11 @@ def test_bruteforce_is_independent():
     names = _names_reached(closure_family_bruteforce)
     assert {"_range_levels", "suppressed_moves"} <= names
     assert not names & production
+    # nor does its module load the observer, or hold any of its objects
+    p = python_child("-c", "import sys, destx.oracle; print(*sorted(m for m in sys.modules if m.startswith('destx')))")
+    assert p.returncode == 0, p.stderr
+    assert "destx.oracle" in p.stdout.split() and "destx.observer" not in p.stdout.split()
+    assert [k for k, v in vars(oracle).items() if getattr(v, "__module__", None) == "destx.observer"] == []
     names = _names_reached(check_tracker_containment)
     assert {"realizable", "_range_levels", "reach_closed", "Estimator", "_first_failure"} <= names
     assert not names & {"_cover_families", "_estimates_over", "observer_step", "build_observer"}
@@ -412,13 +448,13 @@ def test_bruteforce_scans_each_universe_once(monkeypatch):
     that some seed's reach fills, 256 in all with the six one-state
     universes of the qiY seeds, where a loop per seed and candidate made
     576."""
-    cands, levels = [], observer._range_levels
+    cands, levels = [], _range_levels
 
     def counted(moves, cand, depth, charge):
         cands.append((moves, cand))  # each scan builds its own table, held here
         return levels(moves, cand, depth, charge)
 
-    monkeypatch.setattr(observer, "_range_levels", counted)
+    monkeypatch.setattr(oracle, "_range_levels", counted)
     sysd = build_labeled_system(_ring(6, 1))
     for seed in sysd.states:
         closure_family_bruteforce(sysd, seed)
@@ -430,7 +466,7 @@ def test_bruteforce_level_loops_form_few_unions(monkeypatch):
     charge of each loop counted in place of the oracle's no-op: 7,368 set
     unions over 1,728 levels.  When every round recomputed every member
     from all its ranges, the same levels took 57,168 unions."""
-    unions, levels = [0, 0], observer._range_levels
+    unions, levels = [0, 0], _range_levels
 
     def counted(moves, cand, depth, charge):
         def count(n):
@@ -440,7 +476,7 @@ def test_bruteforce_level_loops_form_few_unions(monkeypatch):
             unions[1] += 1
             yield level
 
-    monkeypatch.setattr(observer, "_range_levels", counted)
+    monkeypatch.setattr(oracle, "_range_levels", counted)
     sysd = build_labeled_system(_ring(6, 1))
     for seed in sysd.states:
         closure_family_bruteforce(sysd, seed)
@@ -488,7 +524,7 @@ def _assert_levels_match(sysd, members, cand):
         for v in members
     ]
     for depth in (None, 0, 1, 2, 3, len(members) ** 2 + 1):
-        got = list(observer._range_levels(moves, cand, depth, lambda unions: None))
+        got = list(_range_levels(moves, cand, depth, lambda unions: None))
         assert got == list(_range_levels_full(sysd, members, cand, depth)), (
             f"{[v.render() for i, v in enumerate(members) if cand >> i & 1]}, depth {depth}"
         )
