@@ -15,7 +15,7 @@ from importlib import import_module
 _EXPORTS = {
     "automata": "EPSILON Plant Word explore load_plant parse_des render_word shortlex_levels word",
     "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge StateBudgetExceeded",
-    "estimation": "CheckReport Estimator TraceSession check_estimate_agreement check_property_satisfaction "
+    "estimation": "CheckReport Estimator check_estimate_agreement check_property_satisfaction "
     "check_tracker_containment",
     "labeled": "LabeledState LabeledSystem ObserverState build_labeled_system parse_labeled reach_closed "
     "unobservable_reach",

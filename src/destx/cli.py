@@ -242,19 +242,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .estimation import TraceSession, _render_states
+    from .estimation import Estimator, _render_states
+    from .labeled import Y, build_labeled_system
     from .realization import load_policy
 
     plant = load_plant(args.plant)
     policy = load_policy(args.policy, plant)
-    session = TraceSession(plant, policy)
-    print(f"initial estimate={_render_states(session.estimate)}")
+    est = Estimator(build_labeled_system(plant), policy)
+    x, h, observed = policy.initial, est.initial, []
+    print(f"initial estimate={_render_states(h.underlying())}")
     for i, e in enumerate(word(args.trace), start=1):
-        sent, estimate = session.step(e)
-        print(
-            f"{i} {e} sent={'Y' if sent else 'N'} proj={','.join(session.observed) or 'ε'} "
-            f"estimate={_render_states(estimate)}"
-        )
+        if plant.step(x.base, e) is None:
+            raise DestxError(f"event {e!r} is not defined at plant state {x.base!r}")
+        sent = x.label(e)
+        x = policy.step(x, e)
+        if sent == Y:
+            # the policy's own move lands in the step, so it is never None
+            h = est.step(h, e)
+            observed.append(e)
+        print(f"{i} {e} sent={sent} proj={','.join(observed) or 'ε'} estimate={_render_states(h.underlying())}")
     return 0
 
 

@@ -38,8 +38,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .automata import DEFAULT_BUDGET, Plant, Word, explore, render_word, shortlex_levels
-from .errors import DestxError, InstanceTooLarge, StateBudgetExceeded
+from .automata import DEFAULT_BUDGET, Plant, explore, render_word, shortlex_levels
+from .errors import InstanceTooLarge, StateBudgetExceeded
 from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system, reach_closed, targets
 from .realization import Policy
 
@@ -231,11 +231,8 @@ def check_tracker_containment(
     @cache
     def fails(key):
         h, bases = key
-        members = h.members
-        roots = [[v for v in members if v.base == q] for q in sorted(bases)]
-        full = (1 << len(members)) - 1
         try:
-            ok = all(roots) and reach_closed(sys, h) and realizable(sys, members, full, roots, budget=budget)
+            ok = reach_closed(sys, h) and realizable(plant, h.members, bases, budget)
         except StateBudgetExceeded as exc:
             raise InstanceTooLarge(f"{exc} on one (tracker state, targets) entry") from exc
         if ok:
@@ -279,55 +276,20 @@ def check_estimates(
     )
 
 
-def check_estimate_agreement(
-    plant: Plant, policy: Policy, depth: int, budget: int = DEFAULT_BUDGET
-) -> CheckReport:
+def check_estimate_agreement(plant: Plant, policy: Policy, depth: int) -> CheckReport:
     """Tracker estimates equal brute-force estimates for every plant word up
     to the depth.  The brute-force side is exact: it takes the end states of
     every plant word with the same projection, however long.  Both sides
     depend on a word only through its projection, so the words of one
     (policy state, brute-force set, tracker state) key are compared once
-    (see `check_estimates`)."""
-    return check_estimates(plant, policy, None, depth, budget, ("THM1",))[0]
+    (see `check_estimates`), at the default budget."""
+    return check_estimates(plant, policy, None, depth, DEFAULT_BUDGET, ("THM1",))[0]
 
 
-def check_property_satisfaction(
-    plant: Plant, policy: Policy, prop: DistinguishabilitySpec, depth: int, budget: int = DEFAULT_BUDGET
-) -> CheckReport:
+def check_property_satisfaction(plant: Plant, policy: Policy, prop: DistinguishabilitySpec, depth: int) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
     up to the depth, with the same exact brute-force estimate and budget as
-    THM1, over a capped walk of (policy state, brute-force set) keys.  It
-    reads only its own memo, so it builds no tracker."""
-    return check_estimates(plant, policy, prop, depth, budget, ("PROBLEM1",))[0]
+    THM1, over a walk of (policy state, brute-force set) keys capped by the
+    default budget.  It reads only its own memo, so it builds no tracker."""
+    return check_estimates(plant, policy, prop, depth, DEFAULT_BUDGET, ("PROBLEM1",))[0]
 
-
-class TraceSession:
-    """Online replay: feed events one at a time, watch what the receiver sees."""
-
-    def __init__(self, plant: Plant, policy: Policy):
-        self.plant = plant
-        self.policy = policy
-        self.est = Estimator(build_labeled_system(plant), policy)
-        self.x = policy.initial
-        self.h = self.est.initial
-        self.observed: Word = ()
-
-    @property
-    def estimate(self) -> frozenset[str]:
-        return self.h.underlying()
-
-    def step(self, e: str) -> tuple[bool, frozenset[str]]:
-        if self.plant.step(self.x.base, e) is None:
-            raise DestxError(f"event {e!r} is not defined at plant state {self.x.base!r}")
-        transmitted = self.x.label(e) == Y
-        x2 = self.policy.step(self.x, e)
-        if transmitted:
-            h2 = self.est.step(self.h, e)
-            if h2 is None:
-                raise DestxError(
-                    f"tracker cannot follow transmitted event {e!r}; policy and plant disagree"
-                )
-            self.h = h2
-            self.observed += (e,)
-        self.x = x2
-        return transmitted, self.estimate

@@ -116,8 +116,8 @@ class LabeledSystem:
       (`_estimates_over`).  The keys are {initial}, for the observer's
       initial estimates, and the targets of every transmitted event an
       observer step has followed;
-    * `_oracle_cache`, keyed on (universe, depth): the oracle families of
-      the states whose own universe it is (`closure_family_bruteforce`).
+    * `_oracle_cache`, keyed on a universe: the oracle families of the
+      states whose own universe it is (`closure_family_bruteforce`).
     """
 
     def __init__(self, plant: Plant, prop: DistinguishabilitySpec | None = None):

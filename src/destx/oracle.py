@@ -13,21 +13,20 @@ from .labeled import LabeledState, LabeledSystem, ObserverState, _sorted_estimat
 from .ranges import _bits, _range_levels
 
 
-def closure_family_bruteforce(
-    sys: LabeledSystem, seed: LabeledState, depth: int | None = None
-) -> tuple[ObserverState, ...]:
+def closure_family_bruteforce(sys: LabeledSystem, seed: LabeledState) -> tuple[ObserverState, ...]:
     """Oracle for closure_family by exhaustive subset search: every subset
     of the seed's suppressed-reach universe that holds the seed, is reach
-    closed, and is the range of a partial run tree of at most `depth`
-    levels (default |U|^2 + 1) that never leaves it.  It reads the system
-    only through `sys.suppressed_moves`, in its own universe walk and then
-    into one move table for its closure check, reach walks and
-    `_range_levels`, on int bitmasks over the universe in sort order.
+    closed, and is the range of a partial run tree, of any depth, that never
+    leaves it: a member of some level of `_range_levels`, run to its
+    fixpoint with whole families.  It reads the system only through
+    `sys.suppressed_moves`, in its own universe walk and then into one move
+    table for its closure check, reach walks and `_range_levels`, on int
+    bitmasks over the universe in sort order.
 
     The closure check and a subset's range families do not depend on the
-    root, so one scan per (universe, depth), memoized on the system, serves
-    every member whose own universe it is: one level loop per subset serves
-    those whose reach fills it, and stops early once all are covered."""
+    root, so one scan per universe, memoized on the system, serves every
+    member whose own universe it is: one level loop per subset serves those
+    whose reach fills it, and stops early once all are covered."""
     seen, work = {seed}, [seed]
     while work:
         for _e, opts in sys.suppressed_moves(work.pop()):
@@ -36,9 +35,7 @@ def closure_family_bruteforce(
     n = len(seen)
     if n > 20:
         raise InstanceTooLarge(f"oracle universe has {n} states, cap is 20")
-    if depth is None:
-        depth = n * n + 1
-    key = (frozenset(seen), depth)
+    key = frozenset(seen)
     if key not in sys._oracle_cache:
         universe = sorted(seen)
         index = {v: i for i, v in enumerate(universe)}
@@ -78,7 +75,7 @@ def closure_family_bruteforce(
                     if fwd == cand:
                         pending = set(_bits(seeds & walk(root, cand, pred)))
                     left &= ~fwd
-                for level in _range_levels(moves, cand, depth, lambda unions: None) if pending else ():
+                for level in _range_levels(moves, cand, False, lambda unions: None) if pending else ():
                     for i in [i for i in pending if cand in level[i]]:
                         pending.remove(i)
                         found[i].append(frozenset(v for j, v in enumerate(universe) if cand >> j & 1))

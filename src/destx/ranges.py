@@ -1,18 +1,18 @@
 """Run-tree range search on int bitmasks of labeled states: `_range_levels`
 grows the ranges of the partial run trees inside a candidate set, level by
-level.  `realizable` runs it for PROP1, to test a receiver estimate without
-building an estimate family, and the oracle (`destx.oracle`) on its own
-move table."""
+level, to its fixpoint.  `realizable` runs it for PROP1, to test a receiver
+estimate without building an estimate family, and the oracle
+(`destx.oracle`) on its own move table."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
+from .automata import Plant
 from .errors import StateBudgetExceeded
-from .labeled import N, LabeledState, LabeledSystem
+from .labeled import N, LabeledState
 
 
 def _maximal(sets) -> set[int]:
@@ -33,25 +33,25 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _range_levels(moves: Sequence[Sequence[int]], cand: int, depth: int | None, charge):
+def _range_levels(moves: Sequence[Sequence[int]], cand: int, maximal: bool, charge):
     """The run-tree range families inside the bitmask `cand`, one list of
-    bitmask sets per level.  `moves[i]` holds, per suppressed event of
-    member i, the mask of the members that are versions of its target: the
-    step may follow any of them inside `cand`.  Level 0 maps each member i
-    to {1 << i}, and level d+1 unions {1 << i} with, per suppressed event,
-    nothing or one level-d range of such a version.  Each level holds the
-    one before; the last is at `depth` (None: the fixpoint) or the one the
-    next would leave unchanged.  A range lies inside `cand`, so swapping it
-    for a larger one of its family changes no union that must be `cand`:
-    the fixpoint keeps only maximal ranges.  `charge(unions)` counts each
-    batch of unions."""
+    bitmask sets per level, up to the first level that the next would leave
+    unchanged.  `moves[i]` holds, per suppressed event of member i, the mask
+    of the members that are versions of its target: the step may follow any
+    of them inside `cand`.  Level 0 maps each member i to {1 << i}, and
+    level d+1 unions {1 << i} with, per suppressed event, one level-d range
+    of such a version or, unless `maximal`, nothing.  Each level holds the
+    one before.  A range lies inside `cand`, so swapping it for a larger one
+    of its family changes no union that must be `cand`: with `maximal` each
+    level keeps only the maximal ranges, and every event that can be
+    followed is.  `charge(unions)` counts each batch of unions."""
     # member -> (the members it reads, per event its versions inside); a
     # member with no such event keeps its one-node range and is left out
     reads = {i: [m & cand for m in ms if m & cand] for i, ms in enumerate(moves) if cand >> i & 1}
     reads = {i: (functools.reduce(operator.or_, ms), [_bits(m) for m in ms]) for i, ms in reads.items() if ms}
-    nothing = set() if depth is None else {0}
+    nothing = set() if maximal else {0}
     level, last, changed = [{1 << i} for i in range(len(moves))], [set()] * len(moves), cand
-    for _ in itertools.count() if depth is None else range(depth):
+    while True:
         yield level
         # semi-naive: a member none of whose reads changed keeps its set
         nxt, dirty, changed = level[:], changed, 0
@@ -68,36 +68,36 @@ def _range_levels(moves: Sequence[Sequence[int]], cand: int, depth: int | None, 
                     ways = nothing.union(*[level[w] for w in opts])
                     charge(len(acc) * len(ways))
                     acc = {a | r for a in acc for r in ways}
-            if depth is None:
+            if maximal:
                 acc = _maximal(acc)
             if acc != level[i]:
                 nxt[i], changed = acc, changed | 1 << i
         if not changed:
             return
         last, level = level, nxt
-    yield level
 
 
-def realizable(
-    sys: LabeledSystem, members: Sequence[LabeledState], cand: int,
-    roots: Sequence[Sequence[LabeledState]], depth: int | None = None, budget: int | None = None,
-) -> bool:
-    """Whether some level of `_range_levels` up to `depth` holds one range
-    per group of `roots` (members inside `cand`), each rooted in its group,
-    whose union is `cand`.  More than `budget` set unions (None: no cap)
-    raise StateBudgetExceeded."""
-    index = {v: i for i, v in enumerate(members)}
-    groups = [[index[v] for v in group] for group in roots]
+def realizable(plant: Plant, members: Sequence[LabeledState], bases: Iterable[str], budget: int) -> bool:
+    """Whether `members` is an admissible estimate over the plant states
+    `bases`: whether some level of the maximal `_range_levels` inside the
+    members holds one range per state of `bases`, rooted at a version of it
+    among the members, whose union is all of them.  A base with no version
+    among the members gives False.  More than `budget` set unions raise
+    StateBudgetExceeded."""
     at: dict[str, int] = {}
     for i, v in enumerate(members):
         at[v.base] = at.get(v.base, 0) | 1 << i
-    moves = [[at.get(sys.plant.step(v.base, e), 0) for e, lab in v.bits if lab == N] for v in members]
+    groups = [_bits(at.get(q, 0)) for q in sorted(bases)]
+    if not all(groups):
+        return False
+    cand = (1 << len(members)) - 1
+    moves = [[at.get(plant.step(v.base, e), 0) for e, lab in v.bits if lab == N] for v in members]
     spent = 0
 
     def charge(unions: int) -> None:
         nonlocal spent
         spent += unions
-        if budget is not None and spent > budget:
+        if spent > budget:
             raise StateBudgetExceeded(f"the run-tree range search passed the budget of {budget} set unions")
 
     def covered(level) -> bool:
@@ -111,4 +111,4 @@ def realizable(
         charge(len(unions) * sum(len(level[i]) for i in last))
         return any(u | r == cand for u in unions for i in last for r in level[i])
 
-    return any(map(covered, _range_levels(moves, cand, depth, charge)))
+    return any(map(covered, _range_levels(moves, cand, True, charge)))

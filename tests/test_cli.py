@@ -20,8 +20,6 @@ from destx import (
     InstanceTooLarge,
     ObserverState,
     StateBudgetExceeded,
-    check_estimate_agreement,
-    check_property_satisfaction,
     check_tracker_containment,
     cli,
     distinguishability,
@@ -30,6 +28,7 @@ from destx import (
     load_plant,
     load_policy,
 )
+from destx.estimation import check_estimates
 from destx_child import python_child, run
 from randgen import (
     random_live_plant,
@@ -180,6 +179,18 @@ def test_simulate_bad_event():
     assert p.returncode == 2
 
 
+def test_simulate_partial_policy(tmp_path):
+    """A policy with no transitions: the initial estimate is printed, and
+    the first event stops the run at the policy's missing transition,
+    before its line is printed."""
+    policy = tmp_path / "partial.policy"
+    policy.write_text("initial q0NNY\n")
+    p = run("simulate", PLANT, str(policy), "--trace", "σ3 σ2")
+    assert (p.returncode, p.stdout, p.stderr) == (
+        2, "initial estimate={q0}\n", "error: policy has no transition for (q0NNY, σ3)\n"
+    )
+
+
 def test_oracle_maxs():
     p = run("oracle-maxs", PLANT)
     assert p.returncode == 0
@@ -289,8 +300,8 @@ def test_cold_import_skips_code_generation_modules():
     assert exports == sorted(exports) == [
         "AlphabetTooLarge", "CheckReport", "DestxError", "DeterministicSchedule", "DistinguishabilitySpec",
         "DynamicObserver", "EPSILON", "Estimator", "Infeasible", "InstanceTooLarge", "LabeledState",
-        "LabeledSystem", "ObserverState", "Plant", "Policy", "StateBudgetExceeded", "TraceSession",
-        "Word", "automata", "build_labeled_system", "build_observer",
+        "LabeledSystem", "ObserverState", "Plant", "Policy", "StateBudgetExceeded", "Word",
+        "automata", "build_labeled_system", "build_observer",
         "check_estimate_agreement", "check_property_satisfaction", "check_tracker_containment",
         "closure_family", "closure_family_bruteforce", "consistency_fixpoint", "count_nontransmitted",
         "distinguishability", "errors", "estimation", "explore", "extract_min_transmit", "format_policy",
@@ -712,8 +723,8 @@ def _verify_as_checks_alone(capsys, files, depth, budget):
     try:
         reports = [
             check_tracker_containment(plant, policy, depth, budget),
-            check_estimate_agreement(plant, policy, depth, budget),
-            check_property_satisfaction(plant, policy, prop, depth, budget),
+            check_estimates(plant, policy, None, depth, budget, names=("THM1",))[0],
+            check_estimates(plant, policy, prop, depth, budget, names=("PROBLEM1",))[0],
         ]
     except InstanceTooLarge as exc:
         expected = (3, "", f"error: {exc}\n")
@@ -860,6 +871,26 @@ def test_budget_flag():
     assert p.returncode == 3
     p = run("build-observer", PLANT, "--budget", "0")
     assert p.returncode == 2
+
+
+def test_observer_state_cap(tmp_path):
+    """The cap on observer states stops a run: s branches on e and x, and x
+    leads from s and from its e-successor into two states that each loop on
+    two events.  The observer has 543 states, 225 of them estimates over
+    {a, b}, while closing a family never holds more than 389 sets: from 390
+    to 542 the observer cap stops the run, and below that the family cap."""
+    plant = tmp_path / "cap.des"
+    plant.write_text(
+        "alphabet e x l0 l1\nstates s t a b\ninitial s\ntrans s e t\ntrans s x a\ntrans t x b\n"
+        "trans a l0 a\ntrans a l1 a\ntrans b l0 b\ntrans b l1 b\n"
+    )
+    for budget, code, out, err in (
+        (389, 3, "", "error: estimate family exceeded 389 sets while closing\n"),
+        (400, 3, "", "error: observer exceeded 400 states\n"),
+        (543, 0, "states 543\ninitials 272\ntransitions 137041\n", ""),
+    ):
+        p = run("build-observer", str(plant), "--budget", str(budget))
+        assert (p.returncode, p.stdout, p.stderr) == (code, out, err), budget
 
 
 def test_infeasible_exit(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -18,21 +19,23 @@ from destx import (
     InstanceTooLarge,
     Plant,
     Policy,
-    TraceSession,
     build_labeled_system,
     build_observer,
     check_estimate_agreement,
     check_property_satisfaction,
     check_tracker_containment,
+    cli,
     consistency_fixpoint,
     distinguishability,
     explore,
     extract_min_transmit,
+    format_policy,
     parse_labeled,
     prune_violating,
     realize_policy,
     shortlex_levels,
 )
+from destx.estimation import check_estimates
 from destx.labeled import N, Y
 from destx.observer import ObserverState
 from randgen import (
@@ -44,6 +47,8 @@ from randgen import (
     suppressing_tree,
     uniform_policy,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _bruteforce_states(policy, s, bound=None):
@@ -501,34 +506,52 @@ def test_check_hand_policy_fails_property(plant, prop, hand_policy):
     assert check_tracker_containment(plant, hand_policy, 5).ok
 
 
-def test_trace_session(plant, hand_policy):
-    ts = TraceSession(plant, hand_policy)
-    assert sorted(ts.estimate) == ["q0", "q1", "q5"]
-    assert ts.step("σ3") == (True, frozenset({"q3"}))
-    assert ts.step("σ2") == (True, frozenset({"q4"}))
-    with pytest.raises(DestxError, match=r"^event 'σ1' is not defined at plant state 'q4'$"):
-        ts.step("σ1")
+def _simulate(capsys, tmp_path, policy, trace):
+    """Run `simulate` on the running example and `policy`, written to a
+    file, over the events `trace`: its exit code, the initial estimate,
+    (sent, estimate) per step printed, the last projection printed, and
+    stderr."""
+    path = tmp_path / "trace.policy"
+    path.write_text(format_policy(policy), encoding="utf-8")
+    code = cli.main(["simulate", str(DATA / "running_example.des"), str(path), "--trace", " ".join(trace)])
+    out, err = capsys.readouterr()
+    first, *lines = out.splitlines()
+    steps = [line.split()[2:] for line in lines]
+    proj = steps[-1][1].removeprefix("proj=") if steps else "ε"
+    return code, _estimate(first), [(sent == "sent=Y", _estimate(est)) for sent, _proj, est in steps], proj, err
 
 
-def test_trace_session_suppressed_steps(plant, hand_policy):
-    ts = TraceSession(plant, hand_policy)
-    got = [ts.step(e) for e in ("σ2", "σ2", "σ1", "σ2")]
-    assert got == [
+def _estimate(text):
+    """The set that a `simulate` line ending in `estimate={...}` prints."""
+    return frozenset(text.split("=")[-1].strip("{}").split(","))
+
+
+def test_trace_session(capsys, tmp_path, hand_policy):
+    code, initial, steps, _proj, err = _simulate(capsys, tmp_path, hand_policy, ["σ3", "σ2", "σ1"])
+    assert sorted(initial) == ["q0", "q1", "q5"]
+    assert steps == [(True, frozenset({"q3"})), (True, frozenset({"q4"}))]
+    assert (code, err) == (2, "error: event 'σ1' is not defined at plant state 'q4'\n")
+
+
+def test_trace_session_suppressed_steps(capsys, tmp_path, hand_policy):
+    code, _initial, steps, proj, err = _simulate(capsys, tmp_path, hand_policy, ["σ2", "σ2", "σ1", "σ2"])
+    assert steps == [
         (False, frozenset({"q0", "q1", "q5"})),
         (True, frozenset({"q1", "q2"})),
         (False, frozenset({"q1", "q2"})),
         (True, frozenset({"q1", "q2"})),
     ]
-    assert ts.observed == ("σ2", "σ2")
+    assert proj == "σ2,σ2"
+    assert (code, err) == (0, "")
 
 
-def test_online_matches_bruteforce(plant, pinned_policy, hand_policy):
+def test_online_matches_bruteforce(capsys, tmp_path, plant, pinned_policy, hand_policy):
     for pol in (pinned_policy, hand_policy):
         for s in plant.words_upto(5):
-            ts = TraceSession(plant, pol)
-            est = frozenset(ts.estimate)
-            for e in s:
-                _, est = ts.step(e)
+            code, est, steps, _proj, _err = _simulate(capsys, tmp_path, pol, s)
+            assert code == 0
+            if steps:
+                est = steps[-1][1]
             assert est == _bruteforce_estimate(pol, s)
 
 
@@ -765,10 +788,10 @@ def test_estimate_memo_counts_policy_states_not_words():
     # unreachable states, which raise the labeled states to twelve, add none
     pol, prop = _synthesized(HOLLOW, [("q0", "q1")])
     assert len(build_labeled_system(HOLLOW).states) == 12
-    assert check_estimate_agreement(HOLLOW, pol, 5, 15).line() == "THM1 ok words=63 depth=5"
-    assert check_property_satisfaction(HOLLOW, pol, prop, 5, 15).ok
+    assert check_estimates(HOLLOW, pol, None, 5, 15, names=("THM1",))[0].line() == "THM1 ok words=63 depth=5"
+    assert check_estimates(HOLLOW, pol, prop, 5, 15, names=("PROBLEM1",))[0].ok
     with pytest.raises(InstanceTooLarge, match=r"^PROBLEM1: more than 14 \(policy state, estimate\) entries"):
-        check_property_satisfaction(HOLLOW, pol, prop, 5, 14)
+        check_estimates(HOLLOW, pol, prop, 5, 14, names=("PROBLEM1",))
     reachable = Plant(["q0"], ["a", "b"], {("q0", "a"): "q0", ("q0", "b"): "q0"}, "q0")
     assert _memo_size(pol, 5) == _memo_size(Policy(reachable, pol.initial, pol.trans), 5) == 5
 
@@ -831,8 +854,8 @@ def test_checks_bounded_by_budget():
     assert _memo_size(silent, 18) == 2
     assert _memo_size(pol, 18) == 4
     for name, check in (
-        ("THM1", lambda p, pr, budget: check_estimate_agreement(FIB, p, 18, budget)),
-        ("PROBLEM1", lambda p, pr, budget: check_property_satisfaction(FIB, p, pr, 18, budget)),
+        ("THM1", lambda p, pr, budget: check_estimates(FIB, p, None, 18, budget, names=("THM1",))[0]),
+        ("PROBLEM1", lambda p, pr, budget: check_estimates(FIB, p, pr, 18, budget, names=("PROBLEM1",))[0]),
     ):
         for p, pr in ((silent, free), (pol, prop)):
             with pytest.raises(

@@ -4,7 +4,7 @@ import itertools
 import random
 import re
 import types
-from sys import modules, setprofile
+from sys import modules
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,13 +252,35 @@ def test_bruteforce_matches_on_fixture(lsys):
         assert closure_family(lsys, seed) == closure_family_bruteforce(lsys, seed)
 
 
-def _bruteforce_top_down(sys, seed, depth=None):
+def _top_down_ranges(sys, v, d, inside, memo):
+    """The ranges of the partial run trees of at most `d` levels from `v`
+    that never leave `inside`, computed top-down: per suppressed event,
+    nothing or one range of a version of its target."""
+    if (v, d) not in memo:
+        if d == 0:
+            out = frozenset({frozenset({v})})
+        else:
+            per_event = []
+            for _e, opts in sys.suppressed_moves(v):
+                ways = [None]
+                for w in opts:
+                    if w in inside:
+                        ways.extend(_top_down_ranges(sys, w, d - 1, inside, memo))
+                per_event.append(ways)
+            out = frozenset(
+                frozenset({v}).union(*(c for c in combo if c is not None))
+                for combo in itertools.product(*per_event)
+            )
+        memo[(v, d)] = out
+    return memo[(v, d)]
+
+
+def _bruteforce_top_down(sys, seed):
     """The oracle as it was before its level loop: every candidate subset,
-    checked against top-down depth-indexed range families with a fresh memo,
-    always to the full depth."""
+    checked against top-down range families with a fresh memo, always to
+    depth |U|^2 + 1."""
     universe = sorted(unobservable_reach(sys, (seed,)))
-    if depth is None:
-        depth = len(universe) * len(universe) + 1
+    depth = len(universe) * len(universe) + 1
 
     def plain_reach(inside):
         seen = {seed}
@@ -272,31 +294,12 @@ def _bruteforce_top_down(sys, seed, depth=None):
                         work.append(w)
         return frozenset(seen)
 
-    def ranges(v, d, inside, memo):
-        if (v, d) not in memo:
-            if d == 0:
-                out = frozenset({frozenset({v})})
-            else:
-                per_event = []
-                for _e, opts in sys.suppressed_moves(v):
-                    ways = [None]
-                    for w in opts:
-                        if w in inside:
-                            ways.extend(ranges(w, d - 1, inside, memo))
-                    per_event.append(ways)
-                out = frozenset(
-                    frozenset({v}).union(*(c for c in combo if c is not None))
-                    for combo in itertools.product(*per_event)
-                )
-            memo[(v, d)] = out
-        return memo[(v, d)]
-
     others = [v for v in universe if v != seed]
     found = []
     for k in range(len(others) + 1):
         for extra in itertools.combinations(others, k):
             cand = frozenset({seed, *extra})
-            if reach_closed(sys, cand) and plain_reach(cand) == cand and cand in ranges(seed, depth, cand, {}):
+            if reach_closed(sys, cand) and plain_reach(cand) == cand and cand in _top_down_ranges(sys, seed, depth, cand, {}):
                 found.append(cand)
     return tuple(sorted((ObserverState(c) for c in found), key=ObserverState.sort_key))
 
@@ -311,25 +314,53 @@ HOLLOW = Plant(
 )
 
 
+def _moves(sysd, members):
+    """The move table `_range_levels` reads, over `members`: per member, per
+    suppressed event, the mask of the members that are versions of its target."""
+    return [
+        [sum(1 << j for j, w in enumerate(members) if w.base == sysd.plant.step(v.base, e)) for e, lab in v.bits if lab == N]
+        for v in members
+    ]
+
+
 def test_bruteforce_levels_match_top_down(lsys):
-    """The level loop's two early exits give the full-depth answer: the
-    same tuple as the top-down families at every depth, default included.
-    ring(2,2), the ladder and the hollow plant have states with two
-    suppressed events and self-loops; the top-down families take minutes
-    there at the default depth, so they run at small depths only."""
-    all_depths, small = (None, 0, 1, 2, 3), (0, 1, 2)
-    systems = {"running example": (lsys, all_depths), "ring(4,1)": (build_labeled_system(_ring(4, 1)), all_depths)}
+    """The level loop, which runs to its fixpoint, gives the oracle the
+    top-down families at depth |U|^2 + 1, and its first levels of whole
+    families are the top-down ranges at depths 0 to 3.  The levels are
+    compared on every closed candidate of every universe, each member inside
+    the candidate in turn.  ring(2,2), the ladder and the hollow plant have
+    states with two suppressed events and self-loops; the top-down families
+    take minutes there at depth |U|^2 + 1, so they are compared on their
+    first three levels only."""
+    full, small = (0, 1, 2, 3), (0, 1, 2)
+    systems = {"running example": (lsys, full), "ring(4,1)": (build_labeled_system(_ring(4, 1)), full)}
     for i in range(20):  # the first criterion-5 plants
         plant = random_plant(random.Random(1000 + i), max_states=4)
-        systems[f"random plant {1000 + i}"] = (build_labeled_system(plant), all_depths)
+        systems[f"random plant {1000 + i}"] = (build_labeled_system(plant), full)
     for name, plant in (("ring(2,2)", _ring(2, 2)), ("ladder", LADDER), ("hollow", HOLLOW)):
         systems[name] = (build_labeled_system(plant), small)
     for name, (sysd, depths) in systems.items():
-        for seed in sysd.states:
-            for depth in depths:
-                assert closure_family_bruteforce(sysd, seed, depth) == _bruteforce_top_down(sysd, seed, depth), (
-                    f"{name}, seed {seed.render()}, depth {depth}"
+        if depths == full:
+            for seed in sysd.states:
+                assert closure_family_bruteforce(sysd, seed) == _bruteforce_top_down(sysd, seed), (
+                    f"{name}, seed {seed.render()}"
                 )
+        for universe in {unobservable_reach(sysd, (seed,)) for seed in sysd.states}:
+            members = sorted(universe)
+            moves = _moves(sysd, members)
+            for cand in range(1, 1 << len(members)):
+                inside = frozenset(v for i, v in enumerate(members) if cand >> i & 1)
+                if not reach_closed(sysd, inside):
+                    continue
+                levels = list(itertools.islice(_range_levels(moves, cand, False, lambda unions: None), len(depths)))
+                memo = {}
+                for d in depths:
+                    level = levels[min(d, len(levels) - 1)]  # the loop stops at its fixpoint
+                    for i, v in enumerate(members):
+                        want = {sum(1 << members.index(w) for w in r) for r in _top_down_ranges(sysd, v, d, inside, memo)}
+                        assert v not in inside or level[i] == want, (
+                            f"{name}, {[w.render() for w in members if w in inside]}, {v.render()}, depth {d}"
+                        )
 
 
 def _names_reached(func):
@@ -378,21 +409,38 @@ def test_bruteforce_is_independent():
     assert not names & {"_cover_families", "_estimates_over", "observer_step", "build_observer"}
 
 
+def _realizable_whole(sysd, members, bases):
+    """Reference for `realizable`: at each level of the whole families of
+    `_range_levels_full`, every union of one range per base, rooted at a
+    version of it among the members, with no pruning."""
+    groups = [[i for i, v in enumerate(members) if v.base == q] for q in sorted(bases)]
+    full = (1 << len(members)) - 1
+    for level in _range_levels_full(sysd, members, full, False) if all(groups) else ():
+        unions = {0}
+        for group in groups:
+            unions = {u | r for u in unions for i in group for r in level[i]}
+        if full in unions:
+            return True
+    return False
+
+
 def test_realizable_maximal_ranges_match_whole_families():
-    """At the fixpoint `realizable` keeps only each family's maximal ranges;
-    a depth far past the fixpoint keeps the whole families and must give
-    the same answer, on random candidates and root groups, several groups
-    included."""
+    """`realizable` keeps only each family's maximal ranges and prunes each
+    partial union to its maximal ones; the whole families, every union kept,
+    must give the same answer, on random members and bases, several bases
+    and bases with no version among the members included."""
     rng = random.Random(7)
     for seed in range(60):
         sysd = build_labeled_system(random_plant(random.Random(seed), max_states=4))
-        members = list(sysd.states)
+        states = sorted(sysd.plant.states)
         for _ in range(20):
-            inside = [v for v in members if rng.random() < 0.5] or members[:1]
-            cand = sum(1 << members.index(v) for v in inside)
-            roots = [rng.sample(inside, rng.randint(1, min(2, len(inside)))) for _ in range(rng.randint(1, 3))]
-            assert realizable(sysd, members, cand, roots) == realizable(sysd, members, cand, roots, 10**6), (
-                f"seed {seed}, {[v.render() for v in inside]}, {[[v.render() for v in g] for g in roots]}"
+            members = [v for v in sysd.states if rng.random() < 0.5] or list(sysd.states[:1])
+            inside = sorted({v.base for v in members})
+            bases = set(rng.sample(inside, rng.randint(1, min(3, len(inside)))))
+            if rng.random() < 0.1:
+                bases.add(rng.choice(states))
+            assert realizable(sysd.plant, members, bases, 10**9) == _realizable_whole(sysd, members, bases), (
+                f"seed {seed}, {[v.render() for v in members]}, {sorted(bases)}"
             )
 
 
@@ -413,33 +461,14 @@ def test_realizable_budget():
     maximal ranges are 2^k incomparable sets, so at k = 12 the budget on
     set unions stops the search."""
     sysd, members, root = _fan(3)
-    assert not realizable(sysd, members, (1 << len(members)) - 1, [[root]])
-    one_each = sum(1 << i for i, v in enumerate(members) if v == root or v.render().endswith("Y"))
-    assert realizable(sysd, members, one_each, [[root]])
+    assert not realizable(sysd.plant, members, {"r"}, DEFAULT_BUDGET)
+    one_each = [v for v in members if v == root or v.render().endswith("Y")]
+    assert realizable(sysd.plant, one_each, {"r"}, DEFAULT_BUDGET)
+    # a base with no version among the members fails before any union
+    assert not realizable(sysd.plant, members[1:], {"r"}, 0)
     sysd, members, root = _fan(12)
     with pytest.raises(StateBudgetExceeded, match=r"^the run-tree range search passed the budget of 1000 set unions$"):
-        realizable(sysd, members, (1 << len(members)) - 1, [[root]], budget=1000)
-
-
-def test_bruteforce_default_depth(lsys):
-    """The default depth is |U|^2 + 1.  The level loop's exits stop it long
-    before that level on every plant here, so the test reads the `depth`
-    each call ends with instead of its answer."""
-    depths = []
-
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code is closure_family_bruteforce.__code__:
-            depths.append(frame.f_locals["depth"])
-
-    setprofile(profile)
-    try:
-        for seed in lsys.states:
-            closure_family_bruteforce(lsys, seed)
-        closure_family_bruteforce(lsys, lsys.states[0], 3)
-    finally:
-        setprofile(None)
-    sizes = [len(unobservable_reach(lsys, (seed,))) for seed in lsys.states]
-    assert depths == [n * n + 1 for n in sizes] + [3]
+        realizable(sysd.plant, members, {"r"}, 1000)
 
 
 def test_bruteforce_scans_each_universe_once(monkeypatch):
@@ -450,9 +479,9 @@ def test_bruteforce_scans_each_universe_once(monkeypatch):
     576."""
     cands, levels = [], _range_levels
 
-    def counted(moves, cand, depth, charge):
+    def counted(moves, cand, maximal, charge):
         cands.append((moves, cand))  # each scan builds its own table, held here
-        return levels(moves, cand, depth, charge)
+        return levels(moves, cand, maximal, charge)
 
     monkeypatch.setattr(oracle, "_range_levels", counted)
     sysd = build_labeled_system(_ring(6, 1))
@@ -468,11 +497,11 @@ def test_bruteforce_level_loops_form_few_unions(monkeypatch):
     from all its ranges, the same levels took 57,168 unions."""
     unions, levels = [0, 0], _range_levels
 
-    def counted(moves, cand, depth, charge):
+    def counted(moves, cand, maximal, charge):
         def count(n):
             unions[0] += n
 
-        for level in levels(moves, cand, depth, count):
+        for level in levels(moves, cand, maximal, count):
             unions[1] += 1
             yield level
 
@@ -483,10 +512,11 @@ def test_bruteforce_level_loops_form_few_unions(monkeypatch):
     assert unions == [7368, 1728]
 
 
-def _range_levels_full(sysd, members, cand, depth):
+def _range_levels_full(sysd, members, cand, maximal):
     """The level loop as it was before its rounds went semi-naive: it reads
     plant steps, and every round recomputes every member inside `cand`
-    from all the ranges of the versions it reads."""
+    from all the ranges of the versions it reads, up to the first level
+    that the next would leave unchanged."""
     inside = {v: i for i, v in enumerate(members) if cand >> i & 1}
     at = {}
     for v, i in inside.items():
@@ -496,9 +526,9 @@ def _range_levels_full(sysd, members, cand, depth):
         events = [at[q] for q in (sysd.plant.step(v.base, e) for e, lab in v.bits if lab == N) if q in at]
         if events:
             moves.append((i, events))
-    nothing = set() if depth is None else {0}
+    nothing = set() if maximal else {0}
     level = [{1 << i} for i in range(len(members))]
-    for _ in itertools.count() if depth is None else range(depth):
+    while True:
         yield level
         nxt, changed = level[:], False
         for i, events in moves:
@@ -506,27 +536,23 @@ def _range_levels_full(sysd, members, cand, depth):
             for opts in events:
                 ways = nothing.union(*[level[w] for w in opts])
                 acc = {a | r for a in acc for r in ways}
-            if depth is None:
+            if maximal:
                 acc = {a for a in acc if not any(a != b and a | b == b for b in acc)}
             changed = changed or acc != level[i]
             nxt[i] = acc
         if not changed:
             return
         level = nxt
-    yield level
 
 
 def _assert_levels_match(sysd, members, cand):
     """Every level that `_range_levels` yields on the move table of
-    `members` is the one the full recompute yields, at every depth tried."""
-    moves = [
-        [sum(1 << j for j, w in enumerate(members) if w.base == sysd.plant.step(v.base, e)) for e, lab in v.bits if lab == N]
-        for v in members
-    ]
-    for depth in (None, 0, 1, 2, 3, len(members) ** 2 + 1):
-        got = list(_range_levels(moves, cand, depth, lambda unions: None))
-        assert got == list(_range_levels_full(sysd, members, cand, depth)), (
-            f"{[v.render() for i, v in enumerate(members) if cand >> i & 1]}, depth {depth}"
+    `members` is the one the full recompute yields, in both modes."""
+    moves = _moves(sysd, members)
+    for maximal in (True, False):
+        got = list(_range_levels(moves, cand, maximal, lambda unions: None))
+        assert got == list(_range_levels_full(sysd, members, cand, maximal)), (
+            f"{[v.render() for i, v in enumerate(members) if cand >> i & 1]}, maximal {maximal}"
         )
 
 
@@ -553,22 +579,21 @@ def test_range_levels_match_full_recompute_on_ring():
 
 
 def test_bruteforce_memo_ignores_call_order():
-    """The oracle memoizes per universe and depth, so every seed gets the
-    same family whether the seeds come in canonical order, in reverse
-    order, or each on a fresh system.  ring(4,1)'s qiY seeds have universes
-    strictly inside that of its qiN seeds."""
+    """The oracle memoizes per universe, so every seed gets the same family
+    whether the seeds come in canonical order, in reverse order, or each on
+    a fresh system.  ring(4,1)'s qiY seeds have universes strictly inside
+    that of its qiN seeds."""
     plants = {"ring(4,1)": _ring(4, 1)}
     for i in range(300):  # the criterion-5 plants
         plants[f"random plant {1000 + i}"] = random_plant(random.Random(1000 + i), max_states=4)
     for name, plant in plants.items():
         seeds = build_labeled_system(plant).states
-        for depth in (None, 0, 1, 2, 3):
-            fresh = [closure_family_bruteforce(build_labeled_system(plant), seed, depth) for seed in seeds]
-            sysd = build_labeled_system(plant)
-            forward = [closure_family_bruteforce(sysd, seed, depth) for seed in seeds]
-            sysd = build_labeled_system(plant)
-            backward = [closure_family_bruteforce(sysd, seed, depth) for seed in reversed(seeds)]
-            assert forward == backward[::-1] == fresh, f"{name}, depth {depth}"
+        fresh = [closure_family_bruteforce(build_labeled_system(plant), seed) for seed in seeds]
+        sysd = build_labeled_system(plant)
+        forward = [closure_family_bruteforce(sysd, seed) for seed in seeds]
+        sysd = build_labeled_system(plant)
+        backward = [closure_family_bruteforce(sysd, seed) for seed in reversed(seeds)]
+        assert forward == backward[::-1] == fresh, name
 
 
 def test_bruteforce_cap():

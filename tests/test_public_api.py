@@ -4,7 +4,8 @@ A name counts as used when some module of the library other than
 `__init__.py`, or a file under `scripts/` or `perfbench/`, reads it outside
 its own definition.  Code only tests call belongs in the tests.  An error
 class other than the base one must also be caught by name somewhere in the
-program, or nothing tells it apart from the base class.
+program, or nothing tells it apart from the base class, and a parameter
+with a default must be passed by some call in the program.
 """
 
 import ast
@@ -101,3 +102,56 @@ def test_every_error_class_is_caught_by_the_program():
     classes = {node.name for node in _parse(errors).body if isinstance(node, ast.ClassDef)}
     assert "DestxError" in classes and len(classes) > 1
     assert sorted(classes - {"DestxError"} - caught) == []
+
+
+def _defaults(tree):
+    """(name a call uses, parameter) -> the index among a call's positional
+    arguments that passes the parameter, or None when only a keyword can,
+    for every parameter with a default of every function in `tree`.  A
+    method's bound first parameter takes no argument, and `__init__` is
+    called by its class's name."""
+    owner = {
+        id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef)
+    }
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        bound = id(node) in owner and not static
+        name = owner[id(node)] if node.name == "__init__" and bound else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for k, arg in enumerate(positional[first:], start=first - bound):
+            out[(name, arg.arg)] = k
+        out.update(
+            ((name, arg.arg), None)
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None
+        )
+    return out
+
+
+def test_every_default_is_passed_by_the_program():
+    """A parameter with a default is a choice, and some call in the program
+    must make it, by position or by keyword; a class call counts for its
+    `__init__`.  `cli.main`'s `argv` is exempt: it is the in-process seam
+    that callers outside the program use in place of the process's
+    arguments."""
+    defaults = {}
+    for path in LIBRARY:
+        defaults.update(_defaults(_parse(path)))
+    assert len(defaults) > 10
+    passed = set()
+    for path in PROGRAM:
+        for call in ast.walk(_parse(path)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = [k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            positions = starred[0] + 10**6 if starred else len(call.args)
+            keywords = {k.arg for k in call.keywords}
+            for (function, param), k in defaults.items():
+                if function == name and (param in keywords or None in keywords or k is not None and k < positions):
+                    passed.add((function, param))
+    assert sorted(set(defaults) - passed - {("main", "argv")}) == []
