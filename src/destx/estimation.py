@@ -40,7 +40,7 @@ from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, explore, render_word, shortlex_levels
 from .errors import InstanceTooLarge, StateBudgetExceeded
-from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system, reach_closed, targets
+from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system, targets
 from .realization import Policy
 
 
@@ -196,6 +196,13 @@ def _first_failure(checks, entries: str, walk, depth: int, budget: int) -> list[
         raise InstanceTooLarge(f"{next(iter(live))}: {exc}") from exc
     reports |= {name: CheckReport(name, True, checked, depth) for name in live}
     return [reports[name] for name, _fails in checks]
+
+
+def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
+    """Every suppressed event of every member must land inside the set: on
+    a member of its plant successor, since the step may land on any version."""
+    bases = {v.base for v in members}
+    return all(sys.plant.step(v.base, e) in bases for v in members for e, lab in v.bits if lab == N)
 
 
 def _render_states(states) -> str:

@@ -102,15 +102,18 @@ class LabeledSystem:
     first use, with step helpers.
 
     A system may carry a property, fixed when it is built; the observer
-    code then drops every range, union and estimate that violates it
-    (`admits`).  That is what `synthesize` builds.
+    code then drops every range, union and estimate that violates it.
+    That is what `synthesize` builds.
 
-    Immutable after construction apart from four memo tables:
+    Immutable after construction apart from five memo tables:
 
     * `_versions`, keyed on a plant state name: its versions in canonical
       order, built by `versions_of` on first use;
+    * `_ids`, keyed on a labeled state: its number k, given in the order
+      the observer first meets it; it holds bit 2n+k of the observer's
+      packed ranges over n plant states;
     * `_cover_cache`, keyed on a labeled state: its family of run-tree
-      ranges that hold the property (`_cover_families`);
+      ranges that hold the property, as packed ints (`_cover_families`);
     * `_step_cache`, keyed on a frozenset of plant state names: the sorted
       admissible estimates over them that hold the property
       (`_estimates_over`).  The keys are {initial}, for the observer's
@@ -124,6 +127,7 @@ class LabeledSystem:
         self.plant = plant
         self.prop = prop
         self._versions: dict[str, tuple[LabeledState, ...]] = {}
+        self._ids: dict[LabeledState, int] = {}
         self._cover_cache: dict = {}
         self._step_cache: dict = {}
         self._oracle_cache: dict = {}
@@ -136,11 +140,6 @@ class LabeledSystem:
     @property
     def initials(self) -> tuple[LabeledState, ...]:
         return self.versions_of(self.plant.initial)
-
-    def admits(self, members: Iterable[LabeledState]) -> bool:
-        """Whether the plant states of `members` hold the system's property;
-        always true on a system without one."""
-        return self.prop is None or self.prop.holds(frozenset(v.base for v in members))
 
     def versions_of(self, q: str) -> tuple[LabeledState, ...]:
         """The 2**k versions of a plant state defining k events, in canonical
@@ -184,13 +183,6 @@ def unobservable_reach(sys: LabeledSystem, seeds: Iterable[LabeledState]) -> fro
     seeds = frozenset(seeds)
     targets = {sys.plant.step(v.base, e) for v in seeds for e, lab in v.bits if lab == N}
     return seeds.union(*(sys.versions_of(q) for q in sys.plant.reach(targets)))
-
-
-def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
-    """Every suppressed event of every member must land inside the set: on
-    a member of its plant successor, since the step may land on any version."""
-    bases = {v.base for v in members}
-    return all(sys.plant.step(v.base, e) in bases for v in members for e, lab in v.bits if lab == N)
 
 
 def targets(plant: Plant, z, e: str) -> frozenset[str]:

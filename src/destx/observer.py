@@ -22,6 +22,11 @@ On a system built with a property, a range or partial union of ranges
 that violates it is dropped where it is formed.  Violation is upward-closed
 under union, so it could only grow into violating estimates: the observer
 is exactly the full one cut to the estimates that hold the property.
+
+Ranges are built as packed ints (`_cover_families`), so that a union is
+one `|`, a property test one mask test per pair and a reach-closure test
+one shift, and the range families close in semi-naive rounds.  They are
+unpacked to `ObserverState` only where an estimate leaves this module.
 """
 
 from __future__ import annotations
@@ -29,36 +34,44 @@ from __future__ import annotations
 from .automata import DEFAULT_BUDGET, explore
 from .errors import StateBudgetExceeded
 from .labeled import (
-    LabeledState, LabeledSystem, ObserverState, _sorted_estimates, reach_closed, targets, unobservable_reach,
+    LabeledState, LabeledSystem, ObserverState, _sorted_estimates, targets, unobservable_reach,
 )
 
 _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # for a name inside a quoted DOT label
 
 
-def _union_choices(parts, keep, budget: int, start: frozenset = frozenset()) -> set[frozenset]:
-    """Distinct unions of `start` with one option from every part, the
-    partial unions filtered by `keep`.
+def _union_choices(parts, bad: set[int], budget: int, start: int = 0) -> set[int]:
+    """Distinct unions of the packed range `start` with one option from
+    every part, less those that hold a pair mask of `bad`; a part is given
+    as the families whose union holds its options.
 
     Equivalent to unioning each tuple of itertools.product(*parts) and
-    keeping what `keep` accepts, when `keep` rejects every superset of a set
-    it rejects; deduplicating and filtering after every part keeps the
-    working set at the number of distinct accepted unions instead of the
-    raw product size.  More than `budget` unions in one call stop it with
-    StateBudgetExceeded.
+    dropping the violating ones, since violation is upward-closed;
+    deduplicating and filtering after every part keeps the working set at
+    the number of distinct kept unions instead of the raw product size.
+    More than `budget` unions in one call stop it with
+    StateBudgetExceeded.  The test runs as each family joins a part, so a
+    step past the budget stops before it hashes the rest of the part: a
+    packed range is as wide as the system's id table.
     """
-    acc: set[frozenset] = {start}
+    acc = {start}
     work = 0
-    for options in parts:
-        opts = set(options)
-        work += len(acc) * len(opts)
-        if work > budget:
-            raise StateBudgetExceeded(f"estimate unions exceeded {budget} set unions while combining ranges")
-        acc = set(filter(keep, {a | o for a in acc for o in opts}))
+    for families in parts:
+        options, room = set(), budget - work
+        for fam in families:
+            options.update(fam)
+            if len(acc) * len(options) > room:
+                raise StateBudgetExceeded("estimate unions exceeded %d set unions while combining ranges" % budget)
+        work += len(acc) * len(options)
+        acc = {a | o for a in acc for o in options}
+        for p in bad:
+            acc = {r for r in acc if r & p != p}
     return acc
 
 
-def _cover_families(sys: LabeledSystem, seeds, budget: int) -> dict[LabeledState, frozenset[frozenset[LabeledState]]]:
-    """Least fixpoint of the run-tree range families.
+def _cover_families(sys: LabeledSystem, seeds, budget: int):
+    """Least fixpoint of the packed run-tree range families over the
+    suppressed reach of `seeds`.
 
     fam[v] collects every set of labeled states that is the range of some
     finite partial run tree rooted at v.  The defining step: pick a subset E
@@ -67,53 +80,85 @@ def _cover_families(sys: LabeledSystem, seeds, budget: int) -> dict[LabeledState
     {v}.  Only ranges that hold the system's property are kept, and a
     state whose own plant state violates it roots none: every range of a
     tree holds its subtrees' ranges, so a range that holds is built from
-    kept ranges only.  Results are memoized on the system since fam[v] only
-    depends on the suppressed-reach universe of v and the property.  More
-    than `budget` ranges over the universe, or unions in one step, stop it
-    with StateBudgetExceeded.
-    """
-    universe = unobservable_reach(sys, seeds)
-    pending = [v for v in universe if v not in sys._cover_cache]
-    if not pending:
-        return {v: sys._cover_cache[v] for v in universe}
+    kept ranges only.
 
-    fam: dict[LabeledState, set[frozenset[LabeledState]]] = {
-        v: set(sys._cover_cache.get(v, ())) for v in universe
-    }
-    # a fixed order makes the budget stop on the same cap in every process
-    order = sorted(universe)
-    changed = True
-    while changed:
-        changed = False
-        total = 0
-        for v in order:
-            if v in sys._cover_cache or not sys.admits((v,)):
-                total += len(fam[v])
-                continue
-            # per suppressed event: the ways to not follow it (empty) or to
-            # follow it into one version with one of its known ranges
-            per_event = []
+    A range is packed into one int over the n plant states in sort order:
+    bit i if a member is a version of state i, bit n+i if a member's
+    suppressed event leads to state i, and bit 2n+k for the member
+    numbered k in `sys._ids`.  Each field is a function of the members, so a
+    union is one `|`, and the property's pair masks (`bad`) test a range:
+    it violates when it holds all the bits of one.
+
+    Rounds are semi-naive: a state is recomputed only when a state it
+    reads grew in the round before, and a state with one suppressed event
+    unions {v} with the ranges new in that round alone.  Families are
+    memoized on the system since fam[v] only depends on the
+    suppressed-reach universe of v and the property; cached ones are read
+    as fixed.  Returns that memo, which then holds every state of the
+    universe, and `bad`.  More than `budget` ranges over the universe after
+    a round, or unions in one step, stop it with StateBudgetExceeded.
+    """
+    bit = {q: 1 << i for i, q in enumerate(sorted(sys.plant.states))}
+    bad = {bit[a] | bit[b] for a, b in sys.prop or ()}
+    universe = unobservable_reach(sys, seeds)
+    cache, ids = sys._cover_cache, sys._ids
+    pending = sorted(universe.difference(cache))
+    if pending:
+        level, reads = dict(zip(universe, map(cache.get, universe))), {}
+        for v in pending:
+            read = 0  # the plant states whose versions v reads
+            events = []
             for _e, opts in sys.suppressed_moves(v):
-                ways: set[frozenset[LabeledState]] = {frozenset()}
-                for w in opts:
-                    ways.update(fam[w])
-                per_event.append(ways)
-            for rng in _union_choices(per_event, sys.admits, budget, frozenset({v})):
-                if rng not in fam[v]:
-                    fam[v].add(rng)
-                    changed = True
-            total += len(fam[v])
-            if total > budget:
-                raise StateBudgetExceeded(f"estimate family exceeded {budget} sets while closing")
-    for v in pending:
-        sys._cover_cache[v] = frozenset(fam[v])
-    return {v: sys._cover_cache[v] for v in universe}
+                read |= bit[opts[0].base]
+                events.append(opts)
+            own = 1 << 2 * len(bit) + ids.setdefault(v, len(ids)) | read << len(bit) | bit[v.base]
+            # {v} alone violates only by a pair of its plant state with itself
+            level[v] = () if bit[v.base] in bad else frozenset({own})
+            if level[v]:
+                reads[v] = own, events, read
+        # the first round reads every known range as new
+        new, dirty = level, (1 << len(bit)) - 1
+        while dirty:
+            grown = {}
+            for v, (own, events, read) in reads.items():
+                if read & dirty:
+                    if len(events) == 1:  # then only the ranges new in the last round make new unions
+                        parts = [map(new.get, events[0])]
+                    else:
+                        parts = [[{0}, *map(level.get, opts)] for opts in events]
+                    acc = level[v].union(_union_choices(parts, bad, budget, own))
+                    if len(acc) > len(level[v]):
+                        grown[v] = acc
+            new, dirty = dict.fromkeys(universe, ()), 0
+            for v, acc in grown.items():
+                new[v], level[v] = acc - level[v], acc
+                dirty |= bit[v.base]
+            if sum(map(len, level.values())) > budget:
+                raise StateBudgetExceeded("estimate family exceeded %d sets while closing" % budget)
+        for v in pending:
+            cache[v] = frozenset(level[v])
+    return cache, bad
+
+
+def _estimates(sys: LabeledSystem, ranges) -> tuple[ObserverState, ...]:
+    """The reach-closed packed `ranges`, those holding every plant state
+    their members' suppressed events lead to, unpacked to sorted estimates."""
+    n = len(sys.plant.states)
+    order, out = list(sys._ids), []
+    for r in ranges:
+        if not (r >> n) & ~r & ((1 << n) - 1):
+            members, r = [], r >> 2 * n
+            while r:
+                low = r & -r
+                members.append(order[low.bit_length() - 1])
+                r ^= low
+            out.append(members)
+    return _sorted_estimates(out)
 
 
 def closure_family(sys: LabeledSystem, seed: LabeledState, budget: int = DEFAULT_BUDGET) -> tuple[ObserverState, ...]:
     """All admissible closed estimates grown from a single seed state."""
-    fam = _cover_families(sys, (seed,), budget)
-    return _sorted_estimates(rng for rng in fam[seed] if reach_closed(sys, rng))
+    return _estimates(sys, _cover_families(sys, (seed,), budget)[0][seed])
 
 
 def _estimates_over(sys: LabeledSystem, bases: frozenset[str], budget: int) -> tuple[ObserverState, ...]:
@@ -128,11 +173,10 @@ def _estimates_over(sys: LabeledSystem, bases: frozenset[str], budget: int) -> t
     on nothing else, and `budget` only decides whether it is built."""
     hit = sys._step_cache.get(bases)
     if hit is None:
-        pools = [sys.versions_of(b) for b in sorted(bases)]
-        fam = _cover_families(sys, [v for pool in pools for v in pool], budget)
-        pooled = ({rng for v in pool for rng in fam[v]} for pool in pools)
-        ranges = _union_choices(pooled, sys.admits, budget) if pools else ()
-        hit = sys._step_cache[bases] = _sorted_estimates(rng for rng in ranges if reach_closed(sys, rng))
+        pools = list(map(sys.versions_of, sorted(bases)))
+        fam, bad = _cover_families(sys, sum(pools, ()), budget)
+        ranges = _union_choices([map(fam.get, pool) for pool in pools], bad, budget) if pools else ()
+        hit = sys._step_cache[bases] = _estimates(sys, ranges)
     return hit
 
 
@@ -158,22 +202,24 @@ class DynamicObserver:
 
     @property
     def transition_count(self) -> int:
-        return sum(len(v) for v in self.trans.values())
+        return sum(map(len, self.trans.values()))
 
     def to_dot(self) -> str:
-        ids = {z: f"n{i}" for i, z in enumerate(self.states)}
+        ids = {z: "n%d" % i for i, z in enumerate(self.states)}
         lines = ["digraph observer {", "  rankdir=LR;"]
         for z in self.states:
             shape = "doublecircle" if z in self.initials else "circle"
-            lines.append(f'  {ids[z]} [label="{z.render().translate(_DOT_ESCAPES)}", shape={shape}];')
-        for (z, e), succ in sorted(self.trans.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
-            for z2 in succ:
-                lines.append(f'  {ids[z]} -> {ids[z2]} [label="{e.translate(_DOT_ESCAPES)}"];')
+            lines.append('  %s [label="%s", shape=%s];' % (ids[z], z.render().translate(_DOT_ESCAPES), shape))
+        events = sorted(self.sys.plant.alphabet)
+        for z in self.states:
+            for e in events:
+                for z2 in self.successors(z, e):
+                    lines.append('  %s -> %s [label="%s"];' % (ids[z], ids[z2], e.translate(_DOT_ESCAPES)))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        return f"DynamicObserver({len(self.states)} states, {self.transition_count} transitions)"
+        return "DynamicObserver(%d states, %d transitions)" % (len(self.states), self.transition_count)
 
 
 def build_observer(sys: LabeledSystem, state_budget: int = DEFAULT_BUDGET) -> DynamicObserver:
@@ -189,6 +235,6 @@ def build_observer(sys: LabeledSystem, state_budget: int = DEFAULT_BUDGET) -> Dy
 
 def __getattr__(name):  # `perfbench/traced.py` still imports the oracle from here
     if name != "closure_family_bruteforce":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
     from .oracle import closure_family_bruteforce
     return closure_family_bruteforce

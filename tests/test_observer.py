@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from destx import (
     InstanceTooLarge,
+    DistinguishabilitySpec,
     Plant,
     StateBudgetExceeded,
     build_labeled_system,
@@ -29,7 +30,7 @@ from destx import (
 from destx import observer, oracle
 from destx.automata import DEFAULT_BUDGET
 from destx.labeled import N
-from destx.observer import ObserverState, _cover_families, _union_choices
+from destx.observer import ObserverState, _cover_families
 from destx.ranges import _range_levels, realizable
 from destx_child import python_child
 from randgen import make_labeled, random_plant
@@ -708,15 +709,132 @@ def test_estimate_union_is_suppressed_reach_random():
             _assert_union_is_reach(lsys, build_observer(lsys))
 
 
-def _estimates_over_per_core(sys, bases):
-    """The estimate builder before pooling: for every core, one version of
-    each plant state in `bases`, the reach-closed unions of one range per
-    core member."""
+def _union_choices_reference(parts, keep, budget, start=frozenset()):
+    """The observer's union step as it was on frozensets of labeled states:
+    the distinct unions of `start` with one option from every part, the
+    partial unions filtered by `keep`, more than `budget` unions raising."""
+    acc = {start}
+    work = 0
+    for options in parts:
+        opts = set(options)
+        work += len(acc) * len(opts)
+        if work > budget:
+            raise StateBudgetExceeded(f"estimate unions exceeded {budget} set unions while combining ranges")
+        acc = set(filter(keep, {a | o for a in acc for o in opts}))
+    return acc
+
+
+def _admits(sys, members):
+    return sys.prop is None or sys.prop.holds(frozenset(v.base for v in members))
+
+
+def _cover_families_reference(sys, seeds, memo):
+    """The observer's range families as they were computed before ranges
+    were packed: naive rounds over frozensets of labeled states, each state
+    unioning {v} with, per suppressed event, nothing or a known range of a
+    version of its target, the partial unions that violate the property
+    dropped, until no family grows.  `memo` holds the families of earlier
+    calls on the same system, and takes this call's."""
+    universe = unobservable_reach(sys, seeds)
+    fam = {v: set(memo.get(v, ())) for v in universe}
+    order = sorted(universe)
+    changed = True
+    while changed:
+        changed = False
+        for v in order:
+            if v in memo or not _admits(sys, (v,)):
+                continue
+            per_event = []
+            for _e, opts in sys.suppressed_moves(v):
+                ways = {frozenset()}
+                for w in opts:
+                    ways.update(fam[w])
+                per_event.append(ways)
+            keep = lambda rng: _admits(sys, rng)  # noqa: E731
+            for rng in _union_choices_reference(per_event, keep, DEFAULT_BUDGET, frozenset({v})):
+                if rng not in fam[v]:
+                    fam[v].add(rng)
+                    changed = True
+    for v in universe:
+        memo.setdefault(v, frozenset(fam[v]))
+    return {v: memo[v] for v in universe}
+
+
+def _unpacked(sys, fam):
+    """A packed range family as sets of labeled states, each range checked
+    against its layout: the members' plant states at bits 0..n-1, the plant
+    states their suppressed events lead to at bits n..2n-1, and the member
+    numbered k in `sys._ids` at bit 2n+k."""
+    bit = {q: 1 << i for i, q in enumerate(sorted(sys.plant.states))}
+    shift = 2 * len(bit)
+    out = set()
+    for rng in fam:
+        members = frozenset(v for v, k in sys._ids.items() if rng >> shift + k & 1)
+        packed = sum(1 << shift + sys._ids[v] for v in members)
+        for v in members:
+            packed |= bit[v.base]
+            for _e, opts in sys.suppressed_moves(v):
+                packed |= bit[opts[0].base] << len(bit)
+        assert rng == packed, (sorted(members), bin(rng))
+        out.add(members)
+    return out
+
+
+def _assert_families_match_reference(plant, pairs=None):
+    """The packed families of every labeled state, unpacked, equal the
+    reference's, on the full system and on the one carrying `pairs`: built
+    in one call, and seed by seed in reverse order on a fresh system, where
+    a later call reads what an earlier one memoized."""
+    for prop in (None, pairs) if pairs else (None,):
+        spec = DistinguishabilitySpec.of(prop) if prop else None
+        sysd = build_labeled_system(plant, spec)
+        want = _cover_families_reference(sysd, sysd.states, {})
+        got = _cover_families(sysd, sysd.states, DEFAULT_BUDGET)[0]
+        assert got.keys() == want.keys()
+        seeded = build_labeled_system(plant, spec)
+        for v in reversed(sysd.states):
+            fam = _cover_families(seeded, (v,), DEFAULT_BUDGET)[0][v]
+            assert _unpacked(sysd, got[v]) == _unpacked(seeded, fam) == want[v], (prop, v)
+
+
+def _shape(n, moves):
+    """A plant over q0..q(n-1) from (source, event, target) index triples."""
+    events = sorted({f"e{e}" for _q, e, _p in moves})
+    return Plant([f"q{i}" for i in range(n)], events, {(f"q{q}", f"e{e}"): f"q{p}" for q, e, p in moves}, "q0")
+
+
+def test_packed_families_match_reference(plant, pairs):
+    """The packed engine against the frozenset rounds it replaced: the
+    running example, ring(n,1) with every pair (q0, qb), the three-state
+    ring with a chord, the four strongly connected two-state plants with
+    one two-event state, ring(2,2), and 200 random plants, each full and,
+    but for ring(2,2), with pairs."""
+    _assert_families_match_reference(plant, pairs)
+    for n in range(3, 11):
+        for b in range(1, n):
+            _assert_families_match_reference(_ring(n, 1), [("q0", f"q{b}")])
+    chord = _shape(3, [(0, 0, 1), (1, 0, 2), (2, 0, 0), (0, 1, 2)])
+    _assert_families_match_reference(chord, [("q0", "q1")])
+    for dense in (0, 1):
+        for same in (True, False):
+            moves = [(dense, 0, dense), (dense, 1, 1 - dense), (1 - dense, 0 if same else 1, dense)]
+            _assert_families_match_reference(_shape(2, moves), [("q0", "q1")])
+    _assert_families_match_reference(_ring(2, 2))
+    rng = random.Random(5)
+    for seed in range(200):
+        plant = random_plant(random.Random(seed))
+        _assert_families_match_reference(plant, [tuple(rng.choices(sorted(plant.states), k=2))])
+
+
+def _estimates_over_per_core(sys, bases, memo):
+    """The estimate builder before pooling, on the reference families
+    (memoized in `memo`): for every core, one version of each plant state
+    in `bases`, the reach-closed unions of one range per core member."""
     out = set()
     cores = itertools.product(*(sys.versions_of(b) for b in sorted(bases))) if bases else ()
     for core in cores:
-        fam = _cover_families(sys, core, DEFAULT_BUDGET)
-        ranges = _union_choices((fam[v] for v in core), sys.admits, DEFAULT_BUDGET)
+        fam = _cover_families_reference(sys, core, memo)
+        ranges = _union_choices_reference((fam[v] for v in core), lambda rng: _admits(sys, rng), DEFAULT_BUDGET)
         out.update(rng for rng in ranges if reach_closed(sys, rng))
     return tuple(sorted(map(ObserverState, out), key=ObserverState.sort_key))
 
@@ -726,8 +844,9 @@ def _assert_pooled_matches_per_core(lsys):
     closures = {z for v in lsys.initials for z in closure_family(lsys, v)}
     assert obs.initials == tuple(sorted(closures, key=ObserverState.sort_key))
     assert frozenset({lsys.plant.initial}) in lsys._step_cache
+    memo = {}
     for bases, estimates in lsys._step_cache.items():
-        assert estimates == _estimates_over_per_core(lsys, bases), sorted(bases)
+        assert estimates == _estimates_over_per_core(lsys, bases, memo), sorted(bases)
 
 
 def test_pooled_estimates_match_per_core(lsys):

@@ -1,5 +1,5 @@
-"""The end-to-end demo script on the bundled running example, and the
-benchmark's tracer against the command line tool."""
+"""The end-to-end demo script on the bundled running example, the compile
+cost report, and the benchmark's tracer against the command line tool."""
 
 import json
 import subprocess
@@ -12,6 +12,7 @@ from destx_child import python_child, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_pipeline.py"
+COMPILE_COST = ROOT / "scripts" / "compile_cost.py"
 TRACED = ROOT / "perfbench" / "traced.py"
 PLANT = str(ROOT / "data" / "running_example.des")
 PAIRS = str(ROOT / "data" / "distinguish.pairs")
@@ -37,6 +38,31 @@ def test_run_pipeline_depth_6(tmp_path):
     ):
         assert line in lines
     assert out.read_text().startswith("initial ")
+
+
+def test_compile_cost_lists_each_commands_modules():
+    """`scripts/compile_cost.py` prints, per command, a line `COMMAND: M
+    modules, L lines, T ms` and under it one line per module it loads:
+    name, line count and compile time."""
+    p = subprocess.run([sys.executable, str(COMPILE_COST), "--repeat", "1"], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    heads, modules = {}, {}
+    for line in p.stdout.splitlines():
+        if line.startswith("  "):
+            modules[command].append(line.split())
+        else:
+            command, head = line.split(": ")
+            heads[command], modules[command] = head, []
+    assert list(heads) == ["build-observer", "oracle-maxs", "synthesize", "verify", "simulate"]
+    # the modules `synthesize` loads, as the cold-import test pins them,
+    # and the entry module of `python -m destx`
+    loaded = ("__main__", "automata", "cli", "errors", "labeled", "observer", "properties", "realization", "synthesis")
+    assert [m for m, _lines, _ms in modules["synthesize"]] == ["destx"] + [f"destx.{m}" for m in loaded]
+    for command, rows in modules.items():
+        for m, lines, ms in rows:
+            path = ROOT / "src" / "destx" / ("__init__.py" if m == "destx" else m[len("destx."):] + ".py")
+            assert int(lines) == len(path.read_text("utf-8").splitlines()) and float(ms) > 0, m
+        assert heads[command].startswith(f"{len(rows)} modules, {sum(int(r[1]) for r in rows)} lines, "), command
 
 
 @pytest.mark.parametrize(
