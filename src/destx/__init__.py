@@ -16,7 +16,7 @@ _EXPORTS = {
     "automata": "EPSILON Plant Word explore load_plant parse_des render_word shortlex_levels word",
     "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge StateBudgetExceeded",
     "estimation": "CheckReport Estimator check_estimate_agreement check_property_satisfaction "
-    "check_tracker_containment reach_closed",
+    "check_tracker_containment",
     "labeled": "LabeledState LabeledSystem ObserverState build_labeled_system parse_labeled unobservable_reach",
     "observer": "DynamicObserver build_observer closure_family observer_step",
     "oracle": "closure_family_bruteforce",

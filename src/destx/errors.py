@@ -23,7 +23,7 @@ class AlphabetTooLarge(InstanceTooLarge):
 
 class StateBudgetExceeded(InstanceTooLarge):
     """A search passed the state budget: observer states, estimate unions,
-    the range sets of a closure family, or the run-tree range search."""
+    or the range sets of a closure family."""
 
 
 class Infeasible(DestxError):

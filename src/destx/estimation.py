@@ -39,7 +39,7 @@ from collections import namedtuple
 from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, explore, render_word, shortlex_levels
-from .errors import InstanceTooLarge, StateBudgetExceeded
+from .errors import InstanceTooLarge
 from .labeled import N, Y, LabeledState, LabeledSystem, ObserverState, build_labeled_system, targets
 from .realization import Policy
 
@@ -198,13 +198,6 @@ def _first_failure(checks, entries: str, walk, depth: int, budget: int) -> list[
     return [reports[name] for name, _fails in checks]
 
 
-def reach_closed(sys: LabeledSystem, members: frozenset[LabeledState]) -> bool:
-    """Every suppressed event of every member must land inside the set: on
-    a member of its plant successor, since the step may land on any version."""
-    bases = {v.base for v in members}
-    return all(sys.plant.step(v.base, e) in bases for v in members for e, lab in v.bits if lab == N)
-
-
 def _render_states(states) -> str:
     return "{" + ",".join(sorted(states)) + "}"
 
@@ -216,16 +209,15 @@ def check_tracker_containment(
     the same observation (Proposition 1): the initial one is an admissible
     estimate over {initial}, and after a step h -e-> h2, h2 is one over
     T = `targets(plant, h, e)`, the states `observer_step(h, e)` builds its
-    estimates over.  No estimate family is built: h2 passes when it is reach
-    closed and `realizable` finds it to be the union of one run-tree range
-    per state of T, rooted at a version of that state inside h2 and
-    restricted to h2.  The walk has one entry per distinct (h2, T), checked
-    once; `budget` caps the entries of all its levels together and the set
-    unions of each entry's test."""
-    from .ranges import realizable
+    estimates over.  No estimate family is built: h2 passes when `admissible`
+    finds it reach closed and the union of one run-tree range per state of
+    T, rooted at a version of that state inside h2 and restricted to h2.
+    The walk has one entry per distinct (h2, T), checked once; `budget` caps
+    the entries of all its levels together and the set unions of each
+    entry's test."""
+    from .ranges import admissible
 
-    sys = build_labeled_system(plant)
-    est = Estimator(sys, policy)
+    est = Estimator(build_labeled_system(plant), policy)
     events = sorted(plant.alphabet)
 
     def successors(key):
@@ -238,11 +230,7 @@ def check_tracker_containment(
     @cache
     def fails(key):
         h, bases = key
-        try:
-            ok = reach_closed(sys, h) and realizable(plant, h.members, bases, budget)
-        except StateBudgetExceeded as exc:
-            raise InstanceTooLarge(f"{exc} on one (tracker state, targets) entry") from exc
-        if ok:
+        if admissible(plant, h.members, bases, budget):
             return None
         return "estimate over " + _render_states(bases), _render_states(x.render() for x in h)
 

@@ -1,6 +1,6 @@
 """Run-tree range search on int bitmasks of labeled states: `_range_levels`
 grows the ranges of the partial run trees inside a candidate set, level by
-level, to its fixpoint.  `realizable` runs it for PROP1, to test a receiver
+level, to its fixpoint.  `admissible` runs it for PROP1, to test a receiver
 estimate without building an estimate family, and the oracle
 (`destx.oracle`) on its own move table."""
 
@@ -11,7 +11,7 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from .automata import Plant
-from .errors import StateBudgetExceeded
+from .errors import InstanceTooLarge
 from .labeled import N, LabeledState
 
 
@@ -77,28 +77,32 @@ def _range_levels(moves: Sequence[Sequence[int]], cand: int, maximal: bool, char
         last, level = level, nxt
 
 
-def realizable(plant: Plant, members: Sequence[LabeledState], bases: Iterable[str], budget: int) -> bool:
+def admissible(plant: Plant, members: Sequence[LabeledState], bases: Iterable[str], budget: int) -> bool:
     """Whether `members` is an admissible estimate over the plant states
-    `bases`: whether some level of the maximal `_range_levels` inside the
-    members holds one range per state of `bases`, rooted at a version of it
-    among the members, whose union is all of them.  A base with no version
-    among the members gives False.  More than `budget` set unions raise
-    StateBudgetExceeded."""
+    `bases`: reach closed, every suppressed event of a member having a
+    version of its target among them, and, at some level of the maximal
+    `_range_levels` inside them, the union of one range per state of
+    `bases`, rooted at a version of it among them.  A set that is not reach
+    closed, or a base with no version among the members, gives False before
+    any union.  Past `budget` set unions it raises PROP1's InstanceTooLarge."""
     at: dict[str, int] = {}
     for i, v in enumerate(members):
         at[v.base] = at.get(v.base, 0) | 1 << i
     groups = [_bits(at.get(q, 0)) for q in sorted(bases)]
-    if not all(groups):
+    moves = [[at.get(plant.step(v.base, e), 0) for e, lab in v.bits if lab == N] for v in members]
+    if not all(groups) or not all(map(all, moves)):
         return False
     cand = (1 << len(members)) - 1
-    moves = [[at.get(plant.step(v.base, e), 0) for e, lab in v.bits if lab == N] for v in members]
     spent = 0
 
     def charge(unions: int) -> None:
         nonlocal spent
         spent += unions
         if spent > budget:
-            raise StateBudgetExceeded(f"the run-tree range search passed the budget of {budget} set unions")
+            raise InstanceTooLarge(
+                f"the run-tree range search passed the budget of {budget} set unions"
+                " on one (tracker state, targets) entry"
+            )
 
     def covered(level) -> bool:
         *rest, last = groups

@@ -119,6 +119,8 @@ REJECTED = {
     "alphabet a\nstates s0 s1\ninitial s0\ntrans s0 a s0\ntrans s0 a s1\n": r"^line 5: duplicate transition for \(s0,a\)$",
     "alphabet a\nstates s0\ninitial s0\ninitial s0\n": r"^line 4: duplicate initial line$",
     "states s0\ninitial s0\nfrobnicate s0\n": r"^line 3: unknown keyword 'frobnicate'$",
+    "alphabet a\nstates s0 s1\ninitial s0 s1\n": r"^line 3: initial takes exactly one state$",
+    "alphabet a\nstates s0\ninitial s0\ntrans s0 a\n": r"^line 4: trans takes source, event, target$",
 }
 
 

@@ -306,7 +306,7 @@ def test_cold_import_skips_code_generation_modules():
         "closure_family", "closure_family_bruteforce", "consistency_fixpoint", "count_nontransmitted",
         "distinguishability", "errors", "estimation", "explore", "extract_min_transmit", "format_policy",
         "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "oracle", "parse_des",
-        "parse_labeled", "parse_policy", "properties", "prune_violating", "reach_closed",
+        "parse_labeled", "parse_policy", "properties", "prune_violating",
         "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis",
         "unobservable_reach", "word",
     ]

@@ -24,14 +24,13 @@ from destx import (
     observer_step,
     parse_des,
     parse_labeled,
-    reach_closed,
     unobservable_reach,
 )
 from destx import observer, oracle
 from destx.automata import DEFAULT_BUDGET
 from destx.labeled import N
 from destx.observer import ObserverState, _cover_families
-from destx.ranges import _range_levels, realizable
+from destx.ranges import _range_levels, admissible
 from destx_child import python_child
 from randgen import make_labeled, random_plant
 
@@ -40,6 +39,14 @@ plants = st.integers(0, 10**6).map(lambda s: random_plant(random.Random(s)))
 
 def _os(plant, *renderings):
     return ObserverState(parse_labeled(r, plant) for r in renderings)
+
+
+def reach_closed(sys, members):
+    """Reference for the closure half of `admissible`: every suppressed
+    event of every member lands inside the set, on a member of its plant
+    successor, since the step may land on any version."""
+    bases = {v.base for v in members}
+    return all(sys.plant.step(v.base, e) in bases for v in members for e, lab in v.bits if lab == N)
 
 
 def _family(lsys, plant, seed):
@@ -100,11 +107,18 @@ def test_closure_family_invariants(lsys):
             assert reach_closed(lsys, z)
 
 
-def test_reach_closed(lsys, plant):
-    assert reach_closed(lsys, _os(plant, "q0NNY", "q1N", "q2N", "q5"))
-    assert not reach_closed(lsys, _os(plant, "q0NNY", "q5"))
-    assert not reach_closed(lsys, _os(plant, "q3N"))
-    assert reach_closed(lsys, _os(plant, "q2Y"))
+def test_reach_closed(plant):
+    """`admissible` tests reach closure on its own move table: a set that
+    some member's suppressed event leaves is no estimate, even where its
+    one range covers it, as the lone q0NNY's does."""
+    def ok(bases, *renderings):
+        return admissible(plant, _os(plant, *renderings).members, bases, DEFAULT_BUDGET)
+
+    assert ok({"q0"}, "q0NNY", "q1N", "q2N", "q5")
+    assert not ok({"q0"}, "q0NNY", "q5")
+    assert not ok({"q3"}, "q3N")
+    assert ok({"q2"}, "q2Y")
+    assert not ok({"q0"}, "q0NNY")
 
 
 def test_observer_step(lsys, plant):
@@ -394,9 +408,9 @@ def test_bruteforce_is_independent():
     """The oracle runs its own universe walk, closure check and reach walk,
     and shares only the level loop `_range_levels` with PROP1: no code it
     reaches names the production code it checks.  PROP1 tests the one
-    candidate estimate with `realizable`, which runs that loop, and builds
+    candidate estimate with `admissible`, which runs that loop, and builds
     no estimate family and no observer."""
-    production = {"reach_closed", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore", "reach"}
+    production = {"admissible", "unobservable_reach", "_cover_families", "_union_choices", "_estimates_over", "explore", "reach"}
     names = _names_reached(closure_family_bruteforce)
     assert {"_range_levels", "suppressed_moves"} <= names
     assert not names & production
@@ -406,14 +420,14 @@ def test_bruteforce_is_independent():
     assert "destx.oracle" in p.stdout.split() and "destx.observer" not in p.stdout.split()
     assert [k for k, v in vars(oracle).items() if getattr(v, "__module__", None) == "destx.observer"] == []
     names = _names_reached(check_tracker_containment)
-    assert {"realizable", "_range_levels", "reach_closed", "Estimator", "_first_failure"} <= names
+    assert {"admissible", "_range_levels", "Estimator", "_first_failure"} <= names
     assert not names & {"_cover_families", "_estimates_over", "observer_step", "build_observer"}
 
 
 def _realizable_whole(sysd, members, bases):
-    """Reference for `realizable`: at each level of the whole families of
-    `_range_levels_full`, every union of one range per base, rooted at a
-    version of it among the members, with no pruning."""
+    """Reference for the cover half of `admissible`: at each level of the
+    whole families of `_range_levels_full`, every union of one range per
+    base, rooted at a version of it among the members, with no pruning."""
     groups = [[i for i, v in enumerate(members) if v.base == q] for q in sorted(bases)]
     full = (1 << len(members)) - 1
     for level in _range_levels_full(sysd, members, full, False) if all(groups) else ():
@@ -425,11 +439,12 @@ def _realizable_whole(sysd, members, bases):
     return False
 
 
-def test_realizable_maximal_ranges_match_whole_families():
-    """`realizable` keeps only each family's maximal ranges and prunes each
-    partial union to its maximal ones; the whole families, every union kept,
-    must give the same answer, on random members and bases, several bases
-    and bases with no version among the members included."""
+def test_admissible_maximal_ranges_match_whole_families():
+    """`admissible` keeps only each family's maximal ranges and prunes each
+    partial union to its maximal ones; the reach closure test and the whole
+    families, every union kept, must give the same answer, on random
+    members and bases, several bases, bases with no version among the
+    members and members that are not reach closed included."""
     rng = random.Random(7)
     for seed in range(60):
         sysd = build_labeled_system(random_plant(random.Random(seed), max_states=4))
@@ -440,7 +455,8 @@ def test_realizable_maximal_ranges_match_whole_families():
             bases = set(rng.sample(inside, rng.randint(1, min(3, len(inside)))))
             if rng.random() < 0.1:
                 bases.add(rng.choice(states))
-            assert realizable(sysd.plant, members, bases, 10**9) == _realizable_whole(sysd, members, bases), (
+            want = reach_closed(sysd, members) and _realizable_whole(sysd, members, bases)
+            assert admissible(sysd.plant, members, bases, 10**9) == want, (
                 f"seed {seed}, {[v.render() for v in members]}, {sorted(bases)}"
             )
 
@@ -456,20 +472,23 @@ def _fan(k):
     return sysd, [root] + [v for v in sysd.states if v.base != "r"], root
 
 
-def test_realizable_budget():
+def test_admissible_budget():
     """With both versions of every p_i in the candidate, one tree from the
-    root picks one version of each: never realizable, and the root's
+    root picks one version of each: never admissible, and the root's
     maximal ranges are 2^k incomparable sets, so at k = 12 the budget on
     set unions stops the search."""
     sysd, members, root = _fan(3)
-    assert not realizable(sysd.plant, members, {"r"}, DEFAULT_BUDGET)
+    assert not admissible(sysd.plant, members, {"r"}, DEFAULT_BUDGET)
     one_each = [v for v in members if v == root or v.render().endswith("Y")]
-    assert realizable(sysd.plant, one_each, {"r"}, DEFAULT_BUDGET)
+    assert admissible(sysd.plant, one_each, {"r"}, DEFAULT_BUDGET)
     # a base with no version among the members fails before any union
-    assert not realizable(sysd.plant, members[1:], {"r"}, 0)
+    assert not admissible(sysd.plant, members[1:], {"r"}, 0)
     sysd, members, root = _fan(12)
-    with pytest.raises(StateBudgetExceeded, match=r"^the run-tree range search passed the budget of 1000 set unions$"):
-        realizable(sysd.plant, members, {"r"}, 1000)
+    with pytest.raises(
+        InstanceTooLarge,
+        match=r"^the run-tree range search passed the budget of 1000 set unions on one \(tracker state, targets\) entry$",
+    ):
+        admissible(sysd.plant, members, {"r"}, 1000)
 
 
 def test_bruteforce_scans_each_universe_once(monkeypatch):

@@ -284,6 +284,16 @@ def test_parse_policy_rejects(plant):
         parse_policy(base + "trans q0NNY σ9 q1Y\n", plant)
     with pytest.raises(DestxError, match=r"^line 2: unknown keyword 'widget'$"):
         parse_policy(base + "widget q0NNY\n", plant)
+    for text, message in (
+        ("initial q0NNY q1Y\n", r"^line 1: bad or duplicate initial line$"),
+        (base + "initial q0NNY\n", r"^line 2: bad or duplicate initial line$"),
+        (base + "label q0NNY σ1\n", r"^line 2: label takes state, event, Y\|N$"),
+        (base + "trans q0NNY σ2\n", r"^line 2: trans takes source, event, target$"),
+        (base + "trans q0NNY σ2 q1Y\ntrans q0NNY σ2 q1N\n", r"^line 3: duplicate transition for \(q0NNY,σ2\)$"),
+        (base + "label q0NNY σ1 X\n", r"^label for \(q0NNY, σ1\) must be Y or N$"),
+    ):
+        with pytest.raises(DestxError, match=message):
+            parse_policy(text, plant)
 
 
 @given(plants, st.integers(0, 10**6))

@@ -1,5 +1,6 @@
 """The end-to-end demo script on the bundled running example, the compile
-cost report, and the benchmark's tracer against the command line tool."""
+cost report, the small-scope corpus run, and the benchmark's tracer against
+the command line tool."""
 
 import json
 import subprocess
@@ -13,6 +14,7 @@ from destx_child import python_child, run
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_pipeline.py"
 COMPILE_COST = ROOT / "scripts" / "compile_cost.py"
+SMALLSCOPE = ROOT / "scripts" / "smallscope.py"
 TRACED = ROOT / "perfbench" / "traced.py"
 PLANT = str(ROOT / "data" / "running_example.des")
 PAIRS = str(ROOT / "data" / "distinguish.pairs")
@@ -63,6 +65,14 @@ def test_compile_cost_lists_each_commands_modules():
             path = ROOT / "src" / "destx" / ("__init__.py" if m == "destx" else m[len("destx."):] + ".py")
             assert int(lines) == len(path.read_text("utf-8").splitlines()) and float(ms) > 0, m
         assert heads[command].startswith(f"{len(rows)} modules, {sum(int(r[1]) for r in rows)} lines, "), command
+
+
+def test_smallscope_every_500th_case():
+    """`scripts/smallscope.py --every 500` runs cases 0, 500, ..., 4500;
+    case 3500 is one of the unsound outputs of ROADMAP item 1."""
+    p = subprocess.run([sys.executable, str(SMALLSCOPE), "--every", "500"], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "cases 10 decided 10 unsound 1 prop1-fail 0\n"
 
 
 @pytest.mark.parametrize(
