@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """End-to-end demo on the bundled running example.
 
-Takes the route of `destx synthesize`: builds the labeled system carrying
-the distinguishability property and its dynamic observer, which holds only
-estimates that keep the property, closes it under consistency, extracts a
-minimum-transmission schedule, realizes it as a policy, and verifies the
-result with the brute-force checkers. Prints a short trace of each stage.
+Calls the route of `destx synthesize`, `destx.synthesize`: it builds the
+labeled system carrying the distinguishability property and its dynamic
+observer, which holds only estimates that keep the property, closes it
+under consistency, extracts a minimum-transmission schedule and realizes it
+as a policy.  Prints the size of each stage's result, then verifies the
+policy with the brute-force checkers.
 """
 
 import argparse
@@ -16,16 +17,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from destx import (
-    build_labeled_system,
-    build_observer,
     check_tracker_containment,
-    consistency_fixpoint,
     distinguishability,
-    extract_min_transmit,
     format_policy,
     load_pairs,
     load_plant,
-    realize_policy,
+    synthesize,
 )
 from destx.estimation import check_estimates
 
@@ -46,21 +43,12 @@ def main() -> int:
     prop = distinguishability(pairs, plant)
     print(f"plant: {len(plant.states)} states, {len(plant.alphabet)} events")
 
-    sys_ = build_labeled_system(plant, prop)
-    print(f"labeled system: {len(sys_.states)} states")
-
-    obs = build_observer(sys_)
+    obs, gstar, sched, policy = synthesize(plant, prop)
+    print(f"labeled system: {len(obs.sys.states)} states")
     print(f"observer: {len(obs.states)} states, {obs.transition_count} transitions")
-
-    gstar = consistency_fixpoint(obs, obs)
     print(f"pruned: {len(obs.states)} -> {len(gstar.states)} states after consistency")
-
     print(f"deterministic sub-automata: {len(gstar.initials)}")
-
-    sched = extract_min_transmit(gstar)
     print(f"schedule root: {sched.initial.render()} ({len(sched.states)} states)")
-
-    policy = realize_policy(sys_, sched)
     print(f"policy: initial {policy.initial.render()}, {len(policy.states)} states")
     if args.out is not None:
         args.out.write_text(format_policy(policy))

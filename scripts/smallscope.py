@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the exhaustive small-scope corpus (`tests/smallscope.py`): every
 3-state, 2-event plant in which the initial state reaches every state, with
-each of its pairs, 4,896 cases.  Each case is synthesized in process as
-`destx synthesize` does, and its policy is checked by PROP1 at depth 6 and
-by an exact PROBLEM1.  Prints one line:
+each of its pairs, 4,896 cases.  Each case is synthesized in process by
+`destx.synthesize`, the route of `destx synthesize`, and its policy is
+checked by PROP1 at depth 6 and by an exact PROBLEM1.  Prints one line:
 
     cases N decided D unsound U prop1-fail F
 

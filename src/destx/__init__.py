@@ -23,7 +23,7 @@ _EXPORTS = {
     "properties": "DistinguishabilitySpec distinguishability load_pairs",
     "realization": "Policy format_policy load_policy parse_policy realize_policy",
     "synthesis": "DeterministicSchedule consistency_fixpoint count_nontransmitted extract_min_transmit "
-    "prune_violating",
+    "prune_violating synthesize",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -26,40 +26,6 @@ from .errors import DestxError, Infeasible, InstanceTooLarge
 
 DEFAULT_DEPTH = 6
 
-_BUDGET = (
-    "--budget", int, None,
-    "cap on observer states and on the set unions and range sets of each estimate step "
-    "and closure family or, "
-    "in verify, on the entries of each check's walk, the set unions of PROP1's test of one entry "
-    "and the policy states in the brute-force memo's sets (default: %d)" % DEFAULT_BUDGET,
-)
-
-# command: (help line, positionals, options); an option is (flag, `str`,
-# `int` or a tuple of choices, default, help), and its attribute is the
-# flag's name with "_" for "-".  The table and parser build their strings
-# with % and +: each call compiles this module again, and before Python 3.12
-# the compiler parses every f-string field anew
-COMMANDS = {
-    "build-observer": ("build the estimate observer and print its size", ("plant",), (
-        ("--dot", str, None, "write the observer as a DOT graph"),
-        _BUDGET,
-    )),
-    "synthesize": ("synthesize a transmission policy and write it to out", ("plant", "pairs", "out"), (
-        ("--pin-initial", str, None, "root the schedule at the surviving initial containing this labeled state"),
-        ("--nz-mode", ("default", "unlabeled"), "default", "how suppression counts are taken during extraction"),
-        _BUDGET,
-    )),
-    "verify": ("run the bounded-depth checks against a policy", ("plant", "policy", "pairs"), (
-        _BUDGET,
-        ("--depth", int, DEFAULT_DEPTH, "word-length bound (default: %d)" % DEFAULT_DEPTH),
-    )),
-    "simulate": ("replay a trace and print what the receiver sees", ("plant", "policy"), (
-        ("--trace", str, "", "whitespace-separated event sequence"),
-    )),
-    "oracle-maxs": ("diff the closure family against its brute-force oracle", ("plant",), (_BUDGET,)),
-}
-
-
 def _resolve_budget(flag_value: int | None) -> int:
     return DEFAULT_BUDGET if flag_value is None else flag_value
 
@@ -72,7 +38,7 @@ def _metavar(option) -> str:
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: destx [-h] {%s} ..." % ",".join(COMMANDS)
-    _line, positionals, options = COMMANDS[command]
+    _line, positionals, options, _handler = COMMANDS[command]
     flags = ["[%s %s]" % (o[0], _metavar(o)) for o in options]
     return " ".join(["usage: destx", command, "[-h]", *flags, *positionals])
 
@@ -137,7 +103,7 @@ def parse_args(argv=None) -> SimpleNamespace:
             if arg not in COMMANDS:
                 _fail(None, "invalid choice: %r (choose from %s)" % (arg, ", ".join(COMMANDS)))
             command = arg
-            _line, names, options = COMMANDS[command]
+            _line, names, options, _handler = COMMANDS[command]
             kinds = {o[0]: o[1] for o in options}
             args = {"command": command, **{o[0][2:].replace("-", "_"): o[2] for o in options}}
         elif flag is None:
@@ -192,30 +158,15 @@ def cmd_build_observer(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    from .labeled import build_labeled_system, parse_labeled
-    from .observer import build_observer
     from .properties import distinguishability, load_pairs
-    from .realization import format_policy, realize_policy
-    from .synthesis import consistency_fixpoint, extract_min_transmit
+    from .realization import format_policy
+    from .synthesis import synthesize
 
     plant = load_plant(args.plant)
-    spec = load_pairs(args.pairs)
-    prop = distinguishability(spec, plant)
-    sysd = build_labeled_system(plant, prop)
-    obs = build_observer(sysd, state_budget=args.resolved_budget)
-    gstar = consistency_fixpoint(obs, obs)
-    pin = None
-    if args.pin_initial is not None:
-        member = parse_labeled(args.pin_initial, plant)
-        candidates = [z for z in gstar.initials if member in z]
-        if not candidates:
-            raise Infeasible(f"no surviving initial estimate contains {args.pin_initial}")
-        pin = candidates[0]
-    sched = extract_min_transmit(gstar, pin_initial=pin, nz_mode=args.nz_mode)
-    policy = realize_policy(sysd, sched)
-    text = format_policy(policy)
+    prop = distinguishability(load_pairs(args.pairs), plant)
+    _obs, _gstar, sched, policy = synthesize(plant, prop, args.resolved_budget, args.pin_initial, args.nz_mode)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(format_policy(policy))
     print("feasible")
     print(f"root {sched.initial.render()}")
     print(f"policy-states {len(policy.states)}")
@@ -284,6 +235,40 @@ def cmd_oracle_maxs(args) -> int:
     return 0 if mismatches == 0 else 5
 
 
+_BUDGET = (
+    "--budget", int, None,
+    "cap on observer states and on the set unions and range sets of each estimate step "
+    "and closure family or, "
+    "in verify, on the entries of each check's walk, the set unions of PROP1's test of one entry "
+    "and the policy states in the brute-force memo's sets (default: %d)" % DEFAULT_BUDGET,
+)
+
+# command: (help line, positionals, options, handler); an option is (flag,
+# `str`, `int` or a tuple of choices, default, help), and its attribute is
+# the flag's name with "_" for "-".  The table and parser build their strings
+# with % and +: each call compiles this module again, and before Python 3.12
+# the compiler parses every f-string field anew
+COMMANDS = {
+    "build-observer": ("build the estimate observer and print its size", ("plant",), (
+        ("--dot", str, None, "write the observer as a DOT graph"),
+        _BUDGET,
+    ), cmd_build_observer),
+    "synthesize": ("synthesize a transmission policy and write it to out", ("plant", "pairs", "out"), (
+        ("--pin-initial", str, None, "root the schedule at the surviving initial containing this labeled state"),
+        ("--nz-mode", ("default", "unlabeled"), "default", "how suppression counts are taken during extraction"),
+        _BUDGET,
+    ), cmd_synthesize),
+    "verify": ("run the bounded-depth checks against a policy", ("plant", "policy", "pairs"), (
+        _BUDGET,
+        ("--depth", int, DEFAULT_DEPTH, "word-length bound (default: %d)" % DEFAULT_DEPTH),
+    ), cmd_verify),
+    "simulate": ("replay a trace and print what the receiver sees", ("plant", "policy"), (
+        ("--trace", str, "", "whitespace-separated event sequence"),
+    ), cmd_simulate),
+    "oracle-maxs": ("diff the closure family against its brute-force oracle", ("plant",), (_BUDGET,), cmd_oracle_maxs),
+}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
@@ -293,14 +278,7 @@ def main(argv=None) -> int:
             raise DestxError(f"depth must be between 0 and 32, got {depth}")
         if args.resolved_budget < 1:
             raise DestxError(f"budget must be at least 1, got {args.resolved_budget}")
-        handler = {
-            "build-observer": cmd_build_observer,
-            "synthesize": cmd_synthesize,
-            "verify": cmd_verify,
-            "simulate": cmd_simulate,
-            "oracle-maxs": cmd_oracle_maxs,
-        }[args.command]
-        return handler(args)
+        return COMMANDS[args.command][3](args)
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3

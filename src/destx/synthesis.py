@@ -26,10 +26,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .automata import explore
+from .automata import DEFAULT_BUDGET, explore
 from .errors import DestxError, Infeasible
-from .labeled import N, LabeledSystem, ObserverState, targets
-from .observer import DynamicObserver
+from .labeled import N, LabeledSystem, ObserverState, build_labeled_system, parse_labeled, targets
+from .observer import DynamicObserver, build_observer
+from .realization import realize_policy
 
 
 def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
@@ -146,3 +147,24 @@ def extract_min_transmit(
         tuple(sorted(states, key=ObserverState.sort_key)),
         {key: t for key, (t,) in trans.items()},
     )
+
+
+def synthesize(
+    plant: Plant, prop: DistinguishabilitySpec, budget: int = DEFAULT_BUDGET, pin_initial: str | None = None,
+    nz_mode: str = "default",
+) -> tuple[DynamicObserver, DynamicObserver, DeterministicSchedule, Policy]:
+    """The route of `destx synthesize`: the observer of the system carrying
+    `prop`, built within `budget`, its consistency fixpoint, the schedule
+    extracted there, rooted at the first surviving initial estimate holding
+    the labeled state `pin_initial` if one is given, and its policy."""
+    sysd = build_labeled_system(plant, prop)
+    obs = build_observer(sysd, state_budget=budget)
+    gstar = consistency_fixpoint(obs, obs)
+    pin = None
+    if pin_initial is not None:
+        member = parse_labeled(pin_initial, plant)
+        pin = next((z for z in gstar.initials if member in z), None)
+        if pin is None:
+            raise Infeasible(f"no surviving initial estimate contains {pin_initial}")
+    sched = extract_min_transmit(gstar, pin_initial=pin, nz_mode=nz_mode)
+    return obs, gstar, sched, realize_policy(sysd, sched)

@@ -2,21 +2,15 @@
 the events a and b, initial state q0, in which q0 reaches every state, each
 with each of its three pairs, 4,896 cases in a fixed order.
 
-`corpus()` yields the cases, `synthesize` runs one the way `destx
-synthesize` does, and `sound` decides PROBLEM1 for its policy exactly.
+`corpus()` yields the cases, `synthesize` runs one through
+`destx.synthesize`, the route of `destx synthesize`, and `sound` decides
+PROBLEM1 for its policy exactly.
 """
 
 import itertools
 
-from destx import (
-    DistinguishabilitySpec,
-    Plant,
-    build_labeled_system,
-    build_observer,
-    consistency_fixpoint,
-    extract_min_transmit,
-    realize_policy,
-)
+import destx
+from destx import DistinguishabilitySpec, Plant
 from destx.automata import DEFAULT_BUDGET
 from destx.estimation import _walk
 
@@ -43,9 +37,7 @@ def synthesize(plant, pair):
     for it at the default budget.  Raises Infeasible or InstanceTooLarge
     where the command exits 4 or 3."""
     prop = DistinguishabilitySpec.of([pair])
-    sysd = build_labeled_system(plant, prop)
-    obs = build_observer(sysd, state_budget=DEFAULT_BUDGET)
-    return prop, realize_policy(sysd, extract_min_transmit(consistency_fixpoint(obs, obs)))
+    return prop, destx.synthesize(plant, prop)[3]
 
 
 def sound(policy, prop):

@@ -307,7 +307,7 @@ def test_cold_import_skips_code_generation_modules():
         "distinguishability", "errors", "estimation", "explore", "extract_min_transmit", "format_policy",
         "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "oracle", "parse_des",
         "parse_labeled", "parse_policy", "properties", "prune_violating",
-        "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis",
+        "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis", "synthesize",
         "unobservable_reach", "word",
     ]
     assert names == sorted([*exports, "__all__", "__builtins__", "__cached__", "__doc__", "__file__",
@@ -325,7 +325,7 @@ def test_exit_code_per_error_family(monkeypatch, capsys):
         def fail(args):
             raise error(f"{error.__name__} stopped the run")
 
-        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        monkeypatch.setitem(cli.COMMANDS, "simulate", (*cli.COMMANDS["simulate"][:3], fail))
         assert cli.main(["simulate", PLANT, HAND]) == code, error
         assert capsys.readouterr() == ("infeasible\n" if code == 4 else "", f"error: {error.__name__} stopped the run\n")
 

@@ -58,11 +58,23 @@ PROGRAM = (
 )
 
 
-def _program_reads():
+def _program_reads(program=PROGRAM):
     reads = _Reads()
-    for path in PROGRAM:
+    for path in program:
         reads.visit(_parse(path))
     return reads.names
+
+
+def _definitions():
+    """Every function, method and class defined in the library, nested
+    ones included; dunders are called by the language, not read by name."""
+    return {
+        node.name
+        for path in LIBRARY
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
 
 
 def test_every_export_is_used_by_the_program():
@@ -75,17 +87,20 @@ def test_every_export_is_used_by_the_program():
 
 
 def test_every_definition_is_used_by_the_program():
-    # every function, method and class defined in the library, nested ones
-    # included; dunders are called by the language, not read by name
-    defined = {
-        node.name
-        for path in LIBRARY
-        for node in ast.walk(_parse(path))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-    }
+    defined = _definitions()
     assert len(defined) > 100
     assert sorted(defined - _program_reads()) == []
+
+
+def test_harness_only_definitions():
+    """The library definitions that only the benchmark harness reads: they
+    go once `perfbench/` no longer calls them, and no other may join them."""
+    harness = [p for p in PROGRAM if p.parent.name == "perfbench"]
+    assert harness
+    outside = _program_reads([p for p in PROGRAM if p not in harness])
+    assert sorted(_definitions() - outside) == [
+        "build_parser", "check_estimate_agreement", "check_property_satisfaction", "prune_violating",
+    ]
 
 
 def test_every_error_class_is_caught_by_the_program():

@@ -10,6 +10,7 @@ from destx import (
     DestxError,
     DeterministicSchedule,
     DistinguishabilitySpec,
+    LabeledState,
     Plant,
     Policy,
     build_labeled_system,
@@ -294,6 +295,19 @@ def test_parse_policy_rejects(plant):
     ):
         with pytest.raises(DestxError, match=message):
             parse_policy(text, plant)
+
+
+def test_policy_rejects_a_state_labeling_other_events(plant):
+    # q3 defines σ2 alone, so a version of it labeling σ2 and σ3 is no state
+    q3 = LabeledState(("q3", (("σ2", Y), ("σ3", Y))))
+    with pytest.raises(DestxError, match=r"^q3YY does not label exactly the defined events$"):
+        Policy(plant, parse_labeled("q0NNY", plant), {(parse_labeled("q0NNY", plant), "σ3"): q3})
+
+
+def test_realize_rejects_a_schedule_without_the_plant_initial(lsys, plant):
+    z = _os(plant, "q1Y", "q2Y")
+    with pytest.raises(DestxError, match=r"^schedule initial \(q1Y,q2Y\) has no plant-initial member$"):
+        realize_policy(lsys, DeterministicSchedule(z, (z,), {}))
 
 
 @given(plants, st.integers(0, 10**6))

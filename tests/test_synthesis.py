@@ -18,9 +18,11 @@ from destx import (
     count_nontransmitted,
     distinguishability,
     extract_min_transmit,
+    format_policy,
     parse_labeled,
     explore,
     prune_violating,
+    synthesize,
 )
 from destx.labeled import Y
 from destx.observer import ObserverState
@@ -313,6 +315,22 @@ def test_extract_deterministic(gstar, pinned_sched):
 def test_extract_unknown_pin(gstar, plant):
     with pytest.raises(DestxError, match=r"^\(q2Y\) is not a surviving initial estimate$"):
         extract_min_transmit(gstar, pin_initial=_os(plant, "q2Y"))
+
+
+def test_synthesize_runs_the_stages(plant, prop, gstar, pinned_sched, default_policy, pinned_policy):
+    # the observer of the system carrying the property, whose fixpoint is
+    # the full observer's pruned one; a pin roots the schedule at the first
+    # surviving initial that holds the labeled state, or none holds it
+    obs, fixpoint, sched, policy = synthesize(plant, prop)
+    assert (len(obs.states), obs.transition_count) == (18, 38)
+    assert set(fixpoint.states) == set(gstar.states)
+    assert sched == extract_min_transmit(fixpoint)
+    assert format_policy(policy) == format_policy(default_policy)
+    _obs, _fixpoint, sched, policy = synthesize(plant, prop, pin_initial="q0NNY")
+    assert sched == pinned_sched
+    assert format_policy(policy) == format_policy(pinned_policy)
+    with pytest.raises(Infeasible, match=r"^no surviving initial estimate contains q1N$"):
+        synthesize(plant, prop, pin_initial="q1N")
 
 
 def test_single_branch_plant_schedule():
