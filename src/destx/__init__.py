@@ -16,13 +16,13 @@ _EXPORTS = {
     "automata": "EPSILON Plant Word explore load_plant parse_des render_word shortlex_levels word",
     "errors": "AlphabetTooLarge DestxError Infeasible InstanceTooLarge StateBudgetExceeded",
     "estimation": "CheckReport Estimator check_estimate_agreement check_property_satisfaction "
-    "check_tracker_containment",
+    "check_tracker_containment verify",
     "labeled": "LabeledState LabeledSystem ObserverState build_labeled_system parse_labeled unobservable_reach",
     "observer": "DynamicObserver build_observer closure_family observer_step",
     "oracle": "closure_family_bruteforce",
     "properties": "DistinguishabilitySpec distinguishability load_pairs",
-    "realization": "Policy format_policy load_policy parse_policy realize_policy",
-    "synthesis": "DeterministicSchedule consistency_fixpoint count_nontransmitted extract_min_transmit "
+    "realization": "DeterministicSchedule Policy format_policy load_policy parse_policy realize_policy",
+    "synthesis": "consistency_fixpoint count_nontransmitted extract_min_transmit "
     "prune_violating synthesize",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -175,18 +175,14 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .estimation import check_estimates, check_tracker_containment
+    from .estimation import verify
     from .properties import distinguishability, load_pairs
     from .realization import load_policy
 
     plant = load_plant(args.plant)
     policy = load_policy(args.policy, plant)
-    spec = load_pairs(args.pairs)
-    prop = distinguishability(spec, plant)
-    reports = [
-        check_tracker_containment(plant, policy, args.depth, args.resolved_budget),
-        *check_estimates(plant, policy, prop, args.depth, args.resolved_budget),
-    ]
+    prop = distinguishability(load_pairs(args.pairs), plant)
+    reports = list(verify(plant, policy, prop, args.depth, args.resolved_budget))
     for r in reports:
         print(r.line())
     return 0 if all(r.ok for r in reports) else 5
@@ -200,13 +196,9 @@ def cmd_simulate(args) -> int:
     plant = load_plant(args.plant)
     policy = load_policy(args.policy, plant)
     est = Estimator(build_labeled_system(plant), policy)
-    x, h, observed = policy.initial, est.initial, []
+    h, observed = est.initial, []
     print(f"initial estimate={_render_states(h.underlying())}")
-    for i, e in enumerate(word(args.trace), start=1):
-        if plant.step(x.base, e) is None:
-            raise DestxError(f"event {e!r} is not defined at plant state {x.base!r}")
-        sent = x.label(e)
-        x = policy.step(x, e)
+    for i, (e, sent) in enumerate(policy.replay(word(args.trace)), start=1):
         if sent == Y:
             # the policy's own move lands in the step, so it is never None
             h = est.step(h, e)
@@ -269,16 +261,12 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def exit_code(run, args) -> int:
+    """What `run(args)` returns, or the exit code of the error it raises,
+    printed as `destx` prints it: 3 instance too large, 4 infeasible, 2 any
+    other error of the input."""
     try:
-        args.resolved_budget = _resolve_budget(getattr(args, "budget", None))
-        depth = getattr(args, "depth", DEFAULT_DEPTH)
-        if not 0 <= depth <= 32:
-            raise DestxError(f"depth must be between 0 and 32, got {depth}")
-        if args.resolved_budget < 1:
-            raise DestxError(f"budget must be at least 1, got {args.resolved_budget}")
-        return COMMANDS[args.command][3](args)
+        return run(args)
     except InstanceTooLarge as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
@@ -289,6 +277,20 @@ def main(argv=None) -> int:
     except (OSError, DestxError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+
+
+def _run(args) -> int:
+    args.resolved_budget = _resolve_budget(getattr(args, "budget", None))
+    depth = getattr(args, "depth", DEFAULT_DEPTH)
+    if not 0 <= depth <= 32:
+        raise DestxError(f"depth must be between 0 and 32, got {depth}")
+    if args.resolved_budget < 1:
+        raise DestxError(f"budget must be at least 1, got {args.resolved_budget}")
+    return COMMANDS[args.command][3](args)
+
+
+def main(argv=None) -> int:
+    return exit_code(_run, parse_args(argv))
 
 
 if __name__ == "__main__":

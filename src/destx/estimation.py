@@ -36,6 +36,7 @@ once per event.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
 
 from .automata import DEFAULT_BUDGET, Plant, explore, render_word, shortlex_levels
@@ -241,7 +242,7 @@ def check_tracker_containment(
 
 
 def check_estimates(
-    plant: Plant, policy: Policy, prop: DistinguishabilitySpec | None, depth: int, budget: int = DEFAULT_BUDGET,
+    plant: Plant, policy: Policy, prop: frozenset | None, depth: int, budget: int = DEFAULT_BUDGET,
     names: tuple[str, ...] = ("THM1", "PROBLEM1"),
 ) -> list[CheckReport]:
     """The checks `names`, THM1, PROBLEM1 or both in that order, in one walk
@@ -281,10 +282,19 @@ def check_estimate_agreement(plant: Plant, policy: Policy, depth: int) -> CheckR
     return check_estimates(plant, policy, None, depth, DEFAULT_BUDGET, ("THM1",))[0]
 
 
-def check_property_satisfaction(plant: Plant, policy: Policy, prop: DistinguishabilitySpec, depth: int) -> CheckReport:
+def check_property_satisfaction(plant: Plant, policy: Policy, prop: frozenset, depth: int) -> CheckReport:
     """The receiver's estimate satisfies the property after every plant word
     up to the depth, with the same exact brute-force estimate and budget as
     THM1, over a walk of (policy state, brute-force set) keys capped by the
     default budget.  It reads only its own memo, so it builds no tracker."""
     return check_estimates(plant, policy, prop, depth, DEFAULT_BUDGET, ("PROBLEM1",))[0]
 
+
+def verify(
+    plant: Plant, policy: Policy, prop: frozenset, depth: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[CheckReport]:
+    """The checks of `destx verify`: PROP1's report, then THM1's and
+    PROBLEM1's from their one walk, each yielded as its walk ends, so a
+    caller that stops at a failure runs no later walk."""
+    yield check_tracker_containment(plant, policy, depth, budget)
+    yield from check_estimates(plant, policy, prop, depth, budget)

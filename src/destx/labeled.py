@@ -123,7 +123,7 @@ class LabeledSystem:
       states whose own universe it is (`closure_family_bruteforce`).
     """
 
-    def __init__(self, plant: Plant, prop: DistinguishabilitySpec | None = None):
+    def __init__(self, plant: Plant, prop: frozenset | None = None):
         self.plant = plant
         self.prop = prop
         self._versions: dict[str, tuple[LabeledState, ...]] = {}
@@ -164,7 +164,7 @@ class LabeledSystem:
         return f"LabeledSystem(over {self.plant!r})"
 
 
-def build_labeled_system(plant: Plant, prop: DistinguishabilitySpec | None = None) -> LabeledSystem:
+def build_labeled_system(plant: Plant, prop: frozenset | None = None) -> LabeledSystem:
     """The decision-labeled system of a plant, whose estimates all hold
     `prop` when one is given.  It builds no version: each plant state's are
     built where they are first read."""

@@ -8,7 +8,8 @@ transmitted and suppressed events.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .automata import Plant, Word, read_input, records
 from .errors import DestxError
@@ -51,20 +52,33 @@ class Policy:
             raise DestxError(f"policy has no transition for ({x.render()}, {e})")
         return nxt
 
-    def projection(self, s: Iterable[str]) -> Word:
-        """The transmitted subsequence of a plant word."""
+    def replay(self, s: Iterable[str]) -> Iterator[tuple[str, str]]:
+        """Each event of the plant word `s` with the label the policy gives
+        it, yielded once the policy has stepped past it: an event that the
+        plant does not define, or that the policy has no transition for,
+        raises DestxError before it is yielded."""
         x = self.initial
-        out = []
         for e in s:
             if self.plant.step(x.base, e) is None:
-                raise DestxError(f"event {e!r} fell outside the plant language")
-            if x.label(e) == Y:
-                out.append(e)
+                raise DestxError(f"event {e!r} is not defined at plant state {x.base!r}")
+            sent = x.label(e)
             x = self.step(x, e)
-        return tuple(out)
+            yield e, sent
+
+    def projection(self, s: Iterable[str]) -> Word:
+        """The transmitted subsequence of a plant word."""
+        return tuple(e for e, sent in self.replay(s) if sent == Y)
 
     def __repr__(self):
         return f"Policy(initial={self.initial.render()}, states={len(self.states)})"
+
+
+class DeterministicSchedule(namedtuple("DeterministicSchedule", "initial states trans")):
+    """One committed successor per (estimate, event), rooted at the estimate
+    `initial`: `trans` maps (estimate, event) to it, and `states` holds the
+    estimates reached, in `sort_key` order."""
+
+    __slots__ = ()
 
 
 def _leading_back_first(plant: Plant, versions: Iterable[LabeledState]) -> list[LabeledState]:

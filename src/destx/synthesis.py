@@ -23,14 +23,14 @@ the schedule is the walk whose step commits to one successor.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache
 
-from .automata import DEFAULT_BUDGET, explore
+from .automata import DEFAULT_BUDGET, Plant, explore
 from .errors import DestxError, Infeasible
 from .labeled import N, LabeledSystem, ObserverState, build_labeled_system, parse_labeled, targets
 from .observer import DynamicObserver, build_observer
-from .realization import realize_policy
+from .properties import DistinguishabilitySpec
+from .realization import DeterministicSchedule, Policy, realize_policy
 
 
 def _restrict_reachable(obs: DynamicObserver, keep) -> DynamicObserver:
@@ -95,14 +95,6 @@ def count_nontransmitted(sys: LabeledSystem, z: ObserverState, mode: str = "defa
         any(sys.plant.step(v.base, e) in bases for e, lab in v.bits if lab == N or mode != "default")
         for v in z
     )
-
-
-class DeterministicSchedule(namedtuple("DeterministicSchedule", "initial states trans")):
-    """One committed successor per (estimate, event), rooted at the estimate
-    `initial`: `trans` maps (estimate, event) to it, and `states` holds the
-    estimates reached, in `sort_key` order."""
-
-    __slots__ = ()
 
 
 def extract_min_transmit(

@@ -175,8 +175,14 @@ def test_simulate_empty_trace():
 
 
 def test_simulate_bad_event():
+    """The run stops at the first event the plant does not define, after
+    the lines of the events before it."""
     p = run("simulate", PLANT, HAND, "--trace", "σ1 σ1")
-    assert p.returncode == 2
+    assert (p.returncode, p.stdout, p.stderr) == (
+        2,
+        "initial estimate={q0,q1,q5}\n1 σ1 sent=N proj=ε estimate={q0,q1,q5}\n",
+        "error: event 'σ1' is not defined at plant state 'q5'\n",
+    )
 
 
 def test_simulate_partial_policy(tmp_path):
@@ -308,7 +314,7 @@ def test_cold_import_skips_code_generation_modules():
         "labeled", "load_pairs", "load_plant", "load_policy", "observer", "observer_step", "oracle", "parse_des",
         "parse_labeled", "parse_policy", "properties", "prune_violating",
         "realization", "realize_policy", "render_word", "shortlex_levels", "synthesis", "synthesize",
-        "unobservable_reach", "word",
+        "unobservable_reach", "verify", "word",
     ]
     assert names == sorted([*exports, "__all__", "__builtins__", "__cached__", "__doc__", "__file__",
                             "__loader__", "__name__", "__package__", "__path__", "__spec__"])

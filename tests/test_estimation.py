@@ -415,7 +415,7 @@ def test_estimate_bruteforce(plant, hand_policy):
         assert estimate(an, ("σ2", "σ2")) == frozenset(plant.states)
         assert estimate(ay, ("σ2",)) == {"q1"}
         assert sorted(estimate(hand_policy, ())) == ["q0", "q1", "q5"]
-        with pytest.raises(DestxError, match=r"^event 'σ1' fell outside the plant language$"):
+        with pytest.raises(DestxError, match=r"^event 'σ1' is not defined at plant state 'q5'$"):
             estimate(an, ("σ1", "σ1"))
 
 

@@ -10,6 +10,7 @@ with a default must be passed by some call in the program.
 
 import ast
 import inspect
+import typing
 from pathlib import Path
 
 import destx
@@ -84,6 +85,20 @@ def test_every_export_is_used_by_the_program():
     ]
     assert len(exported) > 40
     assert sorted(set(exported) - _program_reads()) == []
+
+
+def test_type_annotations_resolve():
+    """Every annotation of an exported function, and of the methods of an
+    exported class, names something its module can resolve."""
+    exported = [getattr(destx, name) for name in destx.__all__]
+    functions = [f for f in exported if inspect.isfunction(f)] + [
+        f for cls in exported if inspect.isclass(cls) and cls.__module__.startswith("destx.")
+        for f in vars(cls).values() if inspect.isfunction(getattr(f, "__func__", f))
+    ]
+    names = {f.__name__ for f in functions}
+    assert {"verify", "replay", "synthesize", "realize_policy", "__init__"} <= names
+    for f in functions:
+        typing.get_type_hints(getattr(f, "__func__", f))
 
 
 def test_every_definition_is_used_by_the_program():

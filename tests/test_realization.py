@@ -254,7 +254,7 @@ def test_projection(pinned_policy, hand_policy):
     assert pinned_policy.projection(("σ3", "σ2")) == ("σ3", "σ2")
     assert hand_policy.projection(("σ2", "σ2", "σ1", "σ2")) == ("σ2", "σ2")
     assert hand_policy.projection(()) == ()
-    with pytest.raises(DestxError, match=r"^event 'σ1' fell outside the plant language$"):
+    with pytest.raises(DestxError, match=r"^event 'σ1' is not defined at plant state 'q5'$"):
         pinned_policy.projection(("σ1", "σ1"))
 
 

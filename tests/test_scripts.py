@@ -31,6 +31,7 @@ def test_run_pipeline_depth_6(tmp_path):
     assert p.returncode == 0, p.stderr
     lines = p.stdout.splitlines()
     for line in (
+        "labeled system: 17 states",
         "observer: 18 states, 38 transitions",  # built on the system carrying the property
         "PROP1 ok words=8 depth=6",
         "THM1 ok words=14 depth=6",
@@ -40,6 +41,50 @@ def test_run_pipeline_depth_6(tmp_path):
     ):
         assert line in lines
     assert out.read_text().startswith("initial ")
+
+
+def _demo(*argv):
+    return subprocess.run([sys.executable, str(SCRIPT), *argv], capture_output=True, text=True)
+
+
+def test_run_pipeline_exits_as_the_cli_does(tmp_path):
+    """The demo reports an error as `destx` does, with its exit code and
+    no traceback, and exits 5 on a failed check."""
+    pairs = tmp_path / "same.pairs"
+    pairs.write_text("pair q0 q0\n")
+    p = _demo("--pairs", str(pairs))
+    assert p.returncode == 4
+    assert p.stdout.splitlines()[-1] == "infeasible"
+    assert p.stderr == "error: no estimate survives pruning; the property cannot be enforced\n"
+    p = _demo("--pairs", str(tmp_path / "missing.pairs"))
+    assert p.returncode == 2 and p.stderr.startswith("error: ") and "Traceback" not in p.stderr
+    # the ring(n,1) defect of ROADMAP item 1: the policy merges q0 and q3 after a a a a
+    ring = tmp_path / "ring.des"
+    ring.write_text("alphabet a\nstates q0 q1 q2 q3\ninitial q0\n" + "".join(
+        f"trans q{i} a q{(i + 1) % 4}\n" for i in range(4)
+    ))
+    pairs.write_text("pair q0 q3\n")
+    p = _demo("--plant", str(ring), "--pairs", str(pairs), "--depth", "4")
+    assert p.returncode == 5, p.stderr
+    assert p.stdout.splitlines()[-1].startswith("FAIL PROBLEM1 word=a a a a ")
+
+
+def test_run_pipeline_counts_reachable_versions(tmp_path):
+    """The labeled-states line counts the versions of the states the initial
+    state reaches, so an unreachable state defining more events than a
+    state may is never expanded, as `destx synthesize` never expands it."""
+    plant = tmp_path / "wide.des"
+    events = [f"b{i}" for i in range(17)]
+    plant.write_text(
+        "alphabet a " + " ".join(events) + "\nstates s z\ninitial s\ntrans s a s\n"
+        + "".join(f"trans z {e} s\n" for e in events)
+    )
+    pairs = tmp_path / "wide.pairs"
+    pairs.write_text("pair s z\n")
+    assert run("synthesize", str(plant), str(pairs), str(tmp_path / "wide.policy")).stdout.startswith("feasible\n")
+    p = _demo("--plant", str(plant), "--pairs", str(pairs))
+    assert p.returncode == 0, p.stderr
+    assert "labeled system: 2 states" in p.stdout.splitlines()
 
 
 def test_compile_cost_lists_each_commands_modules():
